@@ -5,6 +5,12 @@ distance between synthetic and real per-class feature means. Means are taken
 over the full view every call (no minibatching), which keeps the gradients
 deterministic and testable against finite differences; callers that need
 stochastic behavior can subsample the view first.
+
+`matching_gradients` yields the pooled gradient and every per-domain gradient
+from one pass: each real (domain, class) block is featurized once, the pooled
+real class mean is the count-weighted mix of the domain means, and the S + 1
+covectors of a class are pulled back in one `vjp_batch` call. `dm_gradient`
+pulls back the pooled row only; `dm_loss` stops before the pullback.
 """
 
 from dataclasses import dataclass
@@ -21,8 +27,8 @@ def class_feature_mean(view, c, psi):
     view.class_indices(c)  # raises EmptyClass
     return view.cached_feature_mean(
         psi, c,
-        lambda: mean_features(psi, view.class_images(c),
-                              pixel_mean=view.class_pixel_mean(c)),
+        lambda: mean_features(psi, lambda: view.class_images(c),
+                              pixel_mean=lambda: view.class_pixel_mean(c)),
     )
 
 
@@ -30,54 +36,62 @@ def class_feature_mean(view, c, psi):
 class DmGradient:
     """Per-synthetic-sample pixel gradients plus the loss they descend."""
 
-    gradients: np.ndarray  # (n, channels, h, w)
+    gradients: np.ndarray | None  # (n, channels, h, w); None if not pulled back
     loss: float
 
 
-def _class_mean_errors(synthetic: SyntheticSet, view, psi):
-    """Per-class (mean psi(synthetic) - mean psi(real)) and the summed loss."""
-    if synthetic.images.shape[1:] != view.images.shape[1:]:
-        raise ShapeMismatch(
-            f"synthetic images {synthetic.images.shape[1:]} vs real {view.images.shape[1:]}"
-        )
+def _class_deltas(synthetic: SyntheticSet, domain_views, psi, per_domain):
+    """Per class c, yield (synthetic members, deltas): deltas[0] is mean
+    psi(synthetic_c) minus the pooled real class mean (the count-weighted mix
+    of the views holding class c), deltas[1 + s] the same against view s. A
+    view without class c raises EmptyClass when per_domain is set; otherwise
+    it gets weight 0 and a NaN row.
+    """
+    shape = synthetic.images.shape[1:]
+    if any(view.images.shape[1:] != shape for view in domain_views):
+        raise ShapeMismatch(f"synthetic images {shape} do not match every real view")
     syn_view = synthetic.as_view()
-    errors = {}
-    loss = 0.0
     for c in range(synthetic.class_count):
-        mu_syn = class_feature_mean(syn_view, c, psi)
-        mu_real = class_feature_mean(view, c, psi)
-        delta = mu_syn - mu_real
-        errors[c] = delta
-        loss += float(delta @ delta)
-    return errors, loss
+        mu_syn = class_feature_mean(syn_view, c, psi)  # raises EmptyClass
+        counts = np.array([len(v.by_class().get(c, ())) for v in domain_views])
+        if not counts.any():
+            raise EmptyClass(f"class {c} has no real samples")
+        mu_real = np.stack([class_feature_mean(v, c, psi) if per_domain or n
+                            else np.full_like(mu_syn, np.nan)
+                            for v, n in zip(domain_views, counts)])
+        held = counts > 0
+        pooled = (counts[held] / counts.sum()) @ mu_real[held]
+        yield syn_view.class_indices(c), mu_syn - np.vstack([pooled, mu_real])
+
+
+def matching_gradients(synthetic: SyntheticSet, domain_views, psi, per_domain=True):
+    """Exact gradients of dm_loss against the union of the views and each view.
+
+    Returns (pooled, per_domain) DmGradients. Each member of class c receives
+    the covector (2 / ipc_c) * delta_c pulled back at its own pixels. With
+    per_domain=False only the pooled row is pulled back; the per-view entries
+    carry losses (NaN for a view missing a class) and no gradients.
+    """
+    rows = len(domain_views) + 1 if per_domain else 1
+    grads = np.zeros((rows,) + synthetic.images.shape)
+    losses = np.zeros(len(domain_views) + 1)
+    for members, deltas in _class_deltas(synthetic, domain_views, psi, per_domain):
+        losses += [float(d @ d) for d in deltas]
+        grads[:, members] = psi.vjp_batch(synthetic.images[members],
+                                          (2.0 / members.size) * deltas[:rows])
+    pooled = DmGradient(gradients=grads[0], loss=float(losses[0]))
+    return pooled, [DmGradient(gradients=grads[1 + s] if per_domain else None, loss=float(l))
+                    for s, l in enumerate(losses[1:])]
 
 
 def dm_loss(synthetic: SyntheticSet, view, psi):
     """Sum over classes of || mean psi(synthetic_c) - mean psi(real_c) ||^2."""
-    _, loss = _class_mean_errors(synthetic, view, psi)
-    return loss
+    return sum(float(d[0] @ d[0]) for _, d in _class_deltas(synthetic, [view], psi, False))
 
 
 def dm_gradient(synthetic: SyntheticSet, view, psi):
-    """Exact gradient of dm_loss with respect to every synthetic image.
-
-    Each member of class c receives the same upstream covector
-    (2 / ipc_c) * (mean psi(synthetic_c) - mean psi(real_c)) pulled back
-    through the featurizer at its own pixels.
-    """
-    errors, loss = _class_mean_errors(synthetic, view, psi)
-    grads = np.zeros_like(synthetic.images)
-    by_class = synthetic.as_view().by_class()
-    for c, delta in errors.items():
-        members = by_class[c]
-        if members.size == 0:
-            raise EmptyClass(f"synthetic set has no images for class {c}")
-        upstream = (2.0 / members.size) * delta
-        if psi.vjp_depends_on_input:
-            grads[members] = psi.vjp_batch(synthetic.images[members], upstream)
-        else:
-            grads[members] = psi.vjp(synthetic.images[members[0]], upstream)
-    return DmGradient(gradients=grads, loss=loss)
+    """Exact gradient of dm_loss with respect to every synthetic image."""
+    return matching_gradients(synthetic, [view], psi, per_domain=False)[0]
 
 
 def domain_gradient(synthetic: SyntheticSet, source: MultiDomainDataset, s, psi):

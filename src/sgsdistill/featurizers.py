@@ -20,9 +20,6 @@ _TOKENS = itertools.count()
 class LinearFeaturizer:
     """Random linear projection of flattened grids: features = W @ x.ravel()."""
 
-    # The pullback W^T u ignores the input point, so callers may reuse it.
-    vjp_depends_on_input = False
-
     def __init__(self, weight):
         self.weight = np.asarray(weight, dtype=np.float64)
         if self.weight.ndim != 2 or self.weight.shape[0] < 1:
@@ -63,6 +60,16 @@ class LinearFeaturizer:
             raise ShapeMismatch(f"upstream shape {upstream.shape} != ({self.feature_dim},)")
         return (self.weight.T @ upstream).reshape(x.shape)
 
+    def vjp_batch(self, images, upstream):
+        """As ConvFeaturizer.vjp_batch; W^T u ignores the input point, so each
+        row is computed once and repeated over the batch."""
+        images = np.asarray(images, dtype=np.float64)
+        if int(np.prod(images.shape[1:])) != self.weight.shape[1]:
+            raise ShapeMismatch(f"batch shape {images.shape} incompatible with weight")
+        pulled = np.stack([self.weight.T @ u for u in _upstream_rows(upstream, self.feature_dim)])
+        pulled = np.repeat(pulled.reshape((-1, 1) + images.shape[1:]), len(images), axis=1)
+        return pulled.reshape(np.shape(upstream)[:-1] + images.shape)
+
     def hidden_activations(self, x):
         raise NotConvolutional("a linear featurizer has no spatial intermediates")
 
@@ -74,8 +81,6 @@ class ConvFeaturizer:
     a per-output-channel spatial mean. The rectifier subgradient at exactly
     zero is taken as zero.
     """
-
-    vjp_depends_on_input = True
 
     def __init__(self, kernels):
         self.kernels = np.asarray(kernels, dtype=np.float64)
@@ -157,15 +162,27 @@ class ConvFeaturizer:
         return self.vjp_batch(x[None], upstream)[0]
 
     def vjp_batch(self, images, upstream):
-        """vjp of every image against one shared upstream covector."""
+        """vjp of every image against upstream (F,) -> (n, C, H, W), or against
+        each row of a stack (K, F) -> (K, n, C, H, W). The rectifier mask is
+        computed once and shared by every row; each row is then pulled back on
+        its own, so its result does not depend on the rest of the stack."""
         images = np.asarray(images, dtype=np.float64)
         if images.ndim != 4 or images.shape[1] != self.kernels.shape[1]:
             raise ShapeMismatch(f"batch shape {images.shape} incompatible with kernels")
-        upstream = np.asarray(upstream, dtype=np.float64)
-        z = self._correlate(images, self.kernels)
-        h, w = z.shape[2:]
-        dz = (upstream / (h * w))[None, :, None, None] * (z > 0.0)
-        return self._adjoint(dz)
+        rows = _upstream_rows(upstream, self.feature_dim)
+        active = self._correlate(images, self.kernels) > 0.0
+        h, w = active.shape[2:]
+        grads = np.stack([self._adjoint((u / (h * w))[None, :, None, None] * active)
+                          for u in rows])
+        return grads.reshape(np.shape(upstream)[:-1] + images.shape)
+
+
+def _upstream_rows(upstream, feature_dim):
+    """An (F,) covector or a (K, F) stack as float64 rows (K, F)."""
+    upstream = np.asarray(upstream, dtype=np.float64)
+    if upstream.ndim not in (1, 2) or upstream.shape[-1] != feature_dim:
+        raise ShapeMismatch(f"upstream {upstream.shape} is not ({feature_dim},) or (K, {feature_dim})")
+    return upstream.reshape(-1, feature_dim)
 
 
 def mean_features(psi, images, pixel_mean=None):
@@ -173,7 +190,9 @@ def mean_features(psi, images, pixel_mean=None):
 
     For a LinearFeaturizer the feature mean equals W applied to the pixel mean,
     so a cached pixel mean avoids re-featurizing the whole class every call.
+    Either argument may be a zero-argument callable, called only on the path
+    that reads it.
     """
     if pixel_mean is not None and isinstance(psi, LinearFeaturizer):
-        return psi.features(pixel_mean)
-    return psi.features_batch(images).mean(axis=0)
+        return psi.features(pixel_mean() if callable(pixel_mean) else pixel_mean)
+    return psi.features_batch(images() if callable(images) else images).mean(axis=0)

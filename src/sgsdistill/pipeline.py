@@ -1,11 +1,15 @@
 """The end-to-end distillation loop.
 
 Each iteration draws a fresh featurizer from a stream keyed by the absolute
-iteration number, computes the pooled gradient and the per-domain gradients,
-runs the spectral consensus decomposition per synthetic sample, and applies
-the three-signal step with that sample's assigned domain. Keying the stream by
-iteration makes a restored checkpoint continue bit-identically to a run that
-never stopped.
+iteration number, computes the pooled gradient and the per-domain gradients
+in one matching pass (each real domain featurized once, see
+`dm.matching_gradients`), runs the spectral consensus decomposition per
+synthetic sample, and applies the three-signal step with that sample's
+assigned domain. Plain matching (`algorithm="dm"`) pulls back only the
+pooled covectors (bitwise the gradient surgery starts from) and lets a domain
+missing a class through with a NaN loss. Keying the stream by iteration
+makes a restored checkpoint continue bit-identically to a run that never
+stopped.
 """
 
 import json
@@ -14,8 +18,9 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import storage
-from .datasets import MultiDomainDataset, SyntheticSet
-from .dm import dm_gradient, domain_gradient
+from .datasets import DataView, MultiDomainDataset, SyntheticSet
+# dm_gradient is not called here; perfbench/tracer.py wraps this name.
+from .dm import dm_gradient, matching_gradients
 from .errors import DistillError, EmptyClass, InvalidConfig, IoError, TooFewDomains
 from .featurizers import ConvFeaturizer, LinearFeaturizer
 from .rng import SeededRng
@@ -68,7 +73,9 @@ class DistillConfig:
     momentum: float = 0.0
     clamp: bool = False
     resample_featurizer: bool = True
-    batch_per_class: int = 0     # 0 = full-set means; >0 subsamples per iteration
+    # 0 = full-set means; >0 draws up to this many samples per (domain, class)
+    # each iteration, and the pooled batch is the union of the domain batches.
+    batch_per_class: int = 0
 
     def __post_init__(self):
         if self.ipc < 1:
@@ -162,7 +169,7 @@ def initialize(source: MultiDomainDataset, cfg: DistillConfig):
 @dataclass
 class RunResult:
     synthetic: SyntheticSet
-    history: list          # (iteration, pooled loss, *per-domain losses)
+    history: list          # (iteration, pooled loss, *per-domain losses or NaN)
     domain_count: int
 
 
@@ -185,8 +192,6 @@ def _subsample_view(view, per_class, rng):
     if untouched:
         return view
     keep = np.concatenate(keep)
-    from .datasets import DataView
-
     return DataView(images=view.images[keep], labels=view.labels[keep],
                     class_count=view.class_count,
                     uids=None if view.uids is None else view.uids[keep])
@@ -219,7 +224,6 @@ def run_distillation(source: MultiDomainDataset, cfg: DistillConfig,
             featurizer_stream = lambda t: fixed
 
     synthetic = initial.copy() if initial is not None else initialize(source, cfg)
-    union_view = source.train_view()
     domain_views = [source.train_view(domain=s) for s in range(s_count)]
     weights = cfg.weights()
     history = []
@@ -227,25 +231,18 @@ def run_distillation(source: MultiDomainDataset, cfg: DistillConfig,
 
     for t in range(synthetic.iteration, cfg.iterations):
         psi = featurizer_stream(t)
+        real_domains = domain_views
         if cfg.batch_per_class > 0:
-            real_union = _subsample_view(union_view, cfg.batch_per_class,
-                                         rng.substream(_STREAM_BATCH, t, s_count))
             real_domains = [
-                _subsample_view(domain_views[s], cfg.batch_per_class,
-                                rng.substream(_STREAM_BATCH, t, s))
-                for s in range(s_count)
+                _subsample_view(view, cfg.batch_per_class, rng.substream(_STREAM_BATCH, t, s))
+                for s, view in enumerate(domain_views)
             ]
-        else:
-            real_union, real_domains = union_view, domain_views
-        pooled = dm_gradient(synthetic, real_union, psi)
+        pooled, per_domain = matching_gradients(synthetic, real_domains, psi,
+                                                per_domain=cfg.algorithm != "dm")
+        history.append((t, pooled.loss, *[d.loss for d in per_domain]))
         if cfg.algorithm == "dm":
-            history.append((t, pooled.loss))
             updates = pooled.gradients
         else:
-            per_domain = [
-                dm_gradient(synthetic, real_domains[s], psi) for s in range(s_count)
-            ]
-            history.append((t, pooled.loss, *[d.loss for d in per_domain]))
             updates = batch_surgery_updates(
                 np.stack([d.gradients for d in per_domain]),
                 pooled.gradients,
@@ -282,10 +279,8 @@ def surgery_snapshot(source: MultiDomainDataset, cfg: DistillConfig,
     rng = SeededRng(cfg.seed)
     psi = cfg.featurizer.build(source.image_shape,
                                rng.substream(_STREAM_FEATURIZER, synthetic.iteration))
-    per_domain = [
-        dm_gradient(synthetic, source.train_view(domain=s), psi)
-        for s in range(source.domain_count)
-    ]
+    _, per_domain = matching_gradients(
+        synthetic, [source.train_view(domain=s) for s in range(source.domain_count)], psi)
     resultants = np.empty_like(synthetic.images)
     class_signals = np.empty_like(synthetic.images)
     for i in range(len(synthetic)):

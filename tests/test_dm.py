@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from sgsdistill.datasets import DataView, SyntheticSet
-from sgsdistill.dm import class_feature_mean, dm_gradient, dm_loss, domain_gradient
-from sgsdistill.errors import EmptyClass, UnknownDomain
+from sgsdistill.datasets import TRAIN, DataView, SyntheticSet
+from sgsdistill.dm import (
+    class_feature_mean,
+    dm_gradient,
+    dm_loss,
+    domain_gradient,
+    matching_gradients,
+)
+from sgsdistill.errors import EmptyClass, ShapeMismatch, UnknownDomain
 from sgsdistill.featurizers import ConvFeaturizer, LinearFeaturizer
 from sgsdistill.rng import SeededRng
 
@@ -291,3 +297,147 @@ def test_pooled_gradient_differs_from_averaged_domain_gradients_unequal_counts()
     averaged = np.mean([domain_gradient(synthetic, ds, s, psi).gradients for s in range(2)],
                        axis=0)
     assert np.abs(pooled - averaged).max() > 1e-6
+
+
+def reference_dm_gradient(synthetic, view, psi):
+    """One view at a time, one sample at a time: per-class means straight from
+    features_batch and each member's pullback through psi.vjp."""
+    grads = np.zeros_like(synthetic.images)
+    loss = 0.0
+    for c in range(synthetic.class_count):
+        members = np.flatnonzero(synthetic.labels == c)
+        delta = (psi.features_batch(synthetic.images[members]).mean(axis=0)
+                 - psi.features_batch(view.images[view.labels == c]).mean(axis=0))
+        loss += float(delta @ delta)
+        for i in members:
+            grads[i] = psi.vjp(synthetic.images[i], (2.0 / members.size) * delta)
+    return grads, loss
+
+
+def matching_case(seed, unequal, kind):
+    """Three-domain source; with unequal=True the per-class domain counts differ."""
+    rng = SeededRng(seed)
+    shape = (1, 4, 4)
+    ds = make_dataset(rng.substream(0), class_count=2, domain_count=3, train_per_cell=6,
+                      shape=shape, domain_shift=1.0)
+    if unequal:
+        keep = np.ones(len(ds), dtype=bool)
+        for d, c, drop in [(0, 0, 4), (1, 1, 2), (2, 0, 1)]:
+            cell = np.flatnonzero((ds.domains == d) & (ds.labels == c) & (ds.splits == TRAIN))
+            keep[cell[:drop]] = False
+        ds = ds.subset(keep)
+    if kind == "linear":
+        psi = LinearFeaturizer.create(shape, 6, rng.substream(1))
+    else:
+        psi = ConvFeaturizer.create(1, 3, 3, rng.substream(1))
+    synthetic = make_synthetic(rng.substream(2), class_count=2, ipc=3, shape=shape,
+                               domain_count=3)
+    return ds, synthetic, psi
+
+
+def max_rel(a, b):
+    return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))
+
+
+@pytest.mark.parametrize("kind", ["linear", "conv"])
+@pytest.mark.parametrize("unequal", [False, True])
+def test_matching_gradients_match_per_view_reference(kind, unequal):
+    ds, synthetic, psi = matching_case(40, unequal, kind)
+    views = [ds.train_view(domain=s) for s in range(3)]
+    pooled, per_domain = matching_gradients(synthetic, views, psi)
+    assert len(per_domain) == 3
+    for got, view in zip([pooled] + per_domain, [ds.train_view()] + views):
+        grads, loss = reference_dm_gradient(synthetic, view, psi)
+        assert max_rel(got.gradients, grads) < 1e-12
+        assert got.loss == pytest.approx(loss, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["linear", "conv"])
+def test_matching_gradients_match_finite_differences(kind):
+    ds, synthetic, psi = matching_case(41, True, kind)
+    if kind == "conv":
+        # Margin-safe setup, as in the acceptance suite: resample until every
+        # synthetic pre-activation clears the rectifier kink by more than 1e-3
+        # (1000x the FD step).
+        rng = SeededRng(42)
+        for attempt in range(200):
+            if min(np.abs(psi.preactivations(img)).min() for img in synthetic.images) > 1e-3:
+                break
+            synthetic = make_synthetic(rng.substream(attempt), class_count=2, ipc=3,
+                                       shape=(1, 4, 4), domain_count=3)
+        else:
+            raise AssertionError("no margin-safe synthetic set found")
+    views = [ds.train_view(domain=s) for s in range(3)]
+    pooled, per_domain = matching_gradients(synthetic, views, psi)
+    for got, view in zip([pooled] + per_domain, [ds.train_view()] + views):
+        for i in range(len(synthetic)):
+            def f(x, i=i, view=view):
+                probe = synthetic.copy()
+                probe.images[i] = x
+                return dm_loss(probe, view, psi)
+            fd = central_fd_grid(f, synthetic.images[i])
+            assert fd_relative_error(got.gradients[i], fd) < 1e-5
+
+
+def test_stacked_vjp_batch_equals_one_upstream_at_a_time():
+    rng = SeededRng(43)
+    images = rng.substream(0).normal(size=(5, 2, 4, 4))
+    upstream = rng.substream(1).normal(size=(4, 3))
+    for psi in [
+        LinearFeaturizer.create((2, 4, 4), 3, rng.substream(2)),
+        ConvFeaturizer.create(2, 3, 3, rng.substream(3)),
+    ]:
+        stacked = psi.vjp_batch(images, upstream)
+        assert stacked.shape == (4, 5, 2, 4, 4)
+        assert stacked.flags.writeable
+        for k, u in enumerate(upstream):
+            single = psi.vjp_batch(images, u)
+            assert single.shape == (5, 2, 4, 4)
+            assert single.tobytes() == stacked[k].tobytes()
+            for i, x in enumerate(images):
+                assert max_rel(single[i], psi.vjp(x, u)) < 1e-12
+        for bad in (np.ones(4), np.ones((2, 4)), np.ones((1, 2, 3))):
+            with pytest.raises(ShapeMismatch):
+                psi.vjp_batch(images, bad)
+
+
+@pytest.mark.parametrize("kind", ["linear", "conv"])
+def test_pooled_only_pass_skips_views_missing_a_class(kind):
+    ds, synthetic, psi = matching_case(44, True, kind)
+    keep = ~((ds.domains == 2) & (ds.labels == 1) & (ds.splits == TRAIN))
+    ds = ds.subset(keep)
+    views = [ds.train_view(domain=s) for s in range(3)]
+    with pytest.raises(EmptyClass):
+        matching_gradients(synthetic, views, psi)
+    pooled, per_domain = matching_gradients(synthetic, views, psi, per_domain=False)
+    grads, loss = reference_dm_gradient(synthetic, ds.train_view(), psi)
+    assert max_rel(pooled.gradients, grads) < 1e-12
+    assert pooled.loss == pytest.approx(loss, rel=1e-12)
+    assert all(d.gradients is None for d in per_domain)
+    assert np.isnan(per_domain[2].loss)
+    for d, view in zip(per_domain[:2], views[:2]):
+        assert d.loss == pytest.approx(reference_dm_gradient(synthetic, view, psi)[1], rel=1e-12)
+
+
+def test_pooled_row_is_bitwise_the_same_with_or_without_domain_rows():
+    for kind in ("linear", "conv"):
+        ds, synthetic, psi = matching_case(45, True, kind)
+        views = [ds.train_view(domain=s) for s in range(3)]
+        full, _ = matching_gradients(synthetic, views, psi)
+        alone, _ = matching_gradients(synthetic, views, psi, per_domain=False)
+        assert full.gradients.tobytes() == alone.gradients.tobytes()
+        assert full.loss == alone.loss
+
+
+def test_linear_class_mean_reads_the_pixel_mean_without_indexing():
+    imgs = SeededRng(46).substream(0).normal(size=(4, 1, 2, 2))
+    view = view_of(imgs, [0, 0, 1, 1], 2)
+    view.class_pixel_mean(0)  # cached, as after a first iteration
+    calls = []
+    view.class_images = lambda c: calls.append(c) or imgs[view.labels == c]
+    psi = LinearFeaturizer(np.eye(4))
+    mu = class_feature_mean(view, 0, psi)
+    assert calls == []
+    assert mu.tobytes() == psi.features(imgs[:2].mean(axis=0)).tobytes()
+    class_feature_mean(view, 0, ConvFeaturizer(np.ones((1, 1, 1, 1))))
+    assert calls == [0]

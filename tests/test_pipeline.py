@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from sgsdistill.datasets import TRAIN
+from sgsdistill.datasets import TRAIN, DataView
+from sgsdistill.dm import dm_gradient
 from sgsdistill.errors import EmptyClass, InvalidConfig, IoError, TooFewDomains
+from sgsdistill.featurizers import LinearFeaturizer
 from sgsdistill.pipeline import (
+    _STREAM_BATCH,
+    ALGORITHMS,
     DistillConfig,
     FeaturizerSpec,
     checkpoint,
@@ -13,8 +17,10 @@ from sgsdistill.pipeline import (
     initialize,
     restore,
     run_distillation,
+    _subsample_view,
 )
 from sgsdistill.rng import SeededRng
+from sgsdistill.storage import write_loss_history_csv
 from sgsdistill.toydata import ToySpec, generate_toy
 
 from helpers import make_dataset
@@ -113,8 +119,37 @@ def test_zero_lambda_run_matches_dm_path_bitwise(toy):
     dm = run_distillation(toy, replace(cfg, algorithm="dm"))
     assert sgs.synthetic.images.tobytes() == dm.synthetic.images.tobytes()
     assert np.array_equal(sgs.synthetic.labels, dm.synthetic.labels)
-    # history schemas differ: sgs rows carry per-domain losses too
-    assert [row[1] for row in sgs.history] == [row[1] for row in dm.history]
+    assert sgs.history == dm.history
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_loss_history_csv_rows_match_header_width(tmp_path, toy, algorithm):
+    cfg = DistillConfig(ipc=4, iterations=3, seed=12, algorithm=algorithm, **FAST)
+    res = run_distillation(toy, cfg)
+    path = tmp_path / "loss_history.csv"
+    write_loss_history_csv(res.history, res.domain_count, path)
+    header, *rows = path.read_text().splitlines()
+    assert len(rows) == 3
+    assert all(len(row.split(",")) == len(header.split(",")) for row in rows)
+
+
+@pytest.mark.parametrize("kind", ["linear", "conv"])
+def test_dm_run_survives_a_domain_missing_a_class(toy, kind):
+    # Domain 1 loses every class-0 train sample, as a K-means pseudo-domain can.
+    keep = ~((toy.domains == 1) & (toy.labels == 0) & (toy.splits == TRAIN))
+    source = toy.subset(keep)
+    spec = FeaturizerSpec(kind=kind, dim=32, channels=4)
+    cfg = DistillConfig(ipc=4, iterations=2, seed=18, init="random", algorithm="dm",
+                        featurizer=spec)
+    psi = spec.build(source.image_shape, SeededRng(19))
+    res = run_distillation(source, cfg, featurizer_stream=lambda t: psi)
+    init = initialize(source, cfg)
+    expected = dm_gradient(init, source.train_view(), psi)
+    assert res.history[0][1] == pytest.approx(expected.loss, rel=1e-12)
+    assert np.isnan(res.history[0][3])
+    assert all(np.isfinite(res.history[0][s]) for s in (2, 4, 5))
+    with pytest.raises(EmptyClass):
+        run_distillation(source, replace(cfg, algorithm="sgs"), featurizer_stream=lambda t: psi)
 
 
 def test_noise_init_loss_decreases_over_seeds(toy):
@@ -183,6 +218,30 @@ def test_batch_knob_runs_and_oversized_batch_equals_full_means(toy):
     again = run_distillation(toy, replace(base, batch_per_class=4))
     assert small.synthetic.images.tobytes() == again.synthetic.images.tobytes()
     assert small.synthetic.images.tobytes() != full.synthetic.images.tobytes()
+
+
+def test_pooled_batch_is_union_of_domain_batches(toy):
+    # Domain 1 keeps 5 class-0 train samples, below the batch size of 8, so
+    # the drawn domain batches have unequal class counts.
+    cell = np.flatnonzero((toy.domains == 1) & (toy.labels == 0) & (toy.splits == TRAIN))
+    keep = np.ones(len(toy), dtype=bool)
+    keep[cell[:7]] = False
+    source = toy.subset(keep)
+    cfg = DistillConfig(ipc=4, iterations=1, seed=16, algorithm="dm", batch_per_class=8)
+    psi = LinearFeaturizer.create(source.image_shape, 32, SeededRng(17))
+    res = run_distillation(source, cfg, featurizer_stream=lambda t: psi)
+    rng = SeededRng(cfg.seed)
+    batches = [_subsample_view(source.train_view(domain=s), 8, rng.substream(_STREAM_BATCH, 0, s))
+               for s in range(source.domain_count)]
+    assert [b.class_indices(0).size for b in batches] == [8, 5, 8, 8]
+    union = DataView(images=np.concatenate([b.images for b in batches]),
+                     labels=np.concatenate([b.labels for b in batches]),
+                     class_count=source.class_count)
+    init = initialize(source, cfg)
+    expected = dm_gradient(init, union, psi)
+    assert res.history[0][1] == pytest.approx(expected.loss, rel=1e-12)
+    step = init.images - res.synthetic.images
+    assert np.abs(step - cfg.eta * expected.gradients).max() < 1e-12 * np.abs(step).max()
 
 
 def test_momentum_and_clamp_paths(toy):
