@@ -142,17 +142,8 @@ def _ensure_out(args):
     return out
 
 
-def _write_json(payload, path):
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
-
-
 def _write_resolved(resolved, out):
-    _write_json(resolved, os.path.join(out, "resolved_config.json"))
+    storage.write_json(resolved, os.path.join(out, "resolved_config.json"))
     return hashlib.sha256(
         json.dumps(resolved, sort_keys=True).encode("utf-8")
     ).hexdigest()
@@ -179,7 +170,7 @@ def _cmd_gen_data(args):
         "samples": len(ds),
         "hidden_style": ds.extras["hidden_style"].tolist(),
     }
-    _write_json(meta, os.path.join(out, f"{toy_spec.name}.meta.json"))
+    storage.write_json(meta, os.path.join(out, f"{toy_spec.name}.meta.json"))
     print(f"wrote {data_path} ({len(ds)} samples)")
     return 0
 
@@ -220,15 +211,13 @@ def _cmd_eval(args):
         summary["in_distribution"] = outcome.in_distribution.summary()
     else:
         k = args.k if args.k is not None else 4
-        reports = []
         source = args.source_domain if args.source_domain is not None else 0
         report, _ = sdg_protocol(ds, source, k, distiller, eval_cfg)
-        reports.append(report)
         storage.export_metrics_csv(report, os.path.join(out, "sdg_ood.csv"))
         summary["ood"] = report.summary()
         summary["k"] = k
         summary["source_domain"] = source
-    _write_json(summary, os.path.join(out, "summary.json"))
+    storage.write_json(summary, os.path.join(out, "summary.json"))
     print(f"wrote evaluation summary to {out}/summary.json")
     return 0
 
@@ -253,7 +242,7 @@ def _cmd_oracle(args):
         "consensus_slope": decay.consensus_slope,
         "sweep_max_abs_error": float(np.abs(sweep.estimates - sweep.expected).max()),
     }
-    _write_json(summary, os.path.join(out, "summary.json"))
+    storage.write_json(summary, os.path.join(out, "summary.json"))
     print(f"class slope {decay.class_slope:.3f}, consensus slope {decay.consensus_slope:.3f}")
     return 0
 
@@ -279,7 +268,7 @@ def _cmd_cluster(args):
     hidden = ds.extras.get("hidden_style")
     if hidden is not None and (hidden >= 0).all():
         summary["purity_vs_hidden_styles"] = cluster_purity(relabeled.domains, hidden)
-    _write_json(summary, os.path.join(out, "summary.json"))
+    storage.write_json(summary, os.path.join(out, "summary.json"))
     print(f"wrote {assign_path}")
     return 0
 
@@ -357,8 +346,6 @@ def build_parser():
     p = sub.add_parser("eval", help="run an evaluation protocol")
     common(p)
     p.add_argument("--protocol", choices=["mdg", "sdg", "id"], required=True)
-    p.add_argument("--targets", default="all", choices=["all"],
-                   help="target selection (all leave-one-out cells)")
     p.add_argument("--k", type=int, help="pseudo-domain count for SDG")
     p.add_argument("--source-domain", type=int, dest="source_domain")
     p.add_argument("--lambda-c", type=float, dest="lambda_c")

@@ -61,12 +61,11 @@ def softmax_cross_entropy(weight, bias, images, labels):
     return loss, grad_w, grad_b
 
 
-def train_classifier(view, epochs, lr, seed=0):
+def train_classifier(view, epochs, lr):
     """Full-batch gradient descent from a zero-initialized classifier.
 
-    Deterministic given its inputs; the seed parameter is kept for interface
-    stability (nothing here is stochastic). Zero epochs returns the zero
-    classifier untouched.
+    Deterministic given its inputs (nothing here is stochastic). Zero epochs
+    returns the zero classifier untouched.
     """
     view.require_nonempty()
     for c in range(view.class_count):
@@ -215,8 +214,7 @@ def mdg_protocol(all_domains: MultiDomainDataset, distill_fn, eval_cfg: EvalConf
             seed = derive_seed(eval_cfg.base_seed, target, run)
             synthetic = distill_fn(source, seed)
             assert_protocol_isolation(all_domains, source, synthetic, target)
-            clf = train_classifier(synthetic.as_view(), eval_cfg.epochs, eval_cfg.lr,
-                                   seed=seed)
+            clf = train_classifier(synthetic.as_view(), eval_cfg.epochs, eval_cfg.lr)
             ood_entries.append(EvalEntry(target, seed, accuracy(clf, target_test)))
             id_entries.append(EvalEntry(target, seed, accuracy(clf, source_test)))
     return MdgOutcome(
@@ -245,7 +243,7 @@ def sdg_protocol(all_domains: MultiDomainDataset, source_domain, k, distill_fn,
     for run in range(eval_cfg.runs):
         seed = derive_seed(eval_cfg.base_seed, source_domain, run)
         synthetic = distill_fn(pseudo_ds, seed)
-        clf = train_classifier(synthetic.as_view(), eval_cfg.epochs, eval_cfg.lr, seed=seed)
+        clf = train_classifier(synthetic.as_view(), eval_cfg.epochs, eval_cfg.lr)
         for target in targets:
             entries.append(EvalEntry(target, seed,
                                      accuracy(clf, all_domains.test_view(domain=target))))

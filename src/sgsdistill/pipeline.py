@@ -4,8 +4,9 @@ Each iteration draws a fresh featurizer from a stream keyed by the absolute
 iteration number, computes the pooled gradient and the per-domain gradients
 in one matching pass (each real domain featurized once, see
 `dm.matching_gradients`), runs the spectral consensus decomposition per
-synthetic sample, and applies the three-signal step with that sample's
-assigned domain. Plain matching (`algorithm="dm"`) pulls back only the
+synthetic sample (once per run of identical samples, see
+`surgery.batch_surgery_updates`), and applies the three-signal step with
+that sample's assigned domain. Plain matching (`algorithm="dm"`) pulls back only the
 pooled covectors (bitwise the gradient surgery starts from) and lets a domain
 missing a class through with a NaN loss. Keying the stream by iteration
 makes a restored checkpoint continue bit-identically to a run that never
@@ -24,7 +25,7 @@ from .dm import dm_gradient, matching_gradients
 from .errors import DistillError, EmptyClass, InvalidConfig, IoError, TooFewDomains
 from .featurizers import ConvFeaturizer, LinearFeaturizer
 from .rng import SeededRng
-from .surgery import SurgeryWeights, batch_surgery_updates
+from .surgery import SurgeryWeights, batch_consensus_maps, batch_surgery_updates
 
 INIT_STRATEGIES = ("noise", "random", "uniform")
 ALGORITHMS = ("sgs", "dm")
@@ -269,11 +270,10 @@ def run_distillation(source: MultiDomainDataset, cfg: DistillConfig,
 def surgery_snapshot(source: MultiDomainDataset, cfg: DistillConfig,
                      synthetic: SyntheticSet):
     """Per-sample resultant maps and class signals at the synthetic set's
-    current state, using the featurizer its next iteration would draw.
-    Feeds the optional offline-inspection dump.
+    current state, using the featurizer its next iteration would draw and
+    the spectral split the training kernel runs. Feeds the optional
+    offline-inspection dump.
     """
-    from .surgery import DomainGradientStack, consensus, decompose
-
     if source.domain_count < 2:
         raise TooFewDomains("surgery snapshot needs at least two domains")
     rng = SeededRng(cfg.seed)
@@ -281,16 +281,7 @@ def surgery_snapshot(source: MultiDomainDataset, cfg: DistillConfig,
                                rng.substream(_STREAM_FEATURIZER, synthetic.iteration))
     _, per_domain = matching_gradients(
         synthetic, [source.train_view(domain=s) for s in range(source.domain_count)], psi)
-    resultants = np.empty_like(synthetic.images)
-    class_signals = np.empty_like(synthetic.images)
-    for i in range(len(synthetic)):
-        stack = DomainGradientStack.from_gradients(
-            i, np.stack([d.gradients[i] for d in per_domain]))
-        cons = consensus(stack, cfg.epsilon)
-        bundle = decompose(stack, cons)
-        resultants[i] = cons.resultant
-        class_signals[i] = bundle.class_signal
-    return resultants, class_signals
+    return batch_consensus_maps(np.stack([d.gradients for d in per_domain]), cfg.epsilon)
 
 
 def config_to_dict(cfg: DistillConfig):
@@ -328,12 +319,7 @@ def checkpoint(synthetic: SyntheticSet, path, config: DistillConfig | None = Non
         "iteration": int(synthetic.iteration),
         "config": config_to_dict(config) if config is not None else None,
     }
-    try:
-        with open(str(path) + ".json", "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write checkpoint sidecar: {exc}") from exc
+    storage.write_json(sidecar, str(path) + ".json")
 
 
 def restore(path):

@@ -1,4 +1,4 @@
-"""Binary containers, IDX import, and CSV export.
+"""Binary containers, JSON descriptors, IDX import, and CSV export.
 
 Dataset container ("DGDD", version 1, little-endian):
     magic[4] | version u16 | N,H,W,channels,C,S u32 each
@@ -8,10 +8,13 @@ Pixels are stored at f32: a documented lossy step for float64 pipelines.
 
 Checkpoint container ("DGCK") keeps the same layout without the split byte and
 with f64 pixels, so restoring a run is bit-lossless. Grid dumps ("DGGR") hold
-bare f64 grids. All writes go through a temp file and an atomic rename; all
-reads either return a complete object or raise.
+bare f64 grids. Container and JSON writes go through a temp file and an atomic
+rename (the temp file is removed when a write fails); all reads either return
+a complete object or raise.
 """
 
+import contextlib
+import json
 import os
 import struct
 import zlib
@@ -42,7 +45,15 @@ def _atomic_write(path, data):
             fh.write(data)
         os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
         raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def write_json(payload, path):
+    """Indented, key-sorted UTF-8 JSON, written through the same atomic rename."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _atomic_write(path, text.encode("utf-8"))
 
 
 def _read_file(path):

@@ -78,3 +78,34 @@ def naive_matvec(mat, vec):
             acc += mat[i, j] * vec[j]
         out[i] = acc
     return out
+
+
+def per_sample_surgery(domain_gradients, base, assigned, w):
+    """Three-signal updates one sample at a time through the per-sample path
+    (stack, consensus, decompose, combined_update): the batch kernel's oracle."""
+    from sgsdistill.surgery import (DomainGradientStack, combined_update, consensus,
+                                    decompose)
+
+    domain_gradients = np.asarray(domain_gradients, dtype=np.float64)
+    out = np.empty(domain_gradients.shape[1:])
+    for i in range(domain_gradients.shape[1]):
+        stack = DomainGradientStack.from_gradients(i, domain_gradients[:, i])
+        bundle = decompose(stack, consensus(stack, w.epsilon),
+                           base=np.asarray(base[i], dtype=np.float64))
+        out[i] = combined_update(bundle, assigned[i], w)
+    return out
+
+
+def per_sample_consensus_maps(domain_gradients, epsilon):
+    """Resultant maps and class signals one sample at a time (per-sample path)."""
+    from sgsdistill.surgery import DomainGradientStack, consensus, decompose
+
+    domain_gradients = np.asarray(domain_gradients, dtype=np.float64)
+    resultants = np.empty(domain_gradients.shape[1:])
+    class_signals = np.empty(domain_gradients.shape[1:])
+    for i in range(domain_gradients.shape[1]):
+        stack = DomainGradientStack.from_gradients(i, domain_gradients[:, i])
+        cons = consensus(stack, epsilon)
+        resultants[i] = cons.resultant
+        class_signals[i] = decompose(stack, cons).class_signal
+    return resultants, class_signals

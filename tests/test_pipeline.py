@@ -6,6 +6,7 @@ from sgsdistill.datasets import TRAIN, DataView
 from sgsdistill.dm import dm_gradient
 from sgsdistill.errors import EmptyClass, InvalidConfig, IoError, TooFewDomains
 from sgsdistill.featurizers import LinearFeaturizer
+from sgsdistill import pipeline, storage
 from sgsdistill.pipeline import (
     _STREAM_BATCH,
     ALGORITHMS,
@@ -17,13 +18,14 @@ from sgsdistill.pipeline import (
     initialize,
     restore,
     run_distillation,
+    surgery_snapshot,
     _subsample_view,
 )
 from sgsdistill.rng import SeededRng
 from sgsdistill.storage import write_loss_history_csv
 from sgsdistill.toydata import ToySpec, generate_toy
 
-from helpers import make_dataset
+from helpers import make_dataset, per_sample_consensus_maps, per_sample_surgery
 
 SMALL_TOY = ToySpec(train_per_cell=12, test_per_cell=4, class_count=3)
 FAST = dict(featurizer=FeaturizerSpec(kind="linear", dim=32))
@@ -298,3 +300,54 @@ def test_periodic_checkpointing(tmp_path, toy):
     assert files == ["checkpoint_000002.dgck", "checkpoint_000004.dgck",
                      "checkpoint_000006.dgck"]
     assert restore(tmp_path / "checkpoint_000004.dgck").iteration == 4
+
+
+KINDS = {"linear": FeaturizerSpec(kind="linear", dim=32),
+         "conv": FeaturizerSpec(kind="conv", channels=4)}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_run_matches_per_sample_surgery_bitwise(monkeypatch, tmp_path, toy, kind):
+    # ipc 5 over the toy's 4 domains gives the linear featurizer runs of equal
+    # (class, domain) rows; the conv featurizer's rows are all distinct.
+    short = DistillConfig(ipc=5, iterations=3, seed=16, featurizer=KINDS[kind])
+    full = replace(short, iterations=5)
+    kernel = run_distillation(toy, full)
+    half = run_distillation(toy, short)
+    checkpoint(half.synthetic, tmp_path / "half.dgck", config=short)
+    resumed = run_distillation(toy, full, initial=restore(tmp_path / "half.dgck"))
+    monkeypatch.setattr(pipeline, "batch_surgery_updates", per_sample_surgery)
+    oracle = run_distillation(toy, full)
+    for res in (kernel, resumed):
+        assert res.synthetic.images.tobytes() == oracle.synthetic.images.tobytes()
+    assert kernel.history == oracle.history
+    assert resumed.history == oracle.history[short.iterations:]
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_surgery_snapshot_matches_per_sample_path(monkeypatch, toy, kind):
+    cfg = DistillConfig(ipc=5, iterations=2, seed=17, featurizer=KINDS[kind])
+    synthetic = run_distillation(toy, cfg).synthetic
+    maps = surgery_snapshot(toy, cfg, synthetic)
+    monkeypatch.setattr(pipeline, "batch_consensus_maps", per_sample_consensus_maps)
+    oracle = surgery_snapshot(toy, cfg, synthetic)
+    for got, want in zip(maps, oracle):
+        assert got.shape == synthetic.images.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_failed_sidecar_write_leaves_no_partial_files(monkeypatch, tmp_path, toy):
+    cfg = DistillConfig(ipc=3, iterations=1, seed=18, **FAST)
+    synthetic = run_distillation(toy, cfg).synthetic
+    path = tmp_path / "state.dgck"
+    real_replace = storage.os.replace
+
+    def failing_replace(src, dst):
+        if str(dst).endswith(".json"):
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(storage.os, "replace", failing_replace)
+    with pytest.raises(IoError):
+        checkpoint(synthetic, path, config=cfg)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.dgck"]

@@ -3,17 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgsdistill.errors import TooFewDomains, UnknownDomain
+from sgsdistill.errors import NonHermitianInput, ShapeMismatch, TooFewDomains, UnknownDomain
 from sgsdistill.fourier import fft2, frequency_negation, ifft2, ifft2_with_residue
 from sgsdistill.rng import SeededRng
 from sgsdistill.surgery import (
     ConsensusResult,
     DomainGradientStack,
     SurgeryWeights,
+    batch_consensus_maps,
+    batch_surgery_updates,
     consensus,
     decompose,
     sgs_step,
 )
+
+from helpers import per_sample_consensus_maps, per_sample_surgery
 
 EPS = 1e-8
 
@@ -196,3 +200,109 @@ def test_decomposition_invariants_property(seed, domains):
     assert np.abs(frequency_negation(cons.resultant) - cons.resultant).max() < 1e-12
     assert np.abs(bundle.domain_signals.mean(axis=0)).max() < 1e-10
     assert np.linalg.norm(bundle.class_signal) <= np.linalg.norm(ifft2(cons.mean_spectrum)) + 1e-12
+
+
+KERNEL_WEIGHTS = SurgeryWeights(lambda_c=0.7, lambda_d=1.3, eta=1.0, epsilon=EPS,
+                                base_scale=0.9)
+
+
+def kernel_inputs(seed, domains=3, rows=6, shape=(2, 8, 8)):
+    rng = SeededRng(seed)
+    grads = rng.substream(0).normal(size=(domains, rows) + shape)
+    base = rng.substream(1).normal(size=(rows,) + shape)
+    assigned = np.arange(rows) % domains
+    return grads, base, assigned
+
+
+def assert_kernel_matches_oracle(grads, base, assigned):
+    got = batch_surgery_updates(grads, base, assigned, KERNEL_WEIGHTS)
+    want = per_sample_surgery(grads, base, assigned, KERNEL_WEIGHTS)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_kernel_matches_per_sample_oracle_on_distinct_rows():
+    for seed in range(3):
+        assert_kernel_matches_oracle(*kernel_inputs(seed))
+
+
+def test_kernel_matches_oracle_on_contiguous_duplicate_runs():
+    # The linear featurizer's layout: classes contiguous, assigned domains
+    # contiguous within a class, one stack and base per class.
+    grads, base, _ = kernel_inputs(20, rows=2)
+    ipc, pattern = 5, np.array([0, 0, 1, 1, 2])
+    rows = np.repeat(np.arange(2), ipc)
+    assert_kernel_matches_oracle(grads[:, rows], base[rows], np.tile(pattern, 2))
+
+
+def test_kernel_matches_oracle_on_non_adjacent_duplicates():
+    grads, base, assigned = kernel_inputs(21, rows=3)
+    rows = np.array([0, 1, 0, 2, 1, 0])
+    assert_kernel_matches_oracle(grads[:, rows], base[rows], assigned[rows])
+
+
+@pytest.mark.parametrize("differs", ["stack", "base", "assigned"])
+def test_kernel_keeps_apart_adjacent_rows_that_differ_in_one_input(differs):
+    grads, base, _ = kernel_inputs(22, rows=2)
+    copies = np.zeros(3, dtype=np.int64)
+    g, b, a = grads[:, copies], base[copies], np.zeros(3, dtype=np.int64)
+    if differs == "stack":
+        g[:, 1] = grads[:, 1]
+    elif differs == "base":
+        b[1] = base[1]
+    else:
+        a[1] = 1
+    assert_kernel_matches_oracle(g, b, a)
+    out = batch_surgery_updates(g, b, a, KERNEL_WEIGHTS)
+    assert not np.array_equal(out[0], out[1])
+    assert out[0].tobytes() == out[2].tobytes()
+
+
+def test_kernel_matches_oracle_on_two_domain_stacks():
+    grads, base, assigned = kernel_inputs(24, domains=2, rows=3)
+    rows = np.array([0, 0, 1, 2, 2])
+    assert_kernel_matches_oracle(grads[:, rows], base[rows], assigned[rows])
+
+
+def test_kernel_rejects_rows_that_do_not_match_the_stack():
+    grads, base, assigned = kernel_inputs(27, rows=4)
+    with pytest.raises(ShapeMismatch):
+        batch_surgery_updates(grads[:, :2], base, assigned[:2], KERNEL_WEIGHTS)
+    with pytest.raises(ShapeMismatch):
+        batch_surgery_updates(grads[:, :2], base[:2], assigned, KERNEL_WEIGHTS)
+    with pytest.raises(UnknownDomain):
+        batch_surgery_updates(grads, base, assigned + 3, KERNEL_WEIGHTS)
+
+
+def test_kernel_rejects_a_duplicated_non_hermitian_row(monkeypatch):
+    # Real inputs always transform to Hermitian spectra, so corrupt the
+    # forward transform of one row's stack: one bin without its conjugate.
+    grads, base, assigned = kernel_inputs(25, rows=2)
+    bad = grads[:, 0]
+    real_fft2 = np.fft.fft2
+
+    def corrupting_fft2(a, *args, **kwargs):
+        out = real_fft2(a, *args, **kwargs)
+        hit = np.all(a == bad[:, None], axis=(0, 2, 3, 4))
+        out[0, hit, 0, 0, 1] += 1.0j
+        return out
+
+    monkeypatch.setattr(np.fft, "fft2", corrupting_fft2)
+    clean = np.array([1, 1])
+    batch_surgery_updates(grads[:, clean], base[clean], assigned[clean], KERNEL_WEIGHTS)
+    rows = np.array([1, 0, 0, 0])
+    with pytest.raises(NonHermitianInput):
+        batch_surgery_updates(grads[:, rows], base[rows], assigned[rows], KERNEL_WEIGHTS)
+
+
+def test_consensus_maps_match_per_sample_path():
+    grads, _, _ = kernel_inputs(26, rows=3)
+    rows = np.array([0, 0, 1, 2, 2, 0])
+    got = batch_consensus_maps(grads[:, rows], EPS)
+    want = per_sample_consensus_maps(grads[:, rows], EPS)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    with pytest.raises(ValueError):
+        batch_consensus_maps(grads, 0.0)
+    with pytest.raises(TooFewDomains):
+        batch_consensus_maps(grads[:1], EPS)
