@@ -3,6 +3,13 @@
 Both featurizers are frozen at construction (no training), so every gradient
 that flows through them is analytically checkable against finite differences.
 Weights are zero-mean Gaussian with variance 1/fan-in, drawn from a SeededRng.
+
+The conv featurizer's forward pass, adjoint and style maps share one
+channels-last im2col, `_correlate`: pad the (N, H, W, C) input once, copy
+each pixel's k x k window into a row with columns in (i, j, c) order, and
+multiply by the kernels as a (k*k*C, O) matrix. In that order each of a
+window's k rows is k*C consecutive values of the padded input, so the copy
+moves contiguous runs instead of single pixels.
 """
 
 import itertools
@@ -15,6 +22,14 @@ from .rng import SeededRng
 
 # Distinguishes featurizer instances in feature-mean caches.
 _TOKENS = itertools.count()
+
+# Images per correlation in ConvFeaturizer.features_batch and
+# pseudo.style_stats_batch. The window rows and maps take ~90 KB per 16x16x3
+# image at 16 channels; blocks keep that transient small whatever the batch
+# size, so it fits in cache and in freed memory instead of raising the peak.
+# numpy multiplies each image's window matrix on its own, so the block
+# changes no result.
+IMAGE_BLOCK = 64
 
 
 class LinearFeaturizer:
@@ -80,6 +95,9 @@ class ConvFeaturizer:
     Stride-1 cross-correlation with zero padding (odd kernel side), ReLU, then
     a per-output-channel spatial mean. The rectifier subgradient at exactly
     zero is taken as zero.
+
+    Inputs and gradients are (N, C, H, W); the maps in between are
+    channels-last (N, H*W, O), as the im2col matmul yields them.
     """
 
     def __init__(self, kernels):
@@ -111,48 +129,39 @@ class ConvFeaturizer:
             )
         return x
 
-    def _pad(self, arr):
-        p = self.kernels.shape[2] // 2
-        pad = [(0, 0)] * (arr.ndim - 2) + [(p, p), (p, p)]
-        return np.pad(arr, pad)
+    def _check_batch(self, images):
+        images = np.asarray(images, dtype=np.float64)
+        if images.ndim != 4 or images.shape[1] != self.kernels.shape[1]:
+            raise ShapeMismatch(f"batch shape {images.shape} incompatible with kernels")
+        return images
 
-    def _cols(self, batch):
-        """im2col: (N, C, H, W) -> contiguous (N, H*W, C*k*k) for BLAS matmuls."""
-        k = self.kernels.shape[2]
-        win = sliding_window_view(self._pad(batch), (k, k), axis=(2, 3))
-        n, c, h, w = batch.shape
-        return np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n, h * w, c * k * k)
-
-    def _correlate(self, batch, kernels):
-        """Zero-padded stride-1 cross-correlation of a batch with (O, C, k, k)."""
-        n, _, h, w = batch.shape
-        out = self._cols(batch) @ kernels.reshape(kernels.shape[0], -1).T
-        return out.reshape(n, h, w, kernels.shape[0]).transpose(0, 3, 1, 2)
+    def _forward(self, images):
+        """Pre-rectifier maps of a checked batch (N, C, H, W), channels-last (N, H*W, O)."""
+        return _correlate(images.transpose(0, 2, 3, 1), self.kernels)
 
     def preactivations(self, x):
         """Pre-rectifier maps (out_channels, H, W); exposed for kink-margin checks."""
         x = self._check(x)
-        return self._correlate(x[None], self.kernels)[0]
+        return self._forward(x[None])[0].T.reshape((-1,) + x.shape[1:])
 
     def hidden_activations(self, x):
         """Post-rectifier feature maps before pooling, one plane per output channel."""
         return np.maximum(self.preactivations(x), 0.0)
 
     def features(self, x):
-        return self.hidden_activations(x).mean(axis=(1, 2))
+        return spatial_mean(self.activation_maps(self._check(x)[None]))[0]
+
+    def activation_maps(self, images):
+        """Post-rectifier maps of a batch (N, C, H, W), channels-last (N, H*W, O)."""
+        z = self._forward(self._check_batch(images))
+        return np.maximum(z, 0.0, out=z)
 
     def features_batch(self, images):
-        images = np.asarray(images, dtype=np.float64)
-        if images.ndim != 4 or images.shape[1] != self.kernels.shape[1]:
-            raise ShapeMismatch(f"batch shape {images.shape} incompatible with kernels")
-        z = self._correlate(images, self.kernels)
-        return np.maximum(z, 0.0).mean(axis=(2, 3))
-
-    def _adjoint(self, dz):
-        """Adjoint of the padded correlation: correlate the cotangent with the
-        spatially flipped kernels, swapping the in/out channel roles."""
-        flipped = np.ascontiguousarray(self.kernels[..., ::-1, ::-1].transpose(1, 0, 2, 3))
-        return self._correlate(dz, flipped)
+        images = self._check_batch(images)
+        out = np.empty((len(images), self.feature_dim))
+        for i in range(0, len(images), IMAGE_BLOCK):
+            out[i:i + IMAGE_BLOCK] = spatial_mean(self.activation_maps(images[i:i + IMAGE_BLOCK]))
+        return out
 
     def vjp(self, x, upstream):
         x = self._check(x)
@@ -166,15 +175,36 @@ class ConvFeaturizer:
         each row of a stack (K, F) -> (K, n, C, H, W). The rectifier mask is
         computed once and shared by every row; each row is then pulled back on
         its own, so its result does not depend on the rest of the stack."""
-        images = np.asarray(images, dtype=np.float64)
-        if images.ndim != 4 or images.shape[1] != self.kernels.shape[1]:
-            raise ShapeMismatch(f"batch shape {images.shape} incompatible with kernels")
+        images = self._check_batch(images)
         rows = _upstream_rows(upstream, self.feature_dim)
-        active = self._correlate(images, self.kernels) > 0.0
-        h, w = active.shape[2:]
-        grads = np.stack([self._adjoint((u / (h * w))[None, :, None, None] * active)
-                          for u in rows])
+        n, _, h, w = images.shape
+        active = self._forward(images) > 0.0
+        # The adjoint of the padded correlation correlates the cotangent with
+        # the spatially flipped kernels, in and out channels swapped.
+        flipped = self.kernels[..., ::-1, ::-1].transpose(1, 0, 2, 3)
+        grads = np.stack([
+            _correlate((active * (u / (h * w))).reshape(n, h, w, -1), flipped)
+            .reshape(n, h, w, -1).transpose(0, 3, 1, 2)
+            for u in rows])
         return grads.reshape(np.shape(upstream)[:-1] + images.shape)
+
+
+def _correlate(maps, kernels):
+    """Zero-padded stride-1 cross-correlation of channels-last maps (N, H, W, C)
+    with kernels (O, C, k, k) -> (N, H*W, O); the im2col of the module docstring."""
+    n, h, w, c = maps.shape
+    k = kernels.shape[2]
+    p = k // 2
+    padded = np.zeros((n, h + 2 * p, w + 2 * p, c))
+    padded[:, p:p + h, p:p + w] = maps
+    windows = sliding_window_view(padded.reshape(n, h + 2 * p, -1), (k, k * c), axis=(1, 2))
+    matrix = kernels.transpose(2, 3, 1, 0).reshape(-1, kernels.shape[0])
+    return windows[:, :, ::c].reshape(n, h * w, -1) @ matrix
+
+
+def spatial_mean(maps):
+    """Mean over the H*W axis of channels-last maps (N, H*W, O) -> (N, O)."""
+    return np.ones(maps.shape[1]) @ maps / maps.shape[1]
 
 
 def _upstream_rows(upstream, feature_dim):

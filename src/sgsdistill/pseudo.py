@@ -12,25 +12,29 @@ import numpy as np
 
 from .datasets import MultiDomainDataset
 from .errors import NotConvolutional, TooFewSamples
-from .featurizers import ConvFeaturizer
+from .featurizers import IMAGE_BLOCK, ConvFeaturizer, spatial_mean
 from .rng import SeededRng
 
 
 def style_stats(x, psi):
     """Per-channel mean and population std of hidden activations, concatenated."""
-    if not isinstance(psi, ConvFeaturizer):
-        raise NotConvolutional("style statistics need spatial feature maps")
-    maps = psi.hidden_activations(x)
-    return np.concatenate([maps.mean(axis=(1, 2)), maps.std(axis=(1, 2))])
+    return style_stats_batch(np.asarray(x)[None], psi)[0]
 
 
 def style_stats_batch(images, psi):
+    """style_stats of every image in a batch (N, C, H, W) -> (N, 2 * channels),
+    one channels-last correlation per block of images."""
     if not isinstance(psi, ConvFeaturizer):
         raise NotConvolutional("style statistics need spatial feature maps")
     images = np.asarray(images, dtype=np.float64)
-    out = np.empty((images.shape[0], 2 * psi.feature_dim))
-    for i, img in enumerate(images):
-        out[i] = style_stats(img, psi)
+    f = psi.feature_dim
+    out = np.empty((len(images), 2 * f))
+    for i in range(0, len(images), IMAGE_BLOCK):
+        maps = psi.activation_maps(images[i:i + IMAGE_BLOCK])
+        mean = spatial_mean(maps)
+        maps -= mean[:, None, :]
+        out[i:i + IMAGE_BLOCK, :f] = mean
+        out[i:i + IMAGE_BLOCK, f:] = np.sqrt(spatial_mean(maps * maps))
     return out
 
 

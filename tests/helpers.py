@@ -109,3 +109,42 @@ def per_sample_consensus_maps(domain_gradients, epsilon):
         resultants[i] = cons.resultant
         class_signals[i] = decompose(stack, cons).class_signal
     return resultants, class_signals
+
+
+def naive_correlate(x, kernels):
+    """Zero-padded stride-1 cross-correlation of one image (C, H, W) with
+    kernels (O, C, k, k) -> (O, H, W), as explicit loops over (o, c, i, j)."""
+    x = np.asarray(x, dtype=np.float64)
+    out_ch, in_ch, k, _ = kernels.shape
+    _, h, w = x.shape
+    p = k // 2
+    out = np.zeros((out_ch, h, w))
+    for o in range(out_ch):
+        for c in range(in_ch):
+            for i in range(k):
+                for j in range(k):
+                    for y in range(h):
+                        for z in range(w):
+                            yy, zz = y + i - p, z + j - p
+                            if 0 <= yy < h and 0 <= zz < w:
+                                out[o, y, z] += kernels[o, c, i, j] * x[c, yy, zz]
+    return out
+
+
+def naive_correlate_adjoint(dz, kernels):
+    """Adjoint of naive_correlate: scatters each output cotangent (O, H, W)
+    back onto the input pixels its window read -> (C, H, W)."""
+    out_ch, in_ch, k, _ = kernels.shape
+    _, h, w = dz.shape
+    p = k // 2
+    grad = np.zeros((in_ch, h, w))
+    for o in range(out_ch):
+        for c in range(in_ch):
+            for i in range(k):
+                for j in range(k):
+                    for y in range(h):
+                        for z in range(w):
+                            yy, zz = y + i - p, z + j - p
+                            if 0 <= yy < h and 0 <= zz < w:
+                                grad[c, yy, zz] += kernels[o, c, i, j] * dz[o, y, z]
+    return grad

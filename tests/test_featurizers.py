@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 
 from sgsdistill.errors import NotConvolutional, ShapeMismatch
-from sgsdistill.featurizers import ConvFeaturizer, LinearFeaturizer, mean_features
+from sgsdistill.featurizers import IMAGE_BLOCK, ConvFeaturizer, LinearFeaturizer, mean_features
 from sgsdistill.rng import SeededRng
 
-from helpers import central_fd_grid, fd_relative_error, naive_matvec
+from helpers import (
+    central_fd_grid,
+    fd_relative_error,
+    naive_correlate,
+    naive_correlate_adjoint,
+    naive_matvec,
+)
 
 
 def conv_input_with_margin(psi, shape, rng, margin=1e-3, attempts=200):
@@ -189,3 +195,51 @@ def test_vjp_fd_agreement_over_100_pairs_per_type():
                 a = grad.reshape(-1)[j]
                 worst = max(worst, abs(a - fd) / max(abs(a) + abs(fd), floor))
         assert worst < 1e-5, f"{kind} worst relative error {worst}"
+
+
+def _relative_gap(actual, expected):
+    return float(np.abs(actual - expected).max() / np.abs(expected).max())
+
+
+# Kernel sides 1, 3 and 5 on square and non-square grids, one and three input
+# channels: a window stride or (i, j, c) column order wrong for k != 3, H != W
+# or C != 3 shows here.
+CONV_GEOMETRIES = [(k, c, shape) for k in (1, 3, 5) for c in (1, 3)
+                   for shape in ((5, 7), (6, 3))]
+
+
+@pytest.mark.parametrize("k,c,shape", CONV_GEOMETRIES)
+def test_conv_forward_matches_naive_correlation(k, c, shape):
+    rng = SeededRng(14)
+    psi = ConvFeaturizer.create(c, 4, k, rng.substream(k, c))
+    xs = rng.substream(k, c, 1).normal(size=(3, c) + shape)
+    pre = np.stack([naive_correlate(x, psi.kernels) for x in xs])
+    for x, expected in zip(xs, pre):
+        assert _relative_gap(psi.preactivations(x), expected) < 1e-12
+    pooled = np.maximum(pre, 0.0).mean(axis=(2, 3))
+    assert _relative_gap(psi.features_batch(xs), pooled) < 1e-12
+
+
+@pytest.mark.parametrize("k,c,shape", CONV_GEOMETRIES)
+def test_conv_vjp_matches_naive_masked_adjoint(k, c, shape):
+    rng = SeededRng(15)
+    psi = ConvFeaturizer.create(c, 4, k, rng.substream(k, c))
+    xs = rng.substream(k, c, 1).normal(size=(3, c) + shape)
+    upstream = rng.substream(k, c, 2).normal(size=(2, 4))
+    grads = psi.vjp_batch(xs, upstream)
+    assert grads.shape == (2,) + xs.shape
+    for x, row in zip(xs, grads.transpose(1, 0, 2, 3, 4)):
+        active = naive_correlate(x, psi.kernels) > 0.0
+        for u, grad in zip(upstream, row):
+            dz = active * (u / (shape[0] * shape[1]))[:, None, None]
+            assert _relative_gap(grad, naive_correlate_adjoint(dz, psi.kernels)) < 1e-12
+
+
+def test_conv_features_batch_rows_do_not_depend_on_the_block():
+    # features_batch correlates IMAGE_BLOCK images at a time; a batch spanning
+    # two blocks gives each image bitwise the features it gets on its own.
+    rng = SeededRng(16)
+    psi = ConvFeaturizer.create(3, 4, 3, rng.substream(0))
+    imgs = rng.substream(1).normal(size=(IMAGE_BLOCK + 6, 3, 5, 7))
+    singles = np.stack([psi.features_batch(img[None])[0] for img in imgs])
+    assert np.array_equal(psi.features_batch(imgs), singles)

@@ -14,6 +14,8 @@ from sgsdistill.pseudo import (
 )
 from sgsdistill.rng import SeededRng
 
+from helpers import naive_correlate
+
 
 def test_constant_activation_plane_stats():
     # Kernel summing a 1x1 neighborhood: constant input c -> plane of c.
@@ -43,6 +45,27 @@ def test_style_stats_match_two_pass_oracle():
         var = sum((v - mean) ** 2 for v in plane) / plane.size
         assert stats[ch] == pytest.approx(mean, abs=1e-12)
         assert stats[4 + ch] == pytest.approx(np.sqrt(var), abs=1e-12)
+
+
+def test_style_stats_batch_matches_single_images_and_two_pass_oracle():
+    # 70 images span two of style_stats_batch's blocks; every fifth is zero.
+    rng = SeededRng(20)
+    psi = ConvFeaturizer.create(3, 4, 3, rng.substream(0))
+    images = rng.substream(1).normal(size=(70, 3, 5, 7))
+    images[::5] = 0.0
+    batch = style_stats_batch(images, psi)
+    assert batch.shape == (70, 8)
+    scale = np.abs(batch).max()
+    for x, row in zip(images, batch):
+        assert np.abs(row - style_stats(x, psi)).max() <= 1e-12 * scale
+        maps = np.maximum(naive_correlate(x, psi.kernels), 0.0)
+        for ch in range(4):
+            plane = maps[ch].ravel()
+            mean = sum(plane) / plane.size
+            var = sum((v - mean) ** 2 for v in plane) / plane.size
+            assert abs(row[ch] - mean) <= 1e-12 * scale
+            assert abs(row[4 + ch] - np.sqrt(var)) <= 1e-12 * scale
+    assert not batch[::5].any()
 
 
 def test_style_stats_require_conv():
