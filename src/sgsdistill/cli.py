@@ -257,11 +257,9 @@ def _cmd_cluster(args):
     seed = resolved["seed"]
     psi = default_style_featurizer(ds.image_shape[0], SeededRng(seed, (11,)))
     relabeled, model = assign_pseudo_domains(flat, psi, k, SeededRng(seed, (12,)))
-    lines = ["sample_index,pseudo_domain"]
-    lines += [f"{i},{int(d)}" for i, d in enumerate(relabeled.domains)]
     assign_path = os.path.join(out, "assignments.csv")
-    with open(assign_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    storage.write_csv(["sample_index", "pseudo_domain"], enumerate(relabeled.domains),
+                      assign_path)
     summary = {"k": k, "inertia": model.inertia}
     if ds.domain_count > 1:
         summary["purity_vs_domains"] = cluster_purity(relabeled.domains, truth)
@@ -306,12 +304,10 @@ def _cmd_sweep(args):
             results = [f.result() for f in futures]
     else:
         results = [_sweep_cell(*cell) for cell in cells]
-    lines = ["param,value,mean_ood_accuracy,std"]
-    for v, (mean, std) in zip(values, results):
-        lines.append(f"{param},{v:.6g},{mean:.6g},{std:.6g}")
     sweep_path = os.path.join(out, "sweep.csv")
-    with open(sweep_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    storage.write_csv(["param", "value", "mean_ood_accuracy", "std"],
+                      [(param, v, mean, std) for v, (mean, std) in zip(values, results)],
+                      sweep_path)
     print(f"wrote {sweep_path}")
     return 0
 
@@ -329,18 +325,21 @@ def build_parser():
         if data_flag:
             p.add_argument("--data", help="DGDD dataset file (default: generate toy data)")
 
+    def distill_flags(p):
+        p.add_argument("--lambda-c", type=float, dest="lambda_c")
+        p.add_argument("--lambda-d", type=float, dest="lambda_d")
+        p.add_argument("--ipc", type=int)
+        p.add_argument("--iters", type=int)
+        p.add_argument("--eta", type=float)
+        p.add_argument("--epsilon", type=float)
+        p.add_argument("--init", choices=["noise", "random", "uniform"])
+
     p = sub.add_parser("gen-data", help="generate the procedural toy dataset")
     common(p, data_flag=False)
 
     p = sub.add_parser("distill", help="run distillation")
     common(p)
-    p.add_argument("--lambda-c", type=float, dest="lambda_c")
-    p.add_argument("--lambda-d", type=float, dest="lambda_d")
-    p.add_argument("--ipc", type=int)
-    p.add_argument("--iters", type=int)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--init", choices=["noise", "random", "uniform"])
+    distill_flags(p)
     p.add_argument("--dump-rmaps", action="store_true", dest="dump_rmaps")
 
     p = sub.add_parser("eval", help="run an evaluation protocol")
@@ -348,13 +347,7 @@ def build_parser():
     p.add_argument("--protocol", choices=["mdg", "sdg", "id"], required=True)
     p.add_argument("--k", type=int, help="pseudo-domain count for SDG")
     p.add_argument("--source-domain", type=int, dest="source_domain")
-    p.add_argument("--lambda-c", type=float, dest="lambda_c")
-    p.add_argument("--lambda-d", type=float, dest="lambda_d")
-    p.add_argument("--ipc", type=int)
-    p.add_argument("--iters", type=int)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--init", choices=["noise", "random", "uniform"])
+    distill_flags(p)
 
     p = sub.add_parser("oracle", help="Monte-Carlo verification curves")
     common(p, data_flag=False)

@@ -69,9 +69,6 @@ class DataView:
             self._feature_means[c] = compute()
         return self._feature_means[c]
 
-    def present_classes(self):
-        return sorted(c for c, idx in self.by_class().items() if idx.size > 0)
-
     def require_nonempty(self):
         if len(self) == 0:
             raise EmptySet("view contains no samples")

@@ -8,7 +8,9 @@ Pixels are stored at f32: a documented lossy step for float64 pipelines.
 
 Checkpoint container ("DGCK") keeps the same layout without the split byte and
 with f64 pixels, so restoring a run is bit-lossless. Grid dumps ("DGGR") hold
-bare f64 grids. Container and JSON writes go through a temp file and an atomic
+bare f64 grids. One record codec serves all three: each sample is a packed
+numpy record, so a container is a header, one record array and a checksum.
+Every container, JSON and CSV write goes through a temp file and an atomic
 rename (the temp file is removed when a write fails); all reads either return
 a complete object or raise.
 """
@@ -38,11 +40,12 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 
-def _atomic_write(path, data):
+def _atomic_write(path, *chunks):
     tmp = str(path) + ".tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except OSError as exc:
         with contextlib.suppress(OSError):
@@ -64,139 +67,110 @@ def _read_file(path):
         raise IoError(f"cannot read {path}: {exc}") from exc
 
 
-class _Reader:
-    """Bounds-checked cursor over raw bytes; truncation surfaces as IoError."""
-
-    def __init__(self, data, offset=0):
-        self.data = data
-        self.offset = offset
-
-    def take(self, n):
-        if self.offset + n > len(self.data):
-            raise IoError("truncated file")
-        chunk = self.data[self.offset:self.offset + n]
-        self.offset += n
-        return chunk
-
-    def u16(self):
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self):
-        return struct.unpack("<I", self.take(4))[0]
+def _dataset_record(ch, h, w):
+    return np.dtype([("label", "<u2"), ("domain", "<u2"), ("split", "u1"),
+                     ("pixels", "<f4", (ch, h, w))])
 
 
-def _check_header(reader, magic):
-    if reader.take(4) != magic:
+def _checkpoint_record(ch, h, w):
+    return np.dtype([("label", "<u2"), ("domain", "<u2"), ("pixels", "<f8", (ch, h, w))])
+
+
+def _grid_record(ch, h, w):
+    return np.dtype([("pixels", "<f8", (ch, h, w))])
+
+
+def _records(dtype, **fields):
+    """Pack per-sample columns into one record array; ids must fit their field."""
+    records = np.empty(len(fields["pixels"]), dtype)
+    for name, values in fields.items():
+        if dtype[name].kind == "u" and len(values):
+            top = np.iinfo(dtype[name]).max
+            if np.min(values) < 0 or np.max(values) > top:
+                raise ValueError(f"{name} ids must lie in 0..{top}")
+        records[name] = values
+    return records
+
+
+def _write_container(path, magic, dims, records):
+    """magic | version | dims as u32 | records | crc32 over dims and records."""
+    head = struct.pack(f"<{len(dims)}I", *dims)
+    crc = zlib.crc32(records, zlib.crc32(head))
+    _atomic_write(path, magic, struct.pack("<H", FORMAT_VERSION), head, records,
+                  struct.pack("<I", crc))
+
+
+def _read_container(path, magic, dim_count, record_type):
+    """Check a container and return its dims and a read-only record array.
+
+    The dims start with N, H, W, channels; `record_type(channels, H, W)` gives
+    the record dtype.
+    """
+    data = memoryview(_read_file(path))
+    start = 6 + 4 * dim_count
+    if len(data) >= 4 and data[:4] != magic:
         raise BadMagic(f"expected magic {magic!r}")
-    version = reader.u16()
-    if version != FORMAT_VERSION:
+    if len(data) >= 6 and (version := struct.unpack_from("<H", data, 4)[0]) != FORMAT_VERSION:
         raise FormatVersionMismatch(f"format version {version}, supported {FORMAT_VERSION}")
-
-
-def _check_crc(data, payload_start):
-    if len(data) < payload_start + 4:
+    if len(data) < start + 4:
         raise IoError("truncated file")
-    payload, stored = data[payload_start:-4], data[-4:]
-    if zlib.crc32(payload) != struct.unpack("<I", stored)[0]:
+    if zlib.crc32(data[6:-4]) != struct.unpack_from("<I", data, len(data) - 4)[0]:
         raise ChecksumMismatch("payload checksum mismatch")
-    return payload
+    dims = struct.unpack_from(f"<{dim_count}I", data, 6)
+    n, h, w, ch = dims[:4]
+    dtype = record_type(ch, h, w)
+    if len(data) != start + n * dtype.itemsize + 4:
+        raise IoError("truncated or padded sample records")
+    return dims, np.frombuffer(data, dtype, count=n, offset=start)
 
 
 def save_dataset(dataset, path):
     """Write the DGDD container (pixels quantized to f32)."""
-    n = len(dataset)
     ch, h, w = dataset.image_shape
-    body = bytearray()
-    body += struct.pack("<6I", n, h, w, ch, dataset.class_count, dataset.domain_count)
-    for i in range(n):
-        body += struct.pack("<HHB", int(dataset.labels[i]), int(dataset.domains[i]),
-                            int(dataset.splits[i]))
-        body += dataset.images[i].astype("<f4").tobytes()
-    blob = DATASET_MAGIC + struct.pack("<H", FORMAT_VERSION) + bytes(body)
-    blob += struct.pack("<I", zlib.crc32(bytes(body)))
-    _atomic_write(path, blob)
+    records = _records(_dataset_record(ch, h, w), label=dataset.labels,
+                       domain=dataset.domains, split=dataset.splits, pixels=dataset.images)
+    dims = (len(records), h, w, ch, dataset.class_count, dataset.domain_count)
+    _write_container(path, DATASET_MAGIC, dims, records)
 
 
 def load_dataset(path):
     """Read a DGDD container back into a MultiDomainDataset (pixels as f64)."""
     from .datasets import MultiDomainDataset
 
-    data = _read_file(path)
-    reader = _Reader(data)
-    _check_header(reader, DATASET_MAGIC)
-    payload = _check_crc(data, reader.offset)
-    reader = _Reader(payload)
-    n, h, w, ch, classes, domains_count = (reader.u32() for _ in range(6))
-    record = 5 + 4 * ch * h * w
-    if len(payload) != 24 + n * record:
-        raise IoError("truncated or padded sample records")
-    images = np.empty((n, ch, h, w), dtype=np.float64)
-    labels = np.empty(n, dtype=np.int64)
-    domains = np.empty(n, dtype=np.int64)
-    splits = np.empty(n, dtype=np.uint8)
-    for i in range(n):
-        labels[i], domains[i], splits[i] = struct.unpack("<HHB", reader.take(5))
-        pix = np.frombuffer(reader.take(4 * ch * h * w), dtype="<f4")
-        images[i] = pix.reshape(ch, h, w).astype(np.float64)
+    dims, records = _read_container(path, DATASET_MAGIC, 6, _dataset_record)
     return MultiDomainDataset(
-        images=images, labels=labels, domains=domains, splits=splits,
-        class_count=classes, domain_count=domains_count,
+        images=records["pixels"].astype(np.float64),
+        labels=records["label"].astype(np.int64),
+        domains=records["domain"].astype(np.int64),
+        splits=records["split"].astype(np.uint8),
+        class_count=dims[4], domain_count=dims[5],
     )
 
 
 def save_checkpoint_images(images, labels, domains, path):
     """Write the f64 checkpoint container for a synthetic set."""
     n, ch, h, w = images.shape
-    body = bytearray()
-    body += struct.pack("<4I", n, h, w, ch)
-    for i in range(n):
-        body += struct.pack("<HH", int(labels[i]), int(domains[i]))
-        body += images[i].astype("<f8").tobytes()
-    blob = CHECKPOINT_MAGIC + struct.pack("<H", FORMAT_VERSION) + bytes(body)
-    blob += struct.pack("<I", zlib.crc32(bytes(body)))
-    _atomic_write(path, blob)
+    records = _records(_checkpoint_record(ch, h, w), label=labels, domain=domains,
+                       pixels=images)
+    _write_container(path, CHECKPOINT_MAGIC, (n, h, w, ch), records)
 
 
 def load_checkpoint_images(path):
-    data = _read_file(path)
-    reader = _Reader(data)
-    _check_header(reader, CHECKPOINT_MAGIC)
-    payload = _check_crc(data, reader.offset)
-    reader = _Reader(payload)
-    n, h, w, ch = (reader.u32() for _ in range(4))
-    record = 4 + 8 * ch * h * w
-    if len(payload) != 16 + n * record:
-        raise IoError("truncated or padded sample records")
-    images = np.empty((n, ch, h, w), dtype=np.float64)
-    labels = np.empty(n, dtype=np.int64)
-    domains = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        labels[i], domains[i] = struct.unpack("<HH", reader.take(4))
-        pix = np.frombuffer(reader.take(8 * ch * h * w), dtype="<f8")
-        images[i] = pix.reshape(ch, h, w)
-    return images, labels, domains
+    _, records = _read_container(path, CHECKPOINT_MAGIC, 4, _checkpoint_record)
+    return (records["pixels"].astype(np.float64), records["label"].astype(np.int64),
+            records["domain"].astype(np.int64))
 
 
 def save_grids(grids, path):
     """Dump a stack of f64 grids (e.g. resultant maps) for offline inspection."""
-    grids = np.asarray(grids, dtype=np.float64)
-    n, ch, h, w = grids.shape
-    body = struct.pack("<4I", n, h, w, ch) + grids.astype("<f8").tobytes()
-    blob = GRIDS_MAGIC + struct.pack("<H", FORMAT_VERSION) + body
-    blob += struct.pack("<I", zlib.crc32(body))
-    _atomic_write(path, blob)
+    n, ch, h, w = np.shape(grids)
+    _write_container(path, GRIDS_MAGIC, (n, h, w, ch),
+                     _records(_grid_record(ch, h, w), pixels=grids))
 
 
 def load_grids(path):
-    data = _read_file(path)
-    reader = _Reader(data)
-    _check_header(reader, GRIDS_MAGIC)
-    payload = _check_crc(data, reader.offset)
-    reader = _Reader(payload)
-    n, h, w, ch = (reader.u32() for _ in range(4))
-    if len(payload) != 16 + 8 * n * ch * h * w:
-        raise IoError("truncated grid payload")
-    return np.frombuffer(reader.take(8 * n * ch * h * w), dtype="<f8").reshape(n, ch, h, w).copy()
+    _, records = _read_container(path, GRIDS_MAGIC, 4, _grid_record)
+    return records["pixels"].astype(np.float64)
 
 
 def import_idx(images_path, labels_path, domain_id=0, split=0):
@@ -242,9 +216,18 @@ def import_idx(images_path, labels_path, domain_id=0, split=0):
 
 
 def _fmt(value):
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{float(value):.6g}"
+
+
+def write_csv(header, rows, path):
+    """Deterministic UTF-8 CSV: a header row, integers as is, other numbers at
+    6 significant digits, written through the atomic rename."""
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _rows_for(obj):
@@ -268,25 +251,11 @@ def _rows_for(obj):
 
 
 def export_metrics_csv(obj, path):
-    """Deterministic UTF-8 CSV with a header row and 6-significant-digit floats."""
-    header, rows = _rows_for(obj)
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    """CSV of an EvalReport, DecayCurve or ResultantSweep (see write_csv)."""
+    write_csv(*_rows_for(obj), path)
 
 
 def write_loss_history_csv(history, domain_count, path):
     """Columns: iteration, pooled loss, one loss column per source domain."""
     header = ["iteration", "dm_loss"] + [f"domain_{s}" for s in range(domain_count)]
-    lines = [",".join(header)]
-    for row in history:
-        lines.append(",".join(_fmt(v) for v in row))
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_csv(header, history, path)

@@ -1,8 +1,10 @@
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
+from sgsdistill import storage
 from sgsdistill.circular import DecayCurve, ResultantSweep
 from sgsdistill.errors import (
     BadMagic,
@@ -10,15 +12,21 @@ from sgsdistill.errors import (
     DimensionMismatch,
     IoError,
 )
+from sgsdistill.datasets import MultiDomainDataset
 from sgsdistill.evaluation import EvalEntry, EvalReport
 from sgsdistill.rng import SeededRng
 from sgsdistill.storage import (
     export_metrics_csv,
     import_idx,
+    load_checkpoint_images,
     load_dataset,
     load_grids,
+    save_checkpoint_images,
     save_dataset,
     save_grids,
+    write_csv,
+    write_json,
+    write_loss_history_csv,
 )
 from sgsdistill.toydata import ToySpec, generate_toy
 
@@ -178,3 +186,135 @@ def test_resultant_sweep_csv(tmp_path):
     path = tmp_path / "sweep.csv"
     export_metrics_csv(sweep, path)
     assert path.read_text().splitlines()[0] == "a,estimate,stderr"
+
+
+# -- golden layouts, built by hand from the README "File formats" section ----
+
+def container(magic, dims, records):
+    """magic | version u16 | dims u32 | records | crc32 over dims and records."""
+    payload = struct.pack(f"<{len(dims)}I", *dims) + records
+    return magic + struct.pack("<H", 1) + payload + struct.pack("<I", zlib.crc32(payload))
+
+
+def golden_dataset():
+    images = (np.arange(2 * 2 * 2 * 3, dtype=np.float64) / 4 - 1).reshape(2, 2, 2, 3)
+    ds = MultiDomainDataset(images=images, labels=np.array([2, 0]), domains=np.array([0, 4]),
+                            splits=np.array([1, 0], dtype=np.uint8), class_count=3,
+                            domain_count=5)
+    records = b"".join(struct.pack("<HHB", int(c), int(d), int(s)) +
+                       struct.pack(f"<{images[i].size}f", *images[i].ravel())
+                       for i, (c, d, s) in enumerate(zip(ds.labels, ds.domains, ds.splits)))
+    # N, H, W, channels, classes, domains
+    return ds, (2, 2, 3, 2, 3, 5), records
+
+
+def golden_checkpoint():
+    images = (np.arange(2 * 1 * 2 * 2, dtype=np.float64) * 0.1).reshape(2, 1, 2, 2)
+    labels, domains = np.array([1, 65535]), np.array([3, 0])
+    records = b"".join(struct.pack("<HH", int(labels[i]), int(domains[i])) +
+                       struct.pack("<4d", *images[i].ravel()) for i in range(2))
+    return (images, labels, domains), (2, 2, 2, 1), records
+
+
+def test_dataset_golden_layout(tmp_path):
+    ds, dims, records = golden_dataset()
+    path = tmp_path / "golden.dgdd"
+    save_dataset(ds, path)
+    assert path.read_bytes() == container(b"DGDD", dims, records)
+    back = load_dataset(path)
+    assert np.array_equal(back.images, ds.images)
+    assert back.labels.tolist() == [2, 0] and back.domains.tolist() == [0, 4]
+    assert back.splits.tolist() == [1, 0]
+    assert (back.class_count, back.domain_count) == (3, 5)
+
+
+def test_checkpoint_golden_layout(tmp_path):
+    (images, labels, domains), dims, records = golden_checkpoint()
+    path = tmp_path / "golden.dgck"
+    save_checkpoint_images(images, labels, domains, path)
+    assert path.read_bytes() == container(b"DGCK", dims, records)
+    back_images, back_labels, back_domains = load_checkpoint_images(path)
+    assert back_images.tobytes() == images.tobytes()
+    assert back_labels.tolist() == [1, 65535] and back_domains.tolist() == [3, 0]
+
+
+def test_grids_golden_layout(tmp_path):
+    grids = (np.arange(8, dtype=np.float64) * 0.3).reshape(1, 2, 2, 2)
+    path = tmp_path / "golden.dggr"
+    save_grids(grids, path)
+    assert path.read_bytes() == container(b"DGGR", (1, 2, 2, 2),
+                                          struct.pack("<8d", *grids.ravel()))
+    assert load_grids(path).tobytes() == grids.tobytes()
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_record_count_must_match_header(tmp_path, delta):
+    _, dims, records = golden_dataset()
+    (_, ck_dims, ck_records) = golden_checkpoint()
+    cases = [
+        (load_dataset, b"DGDD", dims, records),
+        (load_checkpoint_images, b"DGCK", ck_dims, ck_records),
+        (load_grids, b"DGGR", (2, 1, 1, 1), struct.pack("<2d", 0.5, 1.5)),
+    ]
+    for loader, magic, head, body in cases:
+        path = tmp_path / "bad.bin"
+        # Valid magic, version and checksum; only the claimed record count is off.
+        path.write_bytes(container(magic, (head[0] + delta,) + head[1:], body))
+        with pytest.raises(IoError):
+            loader(path)
+
+
+# -- ids that do not fit their u16 field ---------------------------------------
+
+def test_label_beyond_u16_refused_and_no_file(tmp_path):
+    ds = MultiDomainDataset(images=np.zeros((2, 1, 2, 2)), labels=np.array([0, 69999]),
+                            domains=np.array([0, 0]), splits=np.zeros(2, dtype=np.uint8),
+                            class_count=70000, domain_count=1)
+    with pytest.raises(ValueError):
+        save_dataset(ds, tmp_path / "wide.dgdd")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_checkpoint_ids_beyond_u16_refused_and_no_file(tmp_path):
+    images = np.zeros((2, 1, 2, 2))
+    for labels, domains in [([0, 65536], [0, 0]), ([0, 1], [-1, 0])]:
+        with pytest.raises(ValueError):
+            save_checkpoint_images(images, np.array(labels), np.array(domains),
+                                   tmp_path / "wide.dgck")
+    assert list(tmp_path.iterdir()) == []
+
+
+# -- every artifact writer is all-or-nothing -------------------------------------
+
+WRITERS = {
+    "save_dataset": lambda path: save_dataset(generate_toy(SMALL, seed=5), path),
+    "save_checkpoint_images": lambda path: save_checkpoint_images(
+        np.ones((2, 1, 2, 2)), np.array([0, 1]), np.array([1, 0]), path),
+    "save_grids": lambda path: save_grids(np.ones((1, 1, 2, 2)), path),
+    "write_json": lambda path: write_json({"a": 1}, path),
+    "export_metrics_csv": lambda path: export_metrics_csv(
+        EvalReport(protocol="MDG", entries=[EvalEntry(target=0, seed=1, accuracy=0.5)]), path),
+    "write_loss_history_csv": lambda path: write_loss_history_csv([[0, 1.5, 0.5]], 1, path),
+    "write_csv": lambda path: write_csv(["a", "b"], [[1, 0.25]], path),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_failed_rename_leaves_old_artifact(monkeypatch, tmp_path, writer):
+    path = tmp_path / "artifact"
+    path.write_bytes(b"old bytes")
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(storage.os, "replace", failing_replace)
+    with pytest.raises(IoError):
+        WRITERS[writer](path)
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+    assert path.read_bytes() == b"old bytes"
+
+
+def test_write_csv_formats_each_cell(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(["param", "value", "mean"], [("k", 2.0, 1 / 3), ("k", np.int64(3), 0.5)], path)
+    assert path.read_bytes() == b"param,value,mean\nk,2,0.333333\nk,3,0.5\n"
