@@ -58,13 +58,13 @@ class DataView:
     def cached_feature_mean(self, psi, c, compute):
         """Per-featurizer class feature-mean cache (real data is immutable).
 
-        Only the most recent featurizer's entries are kept, so resampling
+        c is a class id, or None for the matrix of every class's mean. Only
+        the most recent featurizer's entries are kept, so resampling
         featurizers every iteration costs no memory while a fixed featurizer
         gets full reuse across iterations.
         """
         if self._feature_means is None or self._feature_means.get("token") != psi.token:
             self._feature_means = {"token": psi.token}
-        c = int(c)
         if c not in self._feature_means:
             self._feature_means[c] = compute()
         return self._feature_means[c]

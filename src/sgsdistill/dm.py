@@ -7,10 +7,14 @@ deterministic and testable against finite differences; callers that need
 stochastic behavior can subsample the view first.
 
 `matching_gradients` yields the pooled gradient and every per-domain gradient
-from one pass: each real (domain, class) block is featurized once, the pooled
-real class mean is the count-weighted mix of the domain means, and the S + 1
-covectors of a class are pulled back in one `vjp_batch` call. `dm_gradient`
-pulls back the pooled row only; `dm_loss` stops before the pullback.
+of every class from one pass: each view's class-mean matrix comes from one
+featurization (cached on the view per featurizer), the pooled real class
+means are the count-weighted mix of the domain means, the synthetic class
+means come from one forward, and one grouped `vjp_batch` call pulls back the
+(S + 1, classes) covectors, each image taking its class's. Every covector
+row is pulled back on its own, so the pooled row is bitwise the same whether
+or not the domain rows ride along. `dm_gradient` pulls back the pooled row
+only; `dm_loss` stops before the pullback.
 """
 
 from dataclasses import dataclass
@@ -23,13 +27,31 @@ from .featurizers import mean_features
 
 
 def class_feature_mean(view, c, psi):
-    """Mean feature vector of class c over all samples in the view."""
+    """Mean feature vector of class c over all samples in the view.
+
+    c=None gives the (class_count, F) means of every class from one
+    featurization (a linear map reads the stacked class pixel means, a conv
+    map featurizes the view once and averages each class's rows), with NaN
+    rows for the classes the view lacks. Both are cached on the view for psi.
+    """
+    if c is None:
+        return view.cached_feature_mean(psi, None, lambda: _all_class_means(view, psi))
     view.class_indices(c)  # raises EmptyClass
     return view.cached_feature_mean(
-        psi, c,
+        psi, int(c),
         lambda: mean_features(psi, lambda: view.class_images(c),
                               pixel_mean=lambda: view.class_pixel_mean(c)),
     )
+
+
+def _all_class_means(view, psi):
+    held = [c for c, idx in view.by_class().items() if idx.size]
+    means = np.full((view.class_count, psi.feature_dim), np.nan)
+    if held:
+        means[held] = mean_features(
+            psi, view.images, groups=[view.by_class()[c] for c in held],
+            pixel_mean=lambda: np.stack([view.class_pixel_mean(c) for c in held]))
+    return means
 
 
 @dataclass
@@ -41,44 +63,51 @@ class DmGradient:
 
 
 def _class_deltas(synthetic: SyntheticSet, domain_views, psi, per_domain):
-    """Per class c, yield (synthetic members, deltas): deltas[0] is mean
-    psi(synthetic_c) minus the pooled real class mean (the count-weighted mix
-    of the views holding class c), deltas[1 + s] the same against view s. A
-    view without class c raises EmptyClass when per_domain is set; otherwise
-    it gets weight 0 and a NaN row.
+    """Deltas (S + 1, K, F), their losses (S + 1,) and the synthetic class
+    sizes (K,). deltas[0, c] is mean psi(synthetic_c) minus the pooled real
+    class mean (the count-weighted mix of the views holding class c),
+    deltas[1 + s, c] the same against view s. A view without class c raises
+    EmptyClass when per_domain is set; otherwise it gets weight 0 and a NaN
+    row, so its loss is NaN.
     """
     shape = synthetic.images.shape[1:]
     if any(view.images.shape[1:] != shape for view in domain_views):
         raise ShapeMismatch(f"synthetic images {shape} do not match every real view")
+    k = synthetic.class_count
     syn_view = synthetic.as_view()
-    for c in range(synthetic.class_count):
-        mu_syn = class_feature_mean(syn_view, c, psi)  # raises EmptyClass
-        counts = np.array([len(v.by_class().get(c, ())) for v in domain_views])
-        if not counts.any():
-            raise EmptyClass(f"class {c} has no real samples")
-        mu_real = np.stack([class_feature_mean(v, c, psi) if per_domain or n
-                            else np.full_like(mu_syn, np.nan)
-                            for v, n in zip(domain_views, counts)])
-        held = counts > 0
-        pooled = (counts[held] / counts.sum()) @ mu_real[held]
-        yield syn_view.class_indices(c), mu_syn - np.vstack([pooled, mu_real])
+    sizes = np.array([syn_view.class_indices(c).size for c in range(k)])  # raises EmptyClass
+    mu_syn = class_feature_mean(syn_view, None, psi)
+    counts = np.array([np.bincount(view.labels, minlength=k)[:k] for view in domain_views])
+    held = counts > 0
+    if not held.any(axis=0).all():
+        raise EmptyClass(f"class {np.argmin(held.any(axis=0))} has no real samples")
+    if per_domain and not held.all():
+        s, c = np.argwhere(~held)[0]
+        raise EmptyClass(f"class {c} has no samples in view {s}")
+    mu_real = np.full((len(domain_views),) + mu_syn.shape, np.nan)
+    for s, view in enumerate(domain_views):
+        if held[s].any():
+            means = class_feature_mean(view, None, psi)[:k]
+            mu_real[s, :len(means)] = means
+    weights = (counts / counts.sum(axis=0))[..., None]
+    pooled = (weights * np.where(held[..., None], mu_real, 0.0)).sum(axis=0)
+    deltas = mu_syn - np.concatenate([pooled[None], mu_real])
+    return deltas, np.einsum("rkf,rkf->r", deltas, deltas), sizes
 
 
 def matching_gradients(synthetic: SyntheticSet, domain_views, psi, per_domain=True):
     """Exact gradients of dm_loss against the union of the views and each view.
 
     Returns (pooled, per_domain) DmGradients. Each member of class c receives
-    the covector (2 / ipc_c) * delta_c pulled back at its own pixels. With
+    the covector (2 / ipc_c) * delta_c pulled back at its own pixels; one
+    grouped `vjp_batch` call pulls back every class and row. With
     per_domain=False only the pooled row is pulled back; the per-view entries
     carry losses (NaN for a view missing a class) and no gradients.
     """
+    deltas, losses, sizes = _class_deltas(synthetic, domain_views, psi, per_domain)
     rows = len(domain_views) + 1 if per_domain else 1
-    grads = np.zeros((rows,) + synthetic.images.shape)
-    losses = np.zeros(len(domain_views) + 1)
-    for members, deltas in _class_deltas(synthetic, domain_views, psi, per_domain):
-        losses += [float(d @ d) for d in deltas]
-        grads[:, members] = psi.vjp_batch(synthetic.images[members],
-                                          (2.0 / members.size) * deltas[:rows])
+    grads = psi.vjp_batch(synthetic.images, (2.0 / sizes)[:, None] * deltas[:rows],
+                          groups=synthetic.labels)
     pooled = DmGradient(gradients=grads[0], loss=float(losses[0]))
     return pooled, [DmGradient(gradients=grads[1 + s] if per_domain else None, loss=float(l))
                     for s, l in enumerate(losses[1:])]
@@ -86,7 +115,7 @@ def matching_gradients(synthetic: SyntheticSet, domain_views, psi, per_domain=Tr
 
 def dm_loss(synthetic: SyntheticSet, view, psi):
     """Sum over classes of || mean psi(synthetic_c) - mean psi(real_c) ||^2."""
-    return sum(float(d[0] @ d[0]) for _, d in _class_deltas(synthetic, [view], psi, False))
+    return float(_class_deltas(synthetic, [view], psi, False)[1][0])
 
 
 def dm_gradient(synthetic: SyntheticSet, view, psi):

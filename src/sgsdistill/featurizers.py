@@ -30,6 +30,11 @@ _TOKENS = itertools.count()
 # numpy multiplies each image's window matrix on its own, so the block
 # changes no result.
 IMAGE_BLOCK = 64
+# Images per adjoint correlation in ConvFeaturizer.vjp_batch. Its window rows
+# take ~290 KB per 16x16 image at 16 channels (k*k*O columns); 16-image
+# blocks (4.7 MB) raised the process's peak RSS by 13 MB, 8-image blocks
+# did not, and whole 50-image synthetic sets ran 5% slower.
+ADJOINT_BLOCK = 8
 
 
 class LinearFeaturizer:
@@ -75,15 +80,16 @@ class LinearFeaturizer:
             raise ShapeMismatch(f"upstream shape {upstream.shape} != ({self.feature_dim},)")
         return (self.weight.T @ upstream).reshape(x.shape)
 
-    def vjp_batch(self, images, upstream):
-        """As ConvFeaturizer.vjp_batch; W^T u ignores the input point, so each
-        row is computed once and repeated over the batch."""
+    def vjp_batch(self, images, upstream, groups=None):
+        """As ConvFeaturizer.vjp_batch. W^T u ignores the input point, so each
+        covector is pulled back once, row r as upstream[r] @ W, and gathered
+        to the images that take it."""
         images = np.asarray(images, dtype=np.float64)
         if int(np.prod(images.shape[1:])) != self.weight.shape[1]:
             raise ShapeMismatch(f"batch shape {images.shape} incompatible with weight")
-        pulled = np.stack([self.weight.T @ u for u in _upstream_rows(upstream, self.feature_dim)])
-        pulled = np.repeat(pulled.reshape((-1, 1) + images.shape[1:]), len(images), axis=1)
-        return pulled.reshape(np.shape(upstream)[:-1] + images.shape)
+        rows, groups, lead = _covector_rows(upstream, self.feature_dim, groups, len(images))
+        pulled = np.stack([u @ self.weight for u in rows])
+        return pulled[:, groups].reshape(lead + images.shape)
 
     def hidden_activations(self, x):
         raise NotConvolutional("a linear featurizer has no spatial intermediates")
@@ -170,23 +176,35 @@ class ConvFeaturizer:
             raise ShapeMismatch(f"upstream shape {upstream.shape} != ({self.feature_dim},)")
         return self.vjp_batch(x[None], upstream)[0]
 
-    def vjp_batch(self, images, upstream):
+    def vjp_batch(self, images, upstream, groups=None):
         """vjp of every image against upstream (F,) -> (n, C, H, W), or against
-        each row of a stack (K, F) -> (K, n, C, H, W). The rectifier mask is
-        computed once and shared by every row; each row is then pulled back on
-        its own, so its result does not depend on the rest of the stack."""
+        each row of a stack (K, F) -> (K, n, C, H, W). With groups (n,), the
+        upstream holds one covector per group, (G, F) or (R, G, F), and image
+        i takes covector groups[i] -> (n, ...) or (R, n, ...).
+
+        The rectifier mask is computed once and shared by every row; each row
+        is then pulled back on its own, ADJOINT_BLOCK images per correlation,
+        so an image's result depends neither on the other rows nor on the
+        other images."""
         images = self._check_batch(images)
-        rows = _upstream_rows(upstream, self.feature_dim)
-        n, _, h, w = images.shape
-        active = self._forward(images) > 0.0
+        rows, groups, lead = _covector_rows(upstream, self.feature_dim, groups, len(images))
+        n, c, h, w = images.shape
+        active = np.empty((n, h * w, self.feature_dim), dtype=bool)
+        for i in range(0, n, IMAGE_BLOCK):
+            np.greater(self._forward(images[i:i + IMAGE_BLOCK]), 0.0,
+                       out=active[i:i + IMAGE_BLOCK])
         # The adjoint of the padded correlation correlates the cotangent with
         # the spatially flipped kernels, in and out channels swapped.
         flipped = self.kernels[..., ::-1, ::-1].transpose(1, 0, 2, 3)
-        grads = np.stack([
-            _correlate((active * (u / (h * w))).reshape(n, h, w, -1), flipped)
-            .reshape(n, h, w, -1).transpose(0, 3, 1, 2)
-            for u in rows])
-        return grads.reshape(np.shape(upstream)[:-1] + images.shape)
+        grads = np.empty((len(rows),) + images.shape)
+        for r, u in enumerate(rows):
+            per_image = u[groups, None, :] / (h * w)
+            for i in range(0, n, ADJOINT_BLOCK):
+                block = slice(i, i + ADJOINT_BLOCK)
+                cotangent = (active[block] * per_image[block]).reshape(-1, h, w, self.feature_dim)
+                grads[r, block] = (_correlate(cotangent, flipped)
+                                   .reshape(-1, h, w, c).transpose(0, 3, 1, 2))
+        return grads.reshape(lead + images.shape)
 
 
 def _correlate(maps, kernels):
@@ -207,22 +225,38 @@ def spatial_mean(maps):
     return np.ones(maps.shape[1]) @ maps / maps.shape[1]
 
 
-def _upstream_rows(upstream, feature_dim):
-    """An (F,) covector or a (K, F) stack as float64 rows (K, F)."""
+def _covector_rows(upstream, feature_dim, groups, n):
+    """Covector rows (R, G, F), each image's covector index (n,) and the
+    leading shape of the pullback. Without groups, an (F,) covector or a
+    (K, F) stack is one covector per row that every image takes (G = 1)."""
     upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.ndim not in (1, 2) or upstream.shape[-1] != feature_dim:
-        raise ShapeMismatch(f"upstream {upstream.shape} is not ({feature_dim},) or (K, {feature_dim})")
-    return upstream.reshape(-1, feature_dim)
+    given = upstream.shape
+    if groups is None:
+        upstream = upstream.reshape(given[:-1] + (1, -1))
+        groups = np.zeros(n, dtype=np.intp)
+    groups = np.asarray(groups)
+    if upstream.ndim not in (2, 3) or upstream.shape[-1] != feature_dim:
+        raise ShapeMismatch(f"upstream {given} does not hold ({feature_dim},) covectors")
+    if groups.shape != (n,) or (n and (groups.dtype.kind not in "iu" or groups.min() < 0
+                                       or groups.max() >= upstream.shape[-2])):
+        raise ShapeMismatch(f"groups must be {n} covector indices in 0..{upstream.shape[-2] - 1}")
+    return upstream.reshape((-1,) + upstream.shape[-2:]), groups, upstream.shape[:-2]
 
 
-def mean_features(psi, images, pixel_mean=None):
+def mean_features(psi, images, pixel_mean=None, groups=None):
     """Class-mean features; uses the pixel mean directly when the map is linear.
 
     For a LinearFeaturizer the feature mean equals W applied to the pixel mean,
     so a cached pixel mean avoids re-featurizing the whole class every call.
-    Either argument may be a zero-argument callable, called only on the path
-    that reads it.
+    With groups (index arrays into images), the result holds one mean row per
+    group from one featurization, and pixel_mean is the stack of the groups'
+    pixel means. Either argument may be a zero-argument callable, called only
+    on the path that reads it.
     """
     if pixel_mean is not None and isinstance(psi, LinearFeaturizer):
-        return psi.features(pixel_mean() if callable(pixel_mean) else pixel_mean)
-    return psi.features_batch(images() if callable(images) else images).mean(axis=0)
+        pixel_mean = pixel_mean() if callable(pixel_mean) else pixel_mean
+        return psi.features(pixel_mean) if groups is None else psi.features_batch(pixel_mean)
+    rows = psi.features_batch(images() if callable(images) else images)
+    if groups is None:
+        return rows.mean(axis=0)
+    return np.stack([rows[g].mean(axis=0) for g in groups])

@@ -2,15 +2,17 @@
 
 Each iteration draws a fresh featurizer from a stream keyed by the absolute
 iteration number, computes the pooled gradient and the per-domain gradients
-in one matching pass (each real domain featurized once, see
-`dm.matching_gradients`), runs the spectral consensus decomposition per
-synthetic sample (once per run of identical samples, see
+of every class in one matching pass (one featurization per real domain, one
+synthetic forward and one grouped pullback, see `dm.matching_gradients`),
+runs the spectral consensus decomposition once per distinct per-domain
+gradient stack (under the linear featurizer, once per class, see
 `surgery.batch_surgery_updates`), and applies the three-signal step with
-that sample's assigned domain. Plain matching (`algorithm="dm"`) pulls back only the
+each sample's assigned domain. Plain matching (`algorithm="dm"`) pulls back only the
 pooled covectors (bitwise the gradient surgery starts from) and lets a domain
 missing a class through with a NaN loss. Keying the stream by iteration
 makes a restored checkpoint continue bit-identically to a run that never
-stopped.
+stopped; a run with momentum refuses to continue, because checkpoints do not
+carry its velocity.
 """
 
 import json
@@ -121,7 +123,10 @@ def initialize(source: MultiDomainDataset, cfg: DistillConfig):
     rng = SeededRng(cfg.seed)
     shape = source.image_shape
     pattern = _domain_pattern(cfg.ipc, source.domain_count)
-    pooled = source.train_view()
+    # Views copy their images: build only the ones the strategy reads.
+    pooled = source.train_view() if cfg.init == "random" else None
+    domain_views = [source.train_view(domain=d) for d in range(source.domain_count)
+                    if cfg.init == "uniform"]
     images, labels, domains, init_uids = [], [], [], []
     for c in range(source.class_count):
         picks, views = [None] * cfg.ipc, [None] * cfg.ipc
@@ -137,7 +142,7 @@ def initialize(source: MultiDomainDataset, cfg: DistillConfig):
                 count = int(np.sum(pattern == d))
                 if count == 0:
                     continue
-                dview = source.train_view(domain=d)
+                dview = domain_views[d]
                 idx = dview.class_indices(c)
                 if idx.size < count:
                     raise EmptyClass(
@@ -206,8 +211,12 @@ def run_distillation(source: MultiDomainDataset, cfg: DistillConfig,
     featurizer_stream(t) may override the default per-iteration draw. Passing
     `initial` (e.g. a restored checkpoint) continues from its iteration
     counter; with the same config the continuation is bit-identical to an
-    uninterrupted run.
+    uninterrupted run. Checkpoints do not carry the momentum velocity, so
+    continuing a set past iteration 0 with momentum > 0 raises InvalidConfig.
     """
+    if initial is not None and initial.iteration > 0 and cfg.momentum > 0:
+        raise InvalidConfig("cannot continue a run with momentum: checkpoints do not "
+                            "carry the velocity")
     s_count = source.domain_count
     if cfg.algorithm == "sgs" and s_count < 2:
         raise TooFewDomains(

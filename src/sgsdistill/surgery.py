@@ -10,9 +10,11 @@ weighted class and (assigned-domain) specific signals from the image.
 
 Training calls the batch kernel `batch_surgery_updates`, and `--dump-rmaps`
 reads `batch_consensus_maps`; both share one spectral split and transform
-only distinct rows, so samples with bitwise-equal inputs (every member of a
-class under the linear featurizer) cost one transform per run. The
-per-sample classes and functions above the kernel define what it computes.
+only distinct per-domain gradient stacks, so samples with bitwise-equal
+stacks (every member of a class under the linear featurizer) share one
+forward transform, resultant and class signal, and one domain-signal inverse
+per assigned domain. The per-sample classes and functions above the kernel
+define what it computes.
 """
 
 from dataclasses import dataclass
@@ -157,25 +159,13 @@ def _domain_stack(domain_gradients):
     return stack
 
 
-def _distinct_rows(stack, *row_arrays):
-    """Rows to transform and the gather that spreads their results to all n.
-
-    Row i repeats row i-1 when its slice of every (n, ...) row array and of
-    the (S, n, ...) stack is bitwise equal to row i-1's (bits, so 0.0 and
-    -0.0 stay apart). Returns (keep, runs): the first row of each run of
-    repeats and each row's run number, or (None, None) when no row repeats.
-    """
-    n = stack.shape[1]
-    same = np.ones(max(n - 1, 0), dtype=bool)
-    for rows in row_arrays:
-        bits = rows.reshape(n, -1).view(np.int64)
-        same &= np.all(bits[1:] == bits[:-1], axis=1)
-    if same.any():
-        bits = stack.view(np.int64)
-        same &= np.all(bits[:, 1:] == bits[:, :-1], axis=(0, 2, 3, 4))
-    if not same.any():
-        return None, None
-    starts = np.concatenate([[True], ~same])
+def _distinct_rows(stack):
+    """Runs of adjacent rows of an (S, n, ...) stack whose slices are bitwise
+    equal (bits, so 0.0 and -0.0 stay apart): the first row of each run and
+    each row's run number."""
+    bits = stack.view(np.int64)
+    starts = np.ones(stack.shape[1], dtype=bool)
+    starts[1:] = ~np.all(bits[:, 1:] == bits[:, :-1], axis=(0, 2, 3, 4))
     return np.flatnonzero(starts), np.cumsum(starts) - 1
 
 
@@ -204,34 +194,37 @@ def batch_surgery_updates(domain_gradients, base_gradients, assigned_domains,
     """Three-signal updates for every sample at once.
 
     domain_gradients is (S, n, channels, h, w); base_gradients (n, channels,
-    h, w); assigned_domains (n,). Only distinct rows are transformed: a run
-    of adjacent rows whose stack, base and assigned domain are bitwise equal
-    (every member of a class under an input-independent pullback, laid out
-    contiguously by `pipeline.initialize`) is computed once and gathered
-    back. The FFT backend transforms each 2D plane independently and the
+    h, w); assigned_domains (n,). Only distinct stacks are transformed: a run
+    of adjacent rows whose domain stacks are bitwise equal (every member of
+    a class under an input-independent pullback, laid out contiguously by
+    `pipeline.initialize`) gets one forward transform, one mean spectrum and
+    resultant, and one class-signal inverse, and its domain deviation is
+    inverted once per assigned domain in the run; the base gradient is added
+    per row. The FFT backend transforms each 2D plane independently and the
     domain-axis reductions run in the same order as the per-sample path, so
     the result is bit-identical to looping consensus / decompose /
     combined_update over samples (asserted by the test suite). Only each
     sample's assigned deviation is inverted.
     """
     stack = _domain_stack(domain_gradients)
-    base = np.ascontiguousarray(base_gradients, dtype=np.float64)
+    base = np.asarray(base_gradients, dtype=np.float64)
     assigned = np.asarray(assigned_domains, dtype=np.int64)
-    if base.shape != stack.shape[1:] or assigned.shape != stack.shape[1:2]:
+    s_count, n = stack.shape[:2]
+    if base.shape != stack.shape[1:] or assigned.shape != (n,):
         raise ShapeMismatch(f"base {base.shape} and assigned {assigned.shape} do not "
                             f"match the stack's rows {stack.shape[1:]}")
-    if assigned.min() < 0 or assigned.max() >= stack.shape[0]:
+    if assigned.min() < 0 or assigned.max() >= s_count:
         raise UnknownDomain("assigned domain outside the stack")
-    keep, runs = _distinct_rows(stack, base, assigned)
-    if keep is not None:
-        stack, base, assigned = stack[:, keep], base[keep], assigned[keep]
-
-    spectra, mean_spec, resultant = _spectral_split(stack, w.epsilon)
+    keep, runs = _distinct_rows(stack)
+    spectra, mean_spec, resultant = _spectral_split(stack[:, keep], w.epsilon)
     class_real = _real_inverse(mean_spec * resultant, "class")
-    domain_real = _real_inverse(spectra[assigned, np.arange(assigned.size)] - mean_spec,
+    # One inverse per distinct (run, assigned domain) pair.
+    pairs, pair_of_row = np.unique(runs * s_count + assigned, return_inverse=True)
+    run_of_pair, domain_of_pair = np.divmod(pairs, s_count)
+    domain_real = _real_inverse(spectra[domain_of_pair, run_of_pair] - mean_spec[run_of_pair],
                                 "domain")
-    updates = w.base_scale * base + w.lambda_c * class_real + w.lambda_d * domain_real
-    return updates if runs is None else updates[runs]
+    return (w.base_scale * base + w.lambda_c * class_real[runs]
+            + w.lambda_d * domain_real[pair_of_row])
 
 
 def batch_consensus_maps(domain_gradients, epsilon):
@@ -246,10 +239,5 @@ def batch_consensus_maps(domain_gradients, epsilon):
         raise ValueError("epsilon must be positive")
     stack = _domain_stack(domain_gradients)
     keep, runs = _distinct_rows(stack)
-    if keep is not None:
-        stack = stack[:, keep]
-    _, mean_spec, resultant = _spectral_split(stack, epsilon)
-    class_signal = np.ascontiguousarray(_real_inverse(mean_spec * resultant, "class"))
-    if runs is None:
-        return resultant, class_signal
-    return resultant[runs], class_signal[runs]
+    _, mean_spec, resultant = _spectral_split(stack[:, keep], epsilon)
+    return resultant[runs], _real_inverse(mean_spec * resultant, "class")[runs]

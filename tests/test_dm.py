@@ -441,3 +441,24 @@ def test_linear_class_mean_reads_the_pixel_mean_without_indexing():
     assert mu.tobytes() == psi.features(imgs[:2].mean(axis=0)).tobytes()
     class_feature_mean(view, 0, ConvFeaturizer(np.ones((1, 1, 1, 1))))
     assert calls == [0]
+
+
+@pytest.mark.parametrize("kind", ["linear", "conv"])
+def test_all_class_means_match_one_class_at_a_time(kind):
+    rng = SeededRng(47)
+    imgs = rng.substream(0).normal(size=(7, 1, 4, 4))
+    view = view_of(imgs, [2, 0, 2, 0, 0, 2, 2], 4)  # classes 1 and 3 missing
+    if kind == "linear":
+        psi = LinearFeaturizer.create((1, 4, 4), 5, rng.substream(1))
+    else:
+        psi = ConvFeaturizer.create(1, 5, 3, rng.substream(1))
+    means = class_feature_mean(view, None, psi)
+    assert means.shape == (4, 5)
+    assert np.isnan(means[[1, 3]]).all()
+    assert class_feature_mean(view, None, psi) is means  # cached for psi
+    for c in (0, 2):
+        one = class_feature_mean(view, c, psi)
+        if kind == "conv":  # conv rows do not depend on the batch they ride in
+            assert means[c].tobytes() == one.tobytes()
+        else:
+            assert max_rel(means[c], one) < 1e-14

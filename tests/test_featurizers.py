@@ -243,3 +243,36 @@ def test_conv_features_batch_rows_do_not_depend_on_the_block():
     imgs = rng.substream(1).normal(size=(IMAGE_BLOCK + 6, 3, 5, 7))
     singles = np.stack([psi.features_batch(img[None])[0] for img in imgs])
     assert np.array_equal(psi.features_batch(imgs), singles)
+
+
+@pytest.mark.parametrize("kind", ["linear", "conv"])
+def test_grouped_vjp_batch_matches_per_image_vjp_and_rows_stand_alone(kind):
+    rng = SeededRng(60)
+    images = rng.substream(0).normal(size=(37, 2, 5, 4))
+    if kind == "linear":
+        psi = LinearFeaturizer.create((2, 5, 4), 6, rng.substream(1))
+    else:
+        psi = ConvFeaturizer.create(2, 6, 3, rng.substream(1))
+    groups = rng.substream(2).integers(0, 4, size=37)
+    upstream = rng.substream(3).normal(size=(3, 4, 6))
+    stacked = psi.vjp_batch(images, upstream, groups=groups)
+    assert stacked.shape == (3, 37, 2, 5, 4)
+    for r, rows in enumerate(upstream):
+        alone = psi.vjp_batch(images, rows, groups=groups)
+        assert alone.shape == (37, 2, 5, 4)
+        assert alone.tobytes() == stacked[r].tobytes()
+        assert psi.vjp_batch(images, rows[None], groups=groups).tobytes() == alone.tobytes()
+        for i, x in enumerate(images):
+            want = psi.vjp(x, rows[groups[i]])
+            assert np.abs(alone[i] - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
+    # Each image's pullback does not depend on the other images.
+    single = psi.vjp_batch(images[20:21], upstream, groups=groups[20:21])
+    assert single[:, 0].tobytes() == stacked[:, 20].tobytes()
+    bad_groups = [groups[:-1], groups.astype(np.float64), groups + 4, groups - 5,
+                  groups.reshape(1, -1)]
+    for bad in bad_groups:
+        with pytest.raises(ShapeMismatch):
+            psi.vjp_batch(images, upstream, groups=bad)
+    for bad in (np.ones(6), np.ones((3, 4, 5)), np.ones((2, 3, 4, 6))):
+        with pytest.raises(ShapeMismatch):
+            psi.vjp_batch(images, bad, groups=groups)

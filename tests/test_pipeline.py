@@ -253,6 +253,52 @@ def test_momentum_and_clamp_paths(toy):
     assert res.synthetic.images.max() <= 1.0
 
 
+def test_continuing_a_momentum_run_raises(tmp_path, toy):
+    # Checkpoints do not carry the velocity, so a continued momentum run
+    # would silently differ from the uninterrupted one.
+    short = DistillConfig(ipc=3, iterations=2, seed=11, momentum=0.5, **FAST)
+    half = run_distillation(toy, short)
+    checkpoint(half.synthetic, tmp_path / "half.dgck", config=short)
+    full = replace(short, iterations=4)
+    for initial in (half.synthetic, restore(tmp_path / "half.dgck")):
+        with pytest.raises(InvalidConfig):
+            run_distillation(toy, full, initial=initial)
+    fresh = run_distillation(toy, full, initial=initialize(toy, full))
+    assert fresh.synthetic.images.tobytes() == run_distillation(toy, full).synthetic.images.tobytes()
+    assert run_distillation(toy, replace(full, momentum=0.0), initial=half.synthetic).synthetic.iteration == 4
+
+
+@pytest.mark.parametrize("kind", ["linear", "conv"])
+def test_fixed_featurizer_is_the_first_draw_and_featurizes_each_view_once(monkeypatch, toy, kind):
+    spec = FeaturizerSpec(kind="linear", dim=32) if kind == "linear" else \
+        FeaturizerSpec(kind="conv", channels=4)
+    cfg = DistillConfig(ipc=3, iterations=4, seed=19, featurizer=spec, resample_featurizer=False)
+    first = spec.build(toy.image_shape, SeededRng(cfg.seed).substream(pipeline._STREAM_FEATURIZER, 0))
+    streamed = run_distillation(toy, replace(cfg, resample_featurizer=True),
+                                featurizer_stream=lambda t: first)
+
+    computed = []
+    cached = DataView.cached_feature_mean
+
+    def counting(view, psi, c, compute):
+        def counted():
+            computed.append((id(view), view.uids is not None, c))
+            return compute()
+        return cached(view, psi, c, counted)
+
+    monkeypatch.setattr(DataView, "cached_feature_mean", counting)
+    fixed = run_distillation(toy, cfg)
+    assert fixed.synthetic.images.tobytes() == streamed.synthetic.images.tobytes()
+    assert fixed.history == streamed.history
+    real = [entry for entry in computed if entry[1]]
+    assert len(real) == len({entry[0] for entry in real}) == toy.domain_count
+    assert all(c is None for _, _, c in computed)
+    assert len(computed) - len(real) == cfg.iterations   # one synthetic pass per iteration
+    computed.clear()
+    run_distillation(toy, replace(cfg, resample_featurizer=True))
+    assert sum(entry[1] for entry in computed) == toy.domain_count * cfg.iterations
+
+
 def test_config_round_trip_and_unknown_keys():
     cfg = DistillConfig(ipc=7, iterations=3, lambda_c=0.5,
                         featurizer=FeaturizerSpec(kind="conv", channels=4))

@@ -235,6 +235,30 @@ def test_kernel_matches_oracle_on_contiguous_duplicate_runs():
     assert_kernel_matches_oracle(grads[:, rows], base[rows], np.tile(pattern, 2))
 
 
+def test_kernel_transforms_each_class_stack_once_in_the_linear_layout(monkeypatch):
+    # 5 classes x ipc 10 over S = 3 domains: one stack per class, and a base
+    # gradient that differs row by row. Forward: 5 stacks x 3 domains x 3
+    # channels; inverse: 5 class signals, then 15 (class, domain) deviations.
+    classes, ipc, pattern = 5, 10, np.repeat(np.arange(3), [4, 3, 3])
+    grads, _, _ = kernel_inputs(23, rows=classes, shape=(3, 8, 8))
+    base = SeededRng(23).substream(2).normal(size=(classes * ipc, 3, 8, 8))
+    rows = np.repeat(np.arange(classes), ipc)
+    stack, assigned = grads[:, rows], np.tile(pattern, classes)
+    planes = {"fft2": [], "ifft2": []}
+    for name in planes:
+        real = getattr(np.fft, name)
+
+        def counting(a, *args, real=real, seen=planes[name], **kwargs):
+            seen.append(a.size // (a.shape[-2] * a.shape[-1]))
+            return real(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counting)
+    got = batch_surgery_updates(stack, base, assigned, KERNEL_WEIGHTS)
+    assert planes == {"fft2": [45], "ifft2": [15, 45]}
+    monkeypatch.undo()
+    want = per_sample_surgery(stack, base, assigned, KERNEL_WEIGHTS)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_kernel_matches_oracle_on_non_adjacent_duplicates():
     grads, base, assigned = kernel_inputs(21, rows=3)
     rows = np.array([0, 1, 0, 2, 1, 0])
