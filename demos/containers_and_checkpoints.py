@@ -30,16 +30,21 @@ with tempfile.TemporaryDirectory() as td:
     print(f"  labels/domains/splits exact: "
           f"{np.array_equal(back.labels, dataset.labels)}")
 
-    cfg = toy_protocol_config(ipc=4, iterations=10)
+    cfg = toy_protocol_config(ipc=4, iterations=10, init="uniform")
     half = run_distillation(dataset, cfg)
     ck = os.path.join(td, "half.dgck")
-    checkpoint(half.synthetic, ck, config=cfg)
-    resumed = run_distillation(dataset, toy_protocol_config(ipc=4, iterations=20),
-                               initial=restore(ck))
-    straight = run_distillation(dataset, toy_protocol_config(ipc=4, iterations=20))
-    print(f"\ncheckpoint at iteration 10, resumed to 20:")
+    checkpoint(half.synthetic, ck)
+    restored = restore(ck)
+    resumed = run_distillation(dataset, toy_protocol_config(ipc=4, iterations=20, init="uniform"),
+                               initial=restored)
+    straight = run_distillation(dataset, toy_protocol_config(ipc=4, iterations=20, init="uniform"))
+    print(f"\ncheckpoint at iteration {restored.iteration} (one file: {os.path.basename(ck)}), "
+          f"resumed to 20:")
     print(f"  bit-identical to an uninterrupted run: "
           f"{resumed.synthetic.images.tobytes() == straight.synthetic.images.tobytes()}")
+    print(f"  init provenance survives restore: "
+          f"{np.array_equal(restored.init_uids, half.synthetic.init_uids)} "
+          f"(seed uids {restored.init_uids[:4].tolist()} ...)")
 
     # A miniature file in the published IDX layout (big-endian magic 0x803/0x801).
     rng = np.random.default_rng(3)

@@ -182,7 +182,7 @@ def _cmd_distill(args):
     source = _dataset_for(args, toy_spec, resolved["seed"])
     result = run_distillation(source, distill_cfg, checkpoint_dir=out)
     final_path = os.path.join(out, "distilled.dgck")
-    checkpoint(result.synthetic, final_path, config=distill_cfg)
+    checkpoint(result.synthetic, final_path)
     storage.write_loss_history_csv(result.history, result.domain_count,
                                    os.path.join(out, "loss_history.csv"))
     if getattr(args, "dump_rmaps", False):
@@ -288,18 +288,27 @@ def _sweep_cell(resolved, param, value, data_path):
 
 
 def _cmd_sweep(args):
-    resolved, _, _, _, _ = _resolve(args)
-    out = _ensure_out(args)
-    _write_resolved(resolved, out)
+    if args.jobs < 1:
+        raise InvalidConfig("--jobs must be at least 1")
+    resolved, _, distill_cfg, _, _ = _resolve(args)
     param = args.param.replace("-", "_")
     if param not in ("lambda_c", "lambda_d", "k"):
         raise InvalidConfig(f"cannot sweep parameter {args.param!r}")
-    values = [float(v) for v in args.values.split(",")]
+    try:
+        values = [float(v) for v in args.values.split(",")]
+    except ValueError as exc:
+        raise InvalidConfig(f"--values: {exc}") from exc
     if len(values) > 64:
         raise GridTooLarge(f"{len(values)} cells exceed the sweep budget of 64")
+    if param != "k":
+        for v in values:   # an invalid cell fails before any output is written
+            replace(distill_cfg, **{param: v})
+    out = _ensure_out(args)
+    _write_resolved(resolved, out)
     cells = [(resolved, param, v, getattr(args, "data", None)) for v in values]
-    if args.jobs and args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(cells), os.cpu_count() or 1)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_sweep_cell, *cell) for cell in cells]
             results = [f.result() for f in futures]
     else:

@@ -60,8 +60,8 @@ class DataView:
 
         c is a class id, or None for the matrix of every class's mean. Only
         the most recent featurizer's entries are kept, so resampling
-        featurizers every iteration costs no memory while a fixed featurizer
-        gets full reuse across iterations.
+        featurizers every iteration costs no memory, while a featurizer_stream
+        that returns one featurizer gets full reuse across iterations.
         """
         if self._feature_means is None or self._feature_means.get("token") != psi.token:
             self._feature_means = {"token": psi.token}
@@ -152,8 +152,7 @@ class MultiDomainDataset:
         if not 0 <= int(domain) < self.domain_count:
             raise UnknownDomain(f"domain {domain} not in 0..{self.domain_count - 1}")
         kept = self.subset(self.domains != int(domain))
-        remap = {old: new for new, old in enumerate(d for d in range(self.domain_count) if d != int(domain))}
-        kept.domains = np.array([remap[d] for d in kept.domains], dtype=np.int64)
+        kept.domains = kept.domains.astype(np.int64) - (kept.domains > int(domain))
         kept.domain_count = self.domain_count - 1
         return kept
 

@@ -9,14 +9,14 @@ gradient stack (under the linear featurizer, once per class, see
 `surgery.batch_surgery_updates`), and applies the three-signal step with
 each sample's assigned domain. Plain matching (`algorithm="dm"`) pulls back only the
 pooled covectors (bitwise the gradient surgery starts from) and lets a domain
-missing a class through with a NaN loss. Keying the stream by iteration
-makes a restored checkpoint continue bit-identically to a run that never
-stopped; a run with momentum refuses to continue, because checkpoints do not
-carry its velocity.
+missing a class through with a NaN loss. The synthetic set (images, labels,
+domain assignments, init provenance and iteration counter) is the whole loop
+state, and a checkpoint is one container holding all of it; keying the stream
+by iteration makes a restored checkpoint continue bit-identically to a run
+that never stopped.
 """
 
-import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from . import storage
 from .datasets import DataView, MultiDomainDataset, SyntheticSet
 # dm_gradient is not called here; perfbench/tracer.py wraps this name.
 from .dm import dm_gradient, matching_gradients
-from .errors import DistillError, EmptyClass, InvalidConfig, IoError, TooFewDomains
+from .errors import DistillError, EmptyClass, InvalidConfig, TooFewDomains
 from .featurizers import ConvFeaturizer, LinearFeaturizer
 from .rng import SeededRng
 from .surgery import SurgeryWeights, batch_consensus_maps, batch_surgery_updates
@@ -73,9 +73,6 @@ class DistillConfig:
     checkpoint_every: int = 0
     algorithm: str = "sgs"
     use_base: bool = True        # drop the pooled gradient for ablation modes
-    momentum: float = 0.0
-    clamp: bool = False
-    resample_featurizer: bool = True
     # 0 = full-set means; >0 draws up to this many samples per (domain, class)
     # each iteration, and the pooled batch is the union of the domain batches.
     batch_per_class: int = 0
@@ -87,12 +84,14 @@ class DistillConfig:
             raise InvalidConfig("iterations must be non-negative")
         if self.eta <= 0:
             raise InvalidConfig("eta must be positive")
+        if self.lambda_c < 0 or self.lambda_d < 0:
+            raise InvalidConfig("lambda_c and lambda_d must be non-negative")
+        if self.epsilon <= 0:
+            raise InvalidConfig("epsilon must be positive")
         if self.init not in INIT_STRATEGIES:
             raise InvalidConfig(f"init must be one of {INIT_STRATEGIES}")
         if self.algorithm not in ALGORITHMS:
             raise InvalidConfig(f"algorithm must be one of {ALGORITHMS}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise InvalidConfig("momentum must lie in [0, 1)")
         if self.batch_per_class < 0:
             raise InvalidConfig("batch_per_class must be non-negative")
 
@@ -208,15 +207,12 @@ def run_distillation(source: MultiDomainDataset, cfg: DistillConfig,
                      checkpoint_dir=None):
     """Distill; returns the final synthetic set plus the loss history.
 
-    featurizer_stream(t) may override the default per-iteration draw. Passing
+    featurizer_stream(t) may override the default per-iteration draw (a
+    stream that returns one featurizer fixes it for the run). Passing
     `initial` (e.g. a restored checkpoint) continues from its iteration
     counter; with the same config the continuation is bit-identical to an
-    uninterrupted run. Checkpoints do not carry the momentum velocity, so
-    continuing a set past iteration 0 with momentum > 0 raises InvalidConfig.
+    uninterrupted run.
     """
-    if initial is not None and initial.iteration > 0 and cfg.momentum > 0:
-        raise InvalidConfig("cannot continue a run with momentum: checkpoints do not "
-                            "carry the velocity")
     s_count = source.domain_count
     if cfg.algorithm == "sgs" and s_count < 2:
         raise TooFewDomains(
@@ -225,19 +221,13 @@ def run_distillation(source: MultiDomainDataset, cfg: DistillConfig,
         )
     rng = SeededRng(cfg.seed)
     if featurizer_stream is None:
-        shape = source.image_shape
-        if cfg.resample_featurizer:
-            featurizer_stream = lambda t: cfg.featurizer.build(
-                shape, rng.substream(_STREAM_FEATURIZER, t))
-        else:
-            fixed = cfg.featurizer.build(shape, rng.substream(_STREAM_FEATURIZER, 0))
-            featurizer_stream = lambda t: fixed
+        featurizer_stream = lambda t: cfg.featurizer.build(
+            source.image_shape, rng.substream(_STREAM_FEATURIZER, t))
 
     synthetic = initial.copy() if initial is not None else initialize(source, cfg)
     domain_views = [source.train_view(domain=s) for s in range(s_count)]
     weights = cfg.weights()
     history = []
-    velocity = np.zeros_like(synthetic.images) if cfg.momentum > 0 else None
 
     for t in range(synthetic.iteration, cfg.iterations):
         psi = featurizer_stream(t)
@@ -259,20 +249,13 @@ def run_distillation(source: MultiDomainDataset, cfg: DistillConfig,
                 synthetic.domains,
                 weights,
             )
-        if velocity is None:
-            synthetic.images = synthetic.images - cfg.eta * updates
-        else:
-            velocity = cfg.momentum * velocity + updates
-            synthetic.images = synthetic.images - cfg.eta * velocity
-        if cfg.clamp:
-            np.clip(synthetic.images, 0.0, 1.0, out=synthetic.images)
+        synthetic.images = synthetic.images - cfg.eta * updates
         if not np.isfinite(history[-1][1]) or not np.all(np.isfinite(synthetic.images)):
             raise DistillError(f"non-finite state at iteration {t}")
         synthetic.iteration = t + 1
         if checkpoint_dir is not None and cfg.checkpoint_every > 0 \
                 and synthetic.iteration % cfg.checkpoint_every == 0:
-            checkpoint(synthetic, f"{checkpoint_dir}/checkpoint_{synthetic.iteration:06d}.dgck",
-                       config=cfg)
+            checkpoint(synthetic, f"{checkpoint_dir}/checkpoint_{synthetic.iteration:06d}.dgck")
     return RunResult(synthetic=synthetic, history=history, domain_count=s_count)
 
 
@@ -299,55 +282,41 @@ def config_to_dict(cfg: DistillConfig):
     return out
 
 
+# Options an earlier version had. Their defaults are what the loop does now,
+# so a resolved config an earlier version wrote still reproduces its outputs.
+_REMOVED_OPTIONS = {"momentum": 0.0, "clamp": False, "resample_featurizer": True}
+
+
 def config_from_dict(data):
     data = dict(data)
     feat = data.pop("featurizer", None)
+    for key, default in _REMOVED_OPTIONS.items():
+        if key in data and data.pop(key) != default:
+            raise InvalidConfig(f"distill option {key!r} was removed; "
+                                f"only its old default {default!r} is accepted")
     known = set(DistillConfig.__dataclass_fields__) - {"featurizer"}
     unknown = set(data) - known
     if unknown:
         raise InvalidConfig(f"unknown distill config keys: {sorted(unknown)}")
-    kwargs = dict(data)
     if feat is not None:
         funknown = set(feat) - set(FeaturizerSpec.__dataclass_fields__)
         if funknown:
             raise InvalidConfig(f"unknown featurizer keys: {sorted(funknown)}")
-        kwargs["featurizer"] = FeaturizerSpec(**feat)
+        data["featurizer"] = FeaturizerSpec(**feat)
     try:
-        return DistillConfig(**kwargs)
+        return DistillConfig(**data)
     except TypeError as exc:
         raise InvalidConfig(str(exc)) from exc
 
 
-def checkpoint(synthetic: SyntheticSet, path, config: DistillConfig | None = None):
-    """Lossless f64 snapshot plus a JSON sidecar with counters and config."""
-    storage.save_checkpoint_images(synthetic.images, synthetic.labels,
-                                   synthetic.domains, path)
-    sidecar = {
-        "format": "sgsdistill-checkpoint",
-        "version": storage.FORMAT_VERSION,
-        "iteration": int(synthetic.iteration),
-        "config": config_to_dict(config) if config is not None else None,
-    }
-    storage.write_json(sidecar, str(path) + ".json")
+def checkpoint(synthetic: SyntheticSet, path):
+    """Lossless f64 snapshot of the whole loop state in one atomic write."""
+    storage.save_checkpoint_images(synthetic.images, synthetic.labels, synthetic.domains,
+                                   synthetic.init_uids, synthetic.iteration, path)
 
 
 def restore(path):
-    """Rebuild a SyntheticSet from a checkpoint; init provenance is not kept."""
-    images, labels, domains = storage.load_checkpoint_images(path)
-    try:
-        with open(str(path) + ".json", "r", encoding="utf-8") as fh:
-            sidecar = json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read checkpoint sidecar: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise IoError(f"corrupt checkpoint sidecar: {exc}") from exc
-    if sidecar.get("format") != "sgsdistill-checkpoint":
-        raise IoError("sidecar is not a checkpoint descriptor")
-    if sidecar.get("version") != storage.FORMAT_VERSION:
-        raise IoError(f"unsupported checkpoint version {sidecar.get('version')}")
-    return SyntheticSet(
-        images=images,
-        labels=labels,
-        domains=domains,
-        iteration=int(sidecar["iteration"]),
-    )
+    """Rebuild the SyntheticSet a checkpoint holds, init provenance included."""
+    images, labels, domains, init_uids, iteration = storage.load_checkpoint_images(path)
+    return SyntheticSet(images=images, labels=labels, domains=domains,
+                        iteration=iteration, init_uids=init_uids)

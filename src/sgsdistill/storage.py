@@ -6,10 +6,13 @@ Dataset container ("DGDD", version 1, little-endian):
     crc32 u32 over everything between the version field and the checksum
 Pixels are stored at f32: a documented lossy step for float64 pipelines.
 
-Checkpoint container ("DGCK") keeps the same layout without the split byte and
-with f64 pixels, so restoring a run is bit-lossless. Grid dumps ("DGGR") hold
-bare f64 grids. One record codec serves all three: each sample is a packed
-numpy record, so a container is a header, one record array and a checksum.
+Checkpoint container ("DGCK", version 2) is a synthetic set's whole state:
+    dims N,H,W,channels,iteration u32 each
+    per sample: class u16 | domain u16 | init_uid i64 | pixels f64 row-major
+f64 pixels make restoring a run bit-lossless; version 1 checkpoints are
+refused. Grid dumps ("DGGR", version 1) hold bare f64 grids. One record codec
+serves all three: each sample is a packed numpy record, so a container is a
+header, one record array and a checksum.
 Every container, JSON and CSV write goes through a temp file and an atomic
 rename (the temp file is removed when a write fails); all reads either return
 a complete object or raise.
@@ -34,7 +37,7 @@ from .errors import (
 DATASET_MAGIC = b"DGDD"
 CHECKPOINT_MAGIC = b"DGCK"
 GRIDS_MAGIC = b"DGGR"
-FORMAT_VERSION = 1
+FORMAT_VERSION = {DATASET_MAGIC: 1, CHECKPOINT_MAGIC: 2, GRIDS_MAGIC: 1}
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -73,7 +76,8 @@ def _dataset_record(ch, h, w):
 
 
 def _checkpoint_record(ch, h, w):
-    return np.dtype([("label", "<u2"), ("domain", "<u2"), ("pixels", "<f8", (ch, h, w))])
+    return np.dtype([("label", "<u2"), ("domain", "<u2"), ("init_uid", "<i8"),
+                     ("pixels", "<f8", (ch, h, w))])
 
 
 def _grid_record(ch, h, w):
@@ -96,7 +100,7 @@ def _write_container(path, magic, dims, records):
     """magic | version | dims as u32 | records | crc32 over dims and records."""
     head = struct.pack(f"<{len(dims)}I", *dims)
     crc = zlib.crc32(records, zlib.crc32(head))
-    _atomic_write(path, magic, struct.pack("<H", FORMAT_VERSION), head, records,
+    _atomic_write(path, magic, struct.pack("<H", FORMAT_VERSION[magic]), head, records,
                   struct.pack("<I", crc))
 
 
@@ -110,8 +114,9 @@ def _read_container(path, magic, dim_count, record_type):
     start = 6 + 4 * dim_count
     if len(data) >= 4 and data[:4] != magic:
         raise BadMagic(f"expected magic {magic!r}")
-    if len(data) >= 6 and (version := struct.unpack_from("<H", data, 4)[0]) != FORMAT_VERSION:
-        raise FormatVersionMismatch(f"format version {version}, supported {FORMAT_VERSION}")
+    supported = FORMAT_VERSION[magic]
+    if len(data) >= 6 and (version := struct.unpack_from("<H", data, 4)[0]) != supported:
+        raise FormatVersionMismatch(f"format version {version}, supported {supported}")
     if len(data) < start + 4:
         raise IoError("truncated file")
     if zlib.crc32(data[6:-4]) != struct.unpack_from("<I", data, len(data) - 4)[0]:
@@ -147,18 +152,20 @@ def load_dataset(path):
     )
 
 
-def save_checkpoint_images(images, labels, domains, path):
+def save_checkpoint_images(images, labels, domains, init_uids, iteration, path):
     """Write the f64 checkpoint container for a synthetic set."""
     n, ch, h, w = images.shape
     records = _records(_checkpoint_record(ch, h, w), label=labels, domain=domains,
-                       pixels=images)
-    _write_container(path, CHECKPOINT_MAGIC, (n, h, w, ch), records)
+                       init_uid=init_uids, pixels=images)
+    _write_container(path, CHECKPOINT_MAGIC, (n, h, w, ch, iteration), records)
 
 
 def load_checkpoint_images(path):
-    _, records = _read_container(path, CHECKPOINT_MAGIC, 4, _checkpoint_record)
+    """(images, labels, domains, init_uids, iteration) of a checkpoint container."""
+    dims, records = _read_container(path, CHECKPOINT_MAGIC, 5, _checkpoint_record)
     return (records["pixels"].astype(np.float64), records["label"].astype(np.int64),
-            records["domain"].astype(np.int64))
+            records["domain"].astype(np.int64), records["init_uid"].astype(np.int64),
+            dims[4])
 
 
 def save_grids(grids, path):

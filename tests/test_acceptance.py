@@ -339,7 +339,7 @@ def test_criterion_12_format_round_trips(toy, tmp_path):
     full_cfg = replace(short_cfg, iterations=20)
     half = run_distillation(toy, short_cfg)
     ck = tmp_path / "half.dgck"
-    checkpoint(half.synthetic, ck, config=short_cfg)
+    checkpoint(half.synthetic, ck)
     resumed = run_distillation(toy, full_cfg, initial=restore(ck))
     straight = run_distillation(toy, full_cfg)
     continue_ok = resumed.synthetic.images.tobytes() == straight.synthetic.images.tobytes()

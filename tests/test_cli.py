@@ -1,8 +1,10 @@
+import concurrent.futures
 import json
 import os
 
 import pytest
 
+from sgsdistill import cli
 from sgsdistill.cli import run
 
 SMALL_CFG = {
@@ -89,6 +91,25 @@ def test_unknown_config_keys_rejected(tmp_path):
     assert run(["gen-data", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
     bad.write_text(json.dumps({"distill": {"warp": 9}}))
     assert run(["gen-data", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("flags", [["--lambda-c", "-1"], ["--lambda-d", "-0.5"],
+                                   ["--epsilon", "0"]])
+def test_invalid_surgery_knobs_fail_before_any_output(tmp_path, cfg_path, flags):
+    out = tmp_path / "o"
+    assert run(["distill", "--config", cfg_path, "--out", str(out), *flags]) == 1
+    assert not (out / "resolved_config.json").exists()
+
+
+def test_removed_distill_option_is_a_config_error(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"distill": {"momentum": 0.5}}))
+    assert run(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    cfg.write_text(json.dumps({"distill": {"momentum": 0.0, "clamp": False,
+                                           "resample_featurizer": True}}))
+    assert run(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    resolved = json.loads((tmp_path / "o" / "resolved_config.json").read_text())
+    assert "momentum" not in resolved["distill"]
 
 
 def test_usage_errors(tmp_path):
@@ -186,3 +207,53 @@ def test_outputs_confined_to_out_dir(tmp_path, cfg_path):
     assert run(["distill", "--config", cfg_path, "--out", str(out),
                 "--data", str(data_dir / "toy.dgdd"), "--seed", "4"]) == 0
     assert (data_dir / "toy.dgdd").read_bytes() == before
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, runs nothing in parallel."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("jobs, values, cpus, pool", [
+    (8, "0,1,2", 4, 3),     # capped by the cell count
+    (8, "0,1,2,3,4", 2, 2),  # capped by the cpu count
+    (2, "0,1,2", 4, 2),      # as asked
+    (1, "0,1,2", 4, None),   # serial
+    (4, "0", 4, None),       # one cell runs serially
+])
+def test_sweep_pool_size(monkeypatch, tmp_path, jobs, values, cpus, pool):
+    _InlinePool.sizes = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(cli, "_sweep_cell", lambda resolved, param, value, data: (value, 0.0))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    out = tmp_path / "sw"
+    assert run(["sweep", "--out", str(out), "--param", "lambda-c", "--values", values,
+                "--jobs", str(jobs)]) == 0
+    assert _InlinePool.sizes == ([] if pool is None else [pool])
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[2]) for row in rows] == [float(v) for v in values.split(",")]
+
+
+@pytest.mark.parametrize("flags", [["--values", "0,1", "--jobs", "0"],
+                                   ["--values", "0,1", "--jobs", "-3"],
+                                   ["--values", "abc"], ["--values", "1,-1"]])
+def test_sweep_rejects_bad_input_before_any_output(monkeypatch, tmp_path, flags):
+    monkeypatch.setattr(cli, "_sweep_cell", lambda *cell: pytest.fail("a cell ran"))
+    out = tmp_path / "sw"
+    assert run(["sweep", "--out", str(out), "--param", "lambda-c", *flags]) == 1
+    assert not out.exists()

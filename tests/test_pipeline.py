@@ -4,7 +4,8 @@ from dataclasses import replace
 
 from sgsdistill.datasets import TRAIN, DataView
 from sgsdistill.dm import dm_gradient
-from sgsdistill.errors import EmptyClass, InvalidConfig, IoError, TooFewDomains
+from sgsdistill.errors import DistillError, EmptyClass, InvalidConfig, IoError, TooFewDomains
+from sgsdistill.evaluation import assert_protocol_isolation
 from sgsdistill.featurizers import LinearFeaturizer
 from sgsdistill import pipeline, storage
 from sgsdistill.pipeline import (
@@ -29,6 +30,8 @@ from helpers import make_dataset, per_sample_consensus_maps, per_sample_surgery
 
 SMALL_TOY = ToySpec(train_per_cell=12, test_per_cell=4, class_count=3)
 FAST = dict(featurizer=FeaturizerSpec(kind="linear", dim=32))
+KINDS = {"linear": FeaturizerSpec(kind="linear", dim=32),
+         "conv": FeaturizerSpec(kind="conv", channels=4)}
 
 
 @pytest.fixture(scope="module")
@@ -180,35 +183,59 @@ def test_checkpoint_round_trip(tmp_path, toy):
     cfg = DistillConfig(ipc=4, iterations=6, seed=8, **FAST)
     res = run_distillation(toy, cfg)
     path = tmp_path / "state.dgck"
-    checkpoint(res.synthetic, path, config=cfg)
+    checkpoint(res.synthetic, path)
+    assert [p.name for p in tmp_path.iterdir()] == ["state.dgck"]
     back = restore(path)
     assert back.images.tobytes() == res.synthetic.images.tobytes()
     assert np.array_equal(back.labels, res.synthetic.labels)
     assert np.array_equal(back.domains, res.synthetic.domains)
-    assert back.iteration == res.synthetic.iteration
+    assert back.iteration == res.synthetic.iteration == 6
+    assert np.all(res.synthetic.init_uids >= 0)
+    assert np.array_equal(back.init_uids, res.synthetic.init_uids)
+
+
+def test_isolation_check_sees_provenance_through_restore(tmp_path, toy):
+    # Seeded from every domain, target 0 included: the restored set must
+    # still fail the isolation check, not pass it with blank provenance.
+    cfg = DistillConfig(ipc=4, iterations=1, seed=8, **FAST)
+    leaky = run_distillation(toy, cfg).synthetic
+    checkpoint(leaky, tmp_path / "leaky.dgck")
+    source = toy.without_domain(0)
+    with pytest.raises(DistillError):
+        assert_protocol_isolation(toy, source, restore(tmp_path / "leaky.dgck"), 0)
+    clean = run_distillation(source, cfg).synthetic
+    checkpoint(clean, tmp_path / "clean.dgck")
+    assert_protocol_isolation(toy, source, restore(tmp_path / "clean.dgck"), 0)
 
 
 def test_checkpoint_truncation_never_partial(tmp_path, toy):
     cfg = DistillConfig(ipc=3, iterations=2, seed=8, **FAST)
     res = run_distillation(toy, cfg)
     path = tmp_path / "state.dgck"
-    checkpoint(res.synthetic, path, config=cfg)
+    checkpoint(res.synthetic, path)
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(IoError):
         restore(path)
 
 
-def test_restore_and_continue_matches_uninterrupted(tmp_path, toy):
-    short = DistillConfig(ipc=4, iterations=7, seed=10, **FAST)
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("batch_per_class", [0, 4])
+def test_restore_and_continue_matches_uninterrupted(tmp_path, toy, batch_per_class, kind,
+                                                    algorithm):
+    short = DistillConfig(ipc=4, iterations=7, seed=10, featurizer=KINDS[kind],
+                          algorithm=algorithm, batch_per_class=batch_per_class)
     full = replace(short, iterations=15)
     half = run_distillation(toy, short)
     path = tmp_path / "half.dgck"
-    checkpoint(half.synthetic, path, config=short)
+    checkpoint(half.synthetic, path)
     resumed = run_distillation(toy, full, initial=restore(path))
     straight = run_distillation(toy, full)
     assert resumed.synthetic.images.tobytes() == straight.synthetic.images.tobytes()
+    assert resumed.history == straight.history[short.iterations:]
     assert resumed.synthetic.iteration == straight.synthetic.iteration == 15
+    assert np.array_equal(resumed.synthetic.init_uids, straight.synthetic.init_uids)
 
 
 def test_batch_knob_runs_and_oversized_batch_equals_full_means(toy):
@@ -246,36 +273,13 @@ def test_pooled_batch_is_union_of_domain_batches(toy):
     assert np.abs(step - cfg.eta * expected.gradients).max() < 1e-12 * np.abs(step).max()
 
 
-def test_momentum_and_clamp_paths(toy):
-    cfg = DistillConfig(ipc=3, iterations=5, seed=11, momentum=0.5, clamp=True, **FAST)
-    res = run_distillation(toy, cfg)
-    assert res.synthetic.images.min() >= 0.0
-    assert res.synthetic.images.max() <= 1.0
-
-
-def test_continuing_a_momentum_run_raises(tmp_path, toy):
-    # Checkpoints do not carry the velocity, so a continued momentum run
-    # would silently differ from the uninterrupted one.
-    short = DistillConfig(ipc=3, iterations=2, seed=11, momentum=0.5, **FAST)
-    half = run_distillation(toy, short)
-    checkpoint(half.synthetic, tmp_path / "half.dgck", config=short)
-    full = replace(short, iterations=4)
-    for initial in (half.synthetic, restore(tmp_path / "half.dgck")):
-        with pytest.raises(InvalidConfig):
-            run_distillation(toy, full, initial=initial)
-    fresh = run_distillation(toy, full, initial=initialize(toy, full))
-    assert fresh.synthetic.images.tobytes() == run_distillation(toy, full).synthetic.images.tobytes()
-    assert run_distillation(toy, replace(full, momentum=0.0), initial=half.synthetic).synthetic.iteration == 4
-
-
 @pytest.mark.parametrize("kind", ["linear", "conv"])
 def test_fixed_featurizer_is_the_first_draw_and_featurizes_each_view_once(monkeypatch, toy, kind):
-    spec = FeaturizerSpec(kind="linear", dim=32) if kind == "linear" else \
-        FeaturizerSpec(kind="conv", channels=4)
-    cfg = DistillConfig(ipc=3, iterations=4, seed=19, featurizer=spec, resample_featurizer=False)
+    spec = KINDS[kind]
+    cfg = DistillConfig(ipc=3, iterations=4, seed=19, featurizer=spec)
     first = spec.build(toy.image_shape, SeededRng(cfg.seed).substream(pipeline._STREAM_FEATURIZER, 0))
-    streamed = run_distillation(toy, replace(cfg, resample_featurizer=True),
-                                featurizer_stream=lambda t: first)
+    streamed = run_distillation(toy, cfg, featurizer_stream=lambda t: first)
+    assert streamed.history[0] == run_distillation(toy, replace(cfg, iterations=1)).history[0]
 
     computed = []
     cached = DataView.cached_feature_mean
@@ -287,7 +291,7 @@ def test_fixed_featurizer_is_the_first_draw_and_featurizes_each_view_once(monkey
         return cached(view, psi, c, counted)
 
     monkeypatch.setattr(DataView, "cached_feature_mean", counting)
-    fixed = run_distillation(toy, cfg)
+    fixed = run_distillation(toy, cfg, featurizer_stream=lambda t: first)
     assert fixed.synthetic.images.tobytes() == streamed.synthetic.images.tobytes()
     assert fixed.history == streamed.history
     real = [entry for entry in computed if entry[1]]
@@ -295,7 +299,7 @@ def test_fixed_featurizer_is_the_first_draw_and_featurizes_each_view_once(monkey
     assert all(c is None for _, _, c in computed)
     assert len(computed) - len(real) == cfg.iterations   # one synthetic pass per iteration
     computed.clear()
-    run_distillation(toy, replace(cfg, resample_featurizer=True))
+    run_distillation(toy, cfg)
     assert sum(entry[1] for entry in computed) == toy.domain_count * cfg.iterations
 
 
@@ -312,6 +316,16 @@ def test_config_round_trip_and_unknown_keys():
         config_from_dict(bad)
 
 
+def test_removed_options_load_only_at_their_old_defaults():
+    cfg = DistillConfig(ipc=7, iterations=3, lambda_c=0.5)
+    legacy = {**config_to_dict(cfg), "momentum": 0.0, "clamp": False,
+              "resample_featurizer": True}
+    assert config_from_dict(legacy) == cfg
+    for key, value in [("momentum", 0.5), ("clamp", True), ("resample_featurizer", False)]:
+        with pytest.raises(InvalidConfig, match=key):
+            config_from_dict({**legacy, key: value})
+
+
 def test_config_validation():
     with pytest.raises(InvalidConfig):
         DistillConfig(ipc=0)
@@ -319,8 +333,10 @@ def test_config_validation():
         DistillConfig(init="fancy")
     with pytest.raises(InvalidConfig):
         DistillConfig(algorithm="tm")
-    with pytest.raises(InvalidConfig):
-        DistillConfig(momentum=1.5)
+    for bad in [dict(lambda_c=-1.0), dict(lambda_d=-0.5), dict(epsilon=0.0),
+                dict(epsilon=-1e-8)]:
+        with pytest.raises(InvalidConfig):
+            DistillConfig(**bad)
     with pytest.raises(InvalidConfig):
         FeaturizerSpec(kind="mlp")
 
@@ -341,15 +357,14 @@ def test_ablation_modes_run(toy):
 
 def test_periodic_checkpointing(tmp_path, toy):
     cfg = DistillConfig(ipc=3, iterations=6, seed=14, checkpoint_every=2, **FAST)
-    run_distillation(toy, cfg, checkpoint_dir=str(tmp_path))
-    files = sorted(p.name for p in tmp_path.glob("checkpoint_*.dgck"))
+    res = run_distillation(toy, cfg, checkpoint_dir=str(tmp_path))
+    files = sorted(p.name for p in tmp_path.iterdir())
     assert files == ["checkpoint_000002.dgck", "checkpoint_000004.dgck",
                      "checkpoint_000006.dgck"]
     assert restore(tmp_path / "checkpoint_000004.dgck").iteration == 4
-
-
-KINDS = {"linear": FeaturizerSpec(kind="linear", dim=32),
-         "conv": FeaturizerSpec(kind="conv", channels=4)}
+    last = restore(tmp_path / "checkpoint_000006.dgck")
+    assert last.iteration == 6
+    assert np.array_equal(last.init_uids, res.synthetic.init_uids)
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -360,7 +375,7 @@ def test_run_matches_per_sample_surgery_bitwise(monkeypatch, tmp_path, toy, kind
     full = replace(short, iterations=5)
     kernel = run_distillation(toy, full)
     half = run_distillation(toy, short)
-    checkpoint(half.synthetic, tmp_path / "half.dgck", config=short)
+    checkpoint(half.synthetic, tmp_path / "half.dgck")
     resumed = run_distillation(toy, full, initial=restore(tmp_path / "half.dgck"))
     monkeypatch.setattr(pipeline, "batch_surgery_updates", per_sample_surgery)
     oracle = run_distillation(toy, full)
@@ -382,18 +397,14 @@ def test_surgery_snapshot_matches_per_sample_path(monkeypatch, toy, kind):
         assert got.tobytes() == want.tobytes()
 
 
-def test_failed_sidecar_write_leaves_no_partial_files(monkeypatch, tmp_path, toy):
+def test_failed_checkpoint_write_leaves_no_files(monkeypatch, tmp_path, toy):
     cfg = DistillConfig(ipc=3, iterations=1, seed=18, **FAST)
     synthetic = run_distillation(toy, cfg).synthetic
-    path = tmp_path / "state.dgck"
-    real_replace = storage.os.replace
 
     def failing_replace(src, dst):
-        if str(dst).endswith(".json"):
-            raise OSError("disk full")
-        real_replace(src, dst)
+        raise OSError("disk full")
 
     monkeypatch.setattr(storage.os, "replace", failing_replace)
     with pytest.raises(IoError):
-        checkpoint(synthetic, path, config=cfg)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.dgck"]
+        checkpoint(synthetic, tmp_path / "state.dgck")
+    assert list(tmp_path.iterdir()) == []

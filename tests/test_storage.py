@@ -10,6 +10,7 @@ from sgsdistill.errors import (
     BadMagic,
     ChecksumMismatch,
     DimensionMismatch,
+    FormatVersionMismatch,
     IoError,
 )
 from sgsdistill.datasets import MultiDomainDataset
@@ -190,10 +191,11 @@ def test_resultant_sweep_csv(tmp_path):
 
 # -- golden layouts, built by hand from the README "File formats" section ----
 
-def container(magic, dims, records):
+def container(magic, dims, records, version=None):
     """magic | version u16 | dims u32 | records | crc32 over dims and records."""
+    version = version or {b"DGCK": 2}.get(magic, 1)
     payload = struct.pack(f"<{len(dims)}I", *dims) + records
-    return magic + struct.pack("<H", 1) + payload + struct.pack("<I", zlib.crc32(payload))
+    return magic + struct.pack("<H", version) + payload + struct.pack("<I", zlib.crc32(payload))
 
 
 def golden_dataset():
@@ -211,9 +213,11 @@ def golden_dataset():
 def golden_checkpoint():
     images = (np.arange(2 * 1 * 2 * 2, dtype=np.float64) * 0.1).reshape(2, 1, 2, 2)
     labels, domains = np.array([1, 65535]), np.array([3, 0])
-    records = b"".join(struct.pack("<HH", int(labels[i]), int(domains[i])) +
+    init_uids, iteration = np.array([-1, 2**40 + 7]), 123456
+    records = b"".join(struct.pack("<HHq", int(labels[i]), int(domains[i]), int(init_uids[i])) +
                        struct.pack("<4d", *images[i].ravel()) for i in range(2))
-    return (images, labels, domains), (2, 2, 2, 1), records
+    # N, H, W, channels, iteration
+    return (images, labels, domains, init_uids, iteration), (2, 2, 2, 1, iteration), records
 
 
 def test_dataset_golden_layout(tmp_path):
@@ -229,13 +233,26 @@ def test_dataset_golden_layout(tmp_path):
 
 
 def test_checkpoint_golden_layout(tmp_path):
-    (images, labels, domains), dims, records = golden_checkpoint()
+    state, dims, records = golden_checkpoint()
     path = tmp_path / "golden.dgck"
-    save_checkpoint_images(images, labels, domains, path)
-    assert path.read_bytes() == container(b"DGCK", dims, records)
-    back_images, back_labels, back_domains = load_checkpoint_images(path)
-    assert back_images.tobytes() == images.tobytes()
-    assert back_labels.tolist() == [1, 65535] and back_domains.tolist() == [3, 0]
+    save_checkpoint_images(*state, path)
+    assert path.read_bytes() == container(b"DGCK", dims, records, version=2)
+    images, labels, domains, init_uids, iteration = load_checkpoint_images(path)
+    assert images.tobytes() == state[0].tobytes()
+    assert labels.tolist() == [1, 65535] and domains.tolist() == [3, 0]
+    assert init_uids.tolist() == [-1, 2**40 + 7] and iteration == 123456
+
+
+def test_version_1_checkpoint_rejected(tmp_path):
+    # The v1 layout: four dims, no init_uid field, iteration in a JSON sidecar.
+    images = np.ones((1, 1, 2, 2))
+    path = tmp_path / "old.dgck"
+    path.write_bytes(container(b"DGCK", (1, 2, 2, 1), struct.pack("<HH4d", 0, 1, *images.ravel()),
+                               version=1))
+    with pytest.raises(FormatVersionMismatch):
+        load_checkpoint_images(path)
+    # The other containers are still version 1.
+    assert storage.FORMAT_VERSION == {b"DGDD": 1, b"DGCK": 2, b"DGGR": 1}
 
 
 def test_grids_golden_layout(tmp_path):
@@ -280,7 +297,7 @@ def test_checkpoint_ids_beyond_u16_refused_and_no_file(tmp_path):
     for labels, domains in [([0, 65536], [0, 0]), ([0, 1], [-1, 0])]:
         with pytest.raises(ValueError):
             save_checkpoint_images(images, np.array(labels), np.array(domains),
-                                   tmp_path / "wide.dgck")
+                                   np.array([-1, -1]), 0, tmp_path / "wide.dgck")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -289,7 +306,7 @@ def test_checkpoint_ids_beyond_u16_refused_and_no_file(tmp_path):
 WRITERS = {
     "save_dataset": lambda path: save_dataset(generate_toy(SMALL, seed=5), path),
     "save_checkpoint_images": lambda path: save_checkpoint_images(
-        np.ones((2, 1, 2, 2)), np.array([0, 1]), np.array([1, 0]), path),
+        np.ones((2, 1, 2, 2)), np.array([0, 1]), np.array([1, 0]), np.array([5, -1]), 3, path),
     "save_grids": lambda path: save_grids(np.ones((1, 1, 2, 2)), path),
     "write_json": lambda path: write_json({"a": 1}, path),
     "export_metrics_csv": lambda path: export_metrics_csv(
