@@ -149,6 +149,13 @@ def _write_resolved(resolved, out):
     ).hexdigest()
 
 
+def _pseudo_domain_count(k):
+    """The pseudo-domain count, checked before any output is written."""
+    if not float(k).is_integer() or k < 2:
+        raise InvalidConfig(f"pseudo-domain count k must be an integer of at least 2, got {k}")
+    return int(k)
+
+
 def _dataset_for(args, toy_spec, seed):
     if getattr(args, "data", None):
         return storage.load_dataset(args.data)
@@ -196,6 +203,7 @@ def _cmd_distill(args):
 
 def _cmd_eval(args):
     resolved, toy_spec, distill_cfg, eval_cfg, _ = _resolve(args)
+    k = _pseudo_domain_count(args.k) if args.protocol == "sdg" else None
     out = _ensure_out(args)
     config_hash = _write_resolved(resolved, out)
     ds = _dataset_for(args, toy_spec, resolved["seed"])
@@ -210,13 +218,11 @@ def _cmd_eval(args):
                                    os.path.join(out, "mdg_id.csv"))
         summary["in_distribution"] = outcome.in_distribution.summary()
     else:
-        k = args.k if args.k is not None else 4
-        source = args.source_domain if args.source_domain is not None else 0
-        report, _ = sdg_protocol(ds, source, k, distiller, eval_cfg)
+        report, _ = sdg_protocol(ds, args.source_domain, k, distiller, eval_cfg)
         storage.export_metrics_csv(report, os.path.join(out, "sdg_ood.csv"))
         summary["ood"] = report.summary()
         summary["k"] = k
-        summary["source_domain"] = source
+        summary["source_domain"] = args.source_domain
     storage.write_json(summary, os.path.join(out, "summary.json"))
     print(f"wrote evaluation summary to {out}/summary.json")
     return 0
@@ -249,11 +255,11 @@ def _cmd_oracle(args):
 
 def _cmd_cluster(args):
     resolved, toy_spec, _, _, _ = _resolve(args)
+    k = _pseudo_domain_count(args.k)
     out = _ensure_out(args)
     _write_resolved(resolved, out)
     ds = _dataset_for(args, toy_spec, resolved["seed"])
     flat, truth = ds.flatten_domains()
-    k = args.k if args.k is not None else 4
     seed = resolved["seed"]
     psi = default_style_featurizer(ds.image_shape[0], SeededRng(seed, (11,)))
     relabeled, model = assign_pseudo_domains(flat, psi, k, SeededRng(seed, (12,)))
@@ -300,8 +306,10 @@ def _cmd_sweep(args):
         raise InvalidConfig(f"--values: {exc}") from exc
     if len(values) > 64:
         raise GridTooLarge(f"{len(values)} cells exceed the sweep budget of 64")
-    if param != "k":
-        for v in values:   # an invalid cell fails before any output is written
+    for v in values:   # an invalid cell fails before any output is written
+        if param == "k":
+            _pseudo_domain_count(v)
+        else:
             replace(distill_cfg, **{param: v})
     out = _ensure_out(args)
     _write_resolved(resolved, out)
@@ -354,8 +362,8 @@ def build_parser():
     p = sub.add_parser("eval", help="run an evaluation protocol")
     common(p)
     p.add_argument("--protocol", choices=["mdg", "sdg", "id"], required=True)
-    p.add_argument("--k", type=int, help="pseudo-domain count for SDG")
-    p.add_argument("--source-domain", type=int, dest="source_domain")
+    p.add_argument("--k", type=int, default=4, help="pseudo-domain count for SDG")
+    p.add_argument("--source-domain", type=int, dest="source_domain", default=0)
     distill_flags(p)
 
     p = sub.add_parser("oracle", help="Monte-Carlo verification curves")
@@ -365,7 +373,7 @@ def build_parser():
 
     p = sub.add_parser("cluster", help="pseudo-domain clustering")
     common(p)
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=int, default=4)
 
     p = sub.add_parser("sweep", help="hyperparameter sweep (distill + eval per cell)")
     common(p)
@@ -391,16 +399,10 @@ def run(argv):
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
+    except (_UsageError, InvalidConfig, InvalidSpec, GridTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (InvalidConfig, InvalidSpec, GridTooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except IoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (IoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except DistillError as exc:

@@ -6,15 +6,16 @@ over the full view every call (no minibatching), which keeps the gradients
 deterministic and testable against finite differences; callers that need
 stochastic behavior can subsample the view first.
 
-`matching_gradients` yields the pooled gradient and every per-domain gradient
+`matching_rows` yields the pooled gradient and every per-domain gradient
 of every class from one pass: each view's class-mean matrix comes from one
 featurization (cached on the view per featurizer), the pooled real class
 means are the count-weighted mix of the domain means, the synthetic class
-means come from one forward, and one grouped `vjp_batch` call pulls back the
-(S + 1, classes) covectors, each image taking its class's. Every covector
-row is pulled back on its own, so the pooled row is bitwise the same whether
-or not the domain rows ride along. `dm_gradient` pulls back the pooled row
-only; `dm_loss` stops before the pullback.
+means come from one forward, and one `pullback` of the (S + 1, classes)
+covectors returns distinct gradient rows plus each image's row (one row per
+class under the linear featurizer), gathered to images only on request.
+Every covector row is pulled back on its own, so the pooled row is bitwise
+the same whether or not the domain rows ride along. `matching_gradients`
+and `dm_gradient` gather; `dm_loss` stops before the pullback.
 """
 
 from dataclasses import dataclass
@@ -95,22 +96,30 @@ def _class_deltas(synthetic: SyntheticSet, domain_views, psi, per_domain):
     return deltas, np.einsum("rkf,rkf->r", deltas, deltas), sizes
 
 
-def matching_gradients(synthetic: SyntheticSet, domain_views, psi, per_domain=True):
-    """Exact gradients of dm_loss against the union of the views and each view.
+def matching_rows(synthetic: SyntheticSet, domain_views, psi, per_domain=True):
+    """Gradient rows of dm_loss against the union of the views and each view.
 
-    Returns (pooled, per_domain) DmGradients. Each member of class c receives
-    the covector (2 / ipc_c) * delta_c pulled back at its own pixels; one
-    grouped `vjp_batch` call pulls back every class and row. With
-    per_domain=False only the pooled row is pulled back; the per-view entries
-    carry losses (NaN for a view missing a class) and no gradients.
+    Returns (rows, index, losses): sample i's gradient of the pooled loss is
+    rows[0, index[i]] and of view s's loss rows[1 + s, index[i]]; losses
+    (S + 1,) are the pooled loss then each view's. Each member of class c
+    receives the covector (2 / ipc_c) * delta_c pulled back at its own
+    pixels. With per_domain=False only rows[0] is pulled back, and a view
+    missing a class gets a NaN loss.
     """
     deltas, losses, sizes = _class_deltas(synthetic, domain_views, psi, per_domain)
     rows = len(domain_views) + 1 if per_domain else 1
-    grads = psi.vjp_batch(synthetic.images, (2.0 / sizes)[:, None] * deltas[:rows],
-                          groups=synthetic.labels)
-    pooled = DmGradient(gradients=grads[0], loss=float(losses[0]))
-    return pooled, [DmGradient(gradients=grads[1 + s] if per_domain else None, loss=float(l))
-                    for s, l in enumerate(losses[1:])]
+    pulled, index = psi.pullback(synthetic.images, (2.0 / sizes)[:, None] * deltas[:rows],
+                                 groups=synthetic.labels)
+    return pulled, index, losses
+
+
+def matching_gradients(synthetic: SyntheticSet, domain_views, psi, per_domain=True):
+    """`matching_rows` gathered to per-sample (pooled, per_domain) DmGradients;
+    with per_domain=False the per-view entries carry losses and no gradients."""
+    pulled, index, losses = matching_rows(synthetic, domain_views, psi, per_domain)
+    grads = [DmGradient(gradients=pulled[r][index] if r < len(pulled) else None,
+                        loss=float(loss)) for r, loss in enumerate(losses)]
+    return grads[0], grads[1:]
 
 
 def dm_loss(synthetic: SyntheticSet, view, psi):

@@ -80,16 +80,21 @@ class LinearFeaturizer:
             raise ShapeMismatch(f"upstream shape {upstream.shape} != ({self.feature_dim},)")
         return (self.weight.T @ upstream).reshape(x.shape)
 
-    def vjp_batch(self, images, upstream, groups=None):
-        """As ConvFeaturizer.vjp_batch. W^T u ignores the input point, so each
-        covector is pulled back once, row r as upstream[r] @ W, and gathered
-        to the images that take it."""
+    def pullback(self, images, upstream, groups=None):
+        """vjp_batch ungathered: (pulled, index), image i's pullback at
+        pulled[..., index[i], :, :, :]. W^T u ignores the input point, so each
+        covector is pulled back once; the stacked matmul runs one gemm per
+        row, so a row's bits do not depend on the rows beside it."""
         images = np.asarray(images, dtype=np.float64)
         if int(np.prod(images.shape[1:])) != self.weight.shape[1]:
             raise ShapeMismatch(f"batch shape {images.shape} incompatible with weight")
         rows, groups, lead = _covector_rows(upstream, self.feature_dim, groups, len(images))
-        pulled = np.stack([u @ self.weight for u in rows])
-        return pulled[:, groups].reshape(lead + images.shape)
+        return (rows @ self.weight).reshape(lead + rows.shape[1:2] + images.shape[1:]), groups
+
+    def vjp_batch(self, images, upstream, groups=None):
+        """As ConvFeaturizer.vjp_batch: `pullback` gathered to the images."""
+        pulled, index = self.pullback(images, upstream, groups)
+        return np.take(pulled, index, axis=-4)
 
     def hidden_activations(self, x):
         raise NotConvolutional("a linear featurizer has no spatial intermediates")
@@ -205,6 +210,11 @@ class ConvFeaturizer:
                 grads[r, block] = (_correlate(cotangent, flipped)
                                    .reshape(-1, h, w, c).transpose(0, 3, 1, 2))
         return grads.reshape(lead + images.shape)
+
+    def pullback(self, images, upstream, groups=None):
+        """As LinearFeaturizer.pullback: vjp_batch and the identity index."""
+        grads = self.vjp_batch(images, upstream, groups)
+        return grads, np.arange(grads.shape[-4])
 
 
 def _correlate(maps, kernels):

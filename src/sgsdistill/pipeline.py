@@ -3,17 +3,17 @@
 Each iteration draws a fresh featurizer from a stream keyed by the absolute
 iteration number, computes the pooled gradient and the per-domain gradients
 of every class in one matching pass (one featurization per real domain, one
-synthetic forward and one grouped pullback, see `dm.matching_gradients`),
-runs the spectral consensus decomposition once per distinct per-domain
-gradient stack (under the linear featurizer, once per class, see
-`surgery.batch_surgery_updates`), and applies the three-signal step with
-each sample's assigned domain. Plain matching (`algorithm="dm"`) pulls back only the
-pooled covectors (bitwise the gradient surgery starts from) and lets a domain
-missing a class through with a NaN loss. The synthetic set (images, labels,
-domain assignments, init provenance and iteration counter) is the whole loop
-state, and a checkpoint is one container holding all of it; keying the stream
-by iteration makes a restored checkpoint continue bit-identically to a run
-that never stopped.
+synthetic forward and one pullback, see `dm.matching_rows`), and hands the
+distinct gradient rows and each sample's row index straight to the surgery
+kernel, which transforms each distinct per-domain stack once (under the
+linear featurizer, once per class, see `surgery.batch_surgery_updates`) and
+applies the three-signal step with each sample's assigned domain. Plain
+matching (`algorithm="dm"`) pulls back only the pooled covectors (bitwise
+the gradient surgery starts from) and lets a domain missing a class through
+with a NaN loss. The synthetic set (images, labels, domain assignments, init
+provenance and iteration counter) is the whole loop state, and a checkpoint
+is one container holding all of it; keying the stream by iteration makes a
+restored checkpoint continue bit-identically to a run that never stopped.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -23,7 +23,7 @@ import numpy as np
 from . import storage
 from .datasets import DataView, MultiDomainDataset, SyntheticSet
 # dm_gradient is not called here; perfbench/tracer.py wraps this name.
-from .dm import dm_gradient, matching_gradients
+from .dm import dm_gradient, matching_rows
 from .errors import DistillError, EmptyClass, InvalidConfig, TooFewDomains
 from .featurizers import ConvFeaturizer, LinearFeaturizer
 from .rng import SeededRng
@@ -237,18 +237,14 @@ def run_distillation(source: MultiDomainDataset, cfg: DistillConfig,
                 _subsample_view(view, cfg.batch_per_class, rng.substream(_STREAM_BATCH, t, s))
                 for s, view in enumerate(domain_views)
             ]
-        pooled, per_domain = matching_gradients(synthetic, real_domains, psi,
-                                                per_domain=cfg.algorithm != "dm")
-        history.append((t, pooled.loss, *[d.loss for d in per_domain]))
+        rows, index, losses = matching_rows(synthetic, real_domains, psi,
+                                            per_domain=cfg.algorithm != "dm")
+        history.append((t, *losses.tolist()))
         if cfg.algorithm == "dm":
-            updates = pooled.gradients
+            updates = rows[0][index]
         else:
-            updates = batch_surgery_updates(
-                np.stack([d.gradients for d in per_domain]),
-                pooled.gradients,
-                synthetic.domains,
-                weights,
-            )
+            updates = batch_surgery_updates(rows[1:], rows[0], synthetic.domains, weights,
+                                            rows=index)
         synthetic.images = synthetic.images - cfg.eta * updates
         if not np.isfinite(history[-1][1]) or not np.all(np.isfinite(synthetic.images)):
             raise DistillError(f"non-finite state at iteration {t}")
@@ -271,9 +267,9 @@ def surgery_snapshot(source: MultiDomainDataset, cfg: DistillConfig,
     rng = SeededRng(cfg.seed)
     psi = cfg.featurizer.build(source.image_shape,
                                rng.substream(_STREAM_FEATURIZER, synthetic.iteration))
-    _, per_domain = matching_gradients(
+    rows, index, _ = matching_rows(
         synthetic, [source.train_view(domain=s) for s in range(source.domain_count)], psi)
-    return batch_consensus_maps(np.stack([d.gradients for d in per_domain]), cfg.epsilon)
+    return batch_consensus_maps(rows[1:], cfg.epsilon, rows=index)
 
 
 def config_to_dict(cfg: DistillConfig):

@@ -4,17 +4,17 @@ Per synthetic sample, the per-domain pixel gradients are transformed to the
 frequency domain, where phase agreement across domains is scored per bin by
 the circular-statistics resultant length r = |sum G^s| / (sum |G^s| + eps).
 The resultant-weighted mean spectrum inverts to a class signal (components the
-domains agree on), and each domain's deviation from the mean inverts to that
-domain's specific signal. The update subtracts the base gradient plus the
-weighted class and (assigned-domain) specific signals from the image.
+domains agree on), and each domain's deviation from the mean spectrum inverts
+to that domain's specific signal, which by linearity of the DFT is g^s -
+mean_s g^s and is taken in pixel space. The update subtracts the base gradient
+plus the weighted class and (assigned-domain) specific signals from the image.
 
 Training calls the batch kernel `batch_surgery_updates`, and `--dump-rmaps`
-reads `batch_consensus_maps`; both share one spectral split and transform
-only distinct per-domain gradient stacks, so samples with bitwise-equal
-stacks (every member of a class under the linear featurizer) share one
-forward transform, resultant and class signal, and one domain-signal inverse
-per assigned domain. The per-sample classes and functions above the kernel
-define what it computes.
+reads `batch_consensus_maps`; both take distinct per-domain gradient rows
+plus the row each sample takes (under the linear featurizer, one row per
+class; see `dm.matching_rows`), so each distinct stack gets one forward
+transform, resultant and class signal however many samples share it. The
+per-sample classes and functions above the kernel define what it computes.
 """
 
 from dataclasses import dataclass
@@ -93,12 +93,13 @@ class GradientBundle:
 
 def decompose(stack: DomainGradientStack, cons: ConsensusResult, base=None):
     """Split the stack into the consensus-weighted class signal and per-domain
-    deviations. Both inverses must be real (Hermitian inputs); ifft2 asserts it.
+    deviations. The class signal's inverse must be real (Hermitian input);
+    ifft2 asserts it. Each domain's deviation from the mean spectrum inverts,
+    by linearity, to its gradient minus the mean gradient.
     """
     class_signal = ifft2(cons.mean_spectrum * cons.resultant)
-    domain_signals = np.stack(
-        [ifft2(spec - cons.mean_spectrum) for spec in stack.spectra]
-    )
+    grads = stack.gradients
+    domain_signals = grads - grads.sum(axis=0) / stack.domain_count
     return GradientBundle(class_signal=class_signal, domain_signals=domain_signals,
                           base=base)
 
@@ -150,94 +151,75 @@ def sgs_step(x_hat, bundle: GradientBundle, assigned_domain, w: SurgeryWeights):
     return x_hat - w.eta * combined_update(bundle, assigned_domain, w)
 
 
-def _domain_stack(domain_gradients):
+def _domain_stack(domain_gradients, rows):
+    """The (S, m, ...) stack and each sample's row (default: one per row)."""
     stack = np.ascontiguousarray(domain_gradients, dtype=np.float64)
     if stack.ndim != 5:
-        raise ValueError(f"expected (S, n, channels, h, w), got {stack.shape}")
+        raise ValueError(f"expected (S, m, channels, h, w), got {stack.shape}")
     if stack.shape[0] < 2:
         raise TooFewDomains("cross-domain agreement needs at least two domains")
-    return stack
+    rows = np.arange(stack.shape[1]) if rows is None else np.asarray(rows)
+    if rows.ndim != 1 or rows.dtype.kind not in "iu" or (
+            rows.size and (rows.min() < 0 or rows.max() >= stack.shape[1])):
+        raise ShapeMismatch(f"rows must be a 1-d index into the stack's {stack.shape[1]} rows")
+    return stack, rows
 
 
-def _distinct_rows(stack):
-    """Runs of adjacent rows of an (S, n, ...) stack whose slices are bitwise
-    equal (bits, so 0.0 and -0.0 stay apart): the first row of each run and
-    each row's run number."""
-    bits = stack.view(np.int64)
-    starts = np.ones(stack.shape[1], dtype=bool)
-    starts[1:] = ~np.all(bits[:, 1:] == bits[:, :-1], axis=(0, 2, 3, 4))
-    return np.flatnonzero(starts), np.cumsum(starts) - 1
-
-
-def _spectral_split(stack, epsilon):
-    """Domain spectra, their mean and the per-bin resultant of an (S, m, ...) stack."""
+def _class_split(stack, epsilon):
+    """Per-bin resultant and class signal of each row of an (S, m, ...)
+    stack; NonHermitianInput when a row's class signal has an imaginary
+    residue past the bound `fourier.ifft2` uses."""
     spectra = np.fft.fft2(stack, axes=(-2, -1))
     total = spectra.sum(axis=0)
     resultant = np.abs(total) / (np.abs(spectra).sum(axis=0) + epsilon)
-    return spectra, total / stack.shape[0], resultant
-
-
-def _real_inverse(spectra, name):
-    """Per-sample inverse of (m, channels, h, w) spectra; NonHermitianInput when
-    a sample's imaginary residue passes the bound `fourier.ifft2` uses."""
-    out = np.fft.ifft2(spectra, axes=(-2, -1))
-    per_sample_axes = (-3, -2, -1)
-    bound = IMAG_RESIDUE_SCALE * (1.0 + np.abs(spectra).max(axis=per_sample_axes))
-    residue = np.abs(out.imag).max(axis=per_sample_axes)
-    if np.any(residue >= bound):
-        raise NonHermitianInput(f"non-real {name} signal in batch surgery")
-    return out.real
+    weighted = total / stack.shape[0] * resultant
+    out = np.fft.ifft2(weighted, axes=(-2, -1))
+    per_row = (-3, -2, -1)
+    if np.any(np.abs(out.imag).max(axis=per_row)
+              >= IMAG_RESIDUE_SCALE * (1.0 + np.abs(weighted).max(axis=per_row))):
+        raise NonHermitianInput("non-real class signal in batch surgery")
+    return resultant, out.real
 
 
 def batch_surgery_updates(domain_gradients, base_gradients, assigned_domains,
-                          w: SurgeryWeights):
+                          w: SurgeryWeights, rows=None):
     """Three-signal updates for every sample at once.
 
-    domain_gradients is (S, n, channels, h, w); base_gradients (n, channels,
-    h, w); assigned_domains (n,). Only distinct stacks are transformed: a run
-    of adjacent rows whose domain stacks are bitwise equal (every member of
-    a class under an input-independent pullback, laid out contiguously by
-    `pipeline.initialize`) gets one forward transform, one mean spectrum and
-    resultant, and one class-signal inverse, and its domain deviation is
-    inverted once per assigned domain in the run; the base gradient is added
-    per row. The FFT backend transforms each 2D plane independently and the
-    domain-axis reductions run in the same order as the per-sample path, so
-    the result is bit-identical to looping consensus / decompose /
-    combined_update over samples (asserted by the test suite). Only each
-    sample's assigned deviation is inverted.
+    domain_gradients is an (S, m, channels, h, w) stack of distinct gradient
+    rows and base_gradients (m, channels, h, w) their pooled-loss rows;
+    sample i takes row rows[i] and domain assigned_domains[i] (rows defaults
+    to one row per sample). Each row's stack gets one forward transform, one
+    resultant and one class-signal inverse; the domain signal is the
+    assigned domain's gradient minus the mean gradient, in pixel space. The
+    FFT backend transforms each 2D plane independently and the domain-axis
+    reductions run in the same order as the per-sample path, so the result
+    is bit-identical to looping consensus / decompose / combined_update over
+    the gathered samples (asserted by the test suite).
     """
-    stack = _domain_stack(domain_gradients)
+    stack, rows = _domain_stack(domain_gradients, rows)
     base = np.asarray(base_gradients, dtype=np.float64)
     assigned = np.asarray(assigned_domains, dtype=np.int64)
-    s_count, n = stack.shape[:2]
-    if base.shape != stack.shape[1:] or assigned.shape != (n,):
-        raise ShapeMismatch(f"base {base.shape} and assigned {assigned.shape} do not "
-                            f"match the stack's rows {stack.shape[1:]}")
-    if assigned.min() < 0 or assigned.max() >= s_count:
+    if base.shape != stack.shape[1:] or assigned.shape != rows.shape:
+        raise ShapeMismatch(f"base {base.shape}, assigned {assigned.shape} and rows "
+                            f"{rows.shape} do not match the stack's rows {stack.shape[1:]}")
+    if assigned.size and (assigned.min() < 0 or assigned.max() >= len(stack)):
         raise UnknownDomain("assigned domain outside the stack")
-    keep, runs = _distinct_rows(stack)
-    spectra, mean_spec, resultant = _spectral_split(stack[:, keep], w.epsilon)
-    class_real = _real_inverse(mean_spec * resultant, "class")
-    # One inverse per distinct (run, assigned domain) pair.
-    pairs, pair_of_row = np.unique(runs * s_count + assigned, return_inverse=True)
-    run_of_pair, domain_of_pair = np.divmod(pairs, s_count)
-    domain_real = _real_inverse(spectra[domain_of_pair, run_of_pair] - mean_spec[run_of_pair],
-                                "domain")
-    return (w.base_scale * base + w.lambda_c * class_real[runs]
-            + w.lambda_d * domain_real[pair_of_row])
+    class_real = _class_split(stack, w.epsilon)[1]
+    domain_real = stack[assigned, rows] - (stack.sum(axis=0) / len(stack))[rows]
+    return (w.base_scale * base[rows] + w.lambda_c * class_real[rows]
+            + w.lambda_d * domain_real)
 
 
-def batch_consensus_maps(domain_gradients, epsilon):
+def batch_consensus_maps(domain_gradients, epsilon, rows=None):
     """Resultant maps and class signals of every sample, as the kernel forms them.
 
-    domain_gradients is (S, n, channels, h, w); returns two (n, channels, h,
-    w) arrays, bitwise those of the per-sample consensus / decompose path.
-    Adjacent samples with bitwise-equal stacks are transformed once.
+    domain_gradients is (S, m, channels, h, w) and sample i takes row
+    rows[i] (default: one per row); returns two (n, channels, h, w) arrays,
+    bitwise those of the per-sample consensus / decompose path.
     """
     epsilon = float(epsilon)
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    stack = _domain_stack(domain_gradients)
-    keep, runs = _distinct_rows(stack)
-    _, mean_spec, resultant = _spectral_split(stack[:, keep], epsilon)
-    return resultant[runs], _real_inverse(mean_spec * resultant, "class")[runs]
+    stack, rows = _domain_stack(domain_gradients, rows)
+    resultant, class_real = _class_split(stack, epsilon)
+    return resultant[rows], class_real[rows]

@@ -162,7 +162,9 @@ def generate_toy(spec: ToySpec, seed):
     """
     templates = glyph_templates(spec.height, spec.width)
     rng = SeededRng(seed)
-    images, labels, domains, splits = [], [], [], []
+    n = spec.domain_count * spec.class_count * (spec.train_per_cell + spec.test_per_cell)
+    images = np.empty((n, spec.channels, spec.height, spec.width))  # never held twice
+    labels, domains, splits = [], [], []
     hidden, jitters = [], []
     for d, style in enumerate(spec.styles):
         for c in range(spec.class_count):
@@ -178,16 +180,15 @@ def generate_toy(spec: ToySpec, seed):
                     variant = int(r.integers(0, style.variants)) if style.variants > 1 else -1
                     img = _apply_style(img, style, variant, spec.height, spec.width,
                                        spec.channels)
-                    img = img + r.normal(0.0, spec.noise_sigma,
-                                         size=(spec.channels, spec.height, spec.width))
-                    images.append(img)
+                    images[len(labels)] = img + r.normal(
+                        0.0, spec.noise_sigma, size=(spec.channels, spec.height, spec.width))
                     labels.append(c)
                     domains.append(d)
                     splits.append(split)
                     hidden.append(variant)
                     jitters.append((dy, dx))
     return MultiDomainDataset(
-        images=np.stack(images),
+        images=images,
         labels=np.array(labels, dtype=np.int64),
         domains=np.array(domains, dtype=np.int64),
         splits=np.array(splits, dtype=np.uint8),

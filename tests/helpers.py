@@ -80,13 +80,16 @@ def naive_matvec(mat, vec):
     return out
 
 
-def per_sample_surgery(domain_gradients, base, assigned, w):
+def per_sample_surgery(domain_gradients, base, assigned, w, rows=None):
     """Three-signal updates one sample at a time through the per-sample path
-    (stack, consensus, decompose, combined_update): the batch kernel's oracle."""
+    (stack, consensus, decompose, combined_update): the batch kernel's oracle.
+    With rows, sample i's stack and base are row rows[i], gathered first."""
     from sgsdistill.surgery import (DomainGradientStack, combined_update, consensus,
                                     decompose)
 
     domain_gradients = np.asarray(domain_gradients, dtype=np.float64)
+    if rows is not None:
+        domain_gradients, base = domain_gradients[:, rows], np.asarray(base)[rows]
     out = np.empty(domain_gradients.shape[1:])
     for i in range(domain_gradients.shape[1]):
         stack = DomainGradientStack.from_gradients(i, domain_gradients[:, i])
@@ -96,11 +99,14 @@ def per_sample_surgery(domain_gradients, base, assigned, w):
     return out
 
 
-def per_sample_consensus_maps(domain_gradients, epsilon):
-    """Resultant maps and class signals one sample at a time (per-sample path)."""
+def per_sample_consensus_maps(domain_gradients, epsilon, rows=None):
+    """Resultant maps and class signals one sample at a time (per-sample path),
+    of the stack's rows gathered by rows first when given."""
     from sgsdistill.surgery import DomainGradientStack, consensus, decompose
 
     domain_gradients = np.asarray(domain_gradients, dtype=np.float64)
+    if rows is not None:
+        domain_gradients = domain_gradients[:, rows]
     resultants = np.empty(domain_gradients.shape[1:])
     class_signals = np.empty(domain_gradients.shape[1:])
     for i in range(domain_gradients.shape[1]):

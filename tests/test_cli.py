@@ -257,3 +257,16 @@ def test_sweep_rejects_bad_input_before_any_output(monkeypatch, tmp_path, flags)
     out = tmp_path / "sw"
     assert run(["sweep", "--out", str(out), "--param", "lambda-c", *flags]) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["cluster", "--k", "1"],
+    ["cluster", "--k", "-2"],
+    ["eval", "--protocol", "sdg", "--k", "1"],
+    ["sweep", "--param", "k", "--values", "2,1"],
+    ["sweep", "--param", "k", "--values", "2.5"],
+])
+def test_pseudo_domain_count_is_checked_before_any_output(tmp_path, argv):
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 1
+    assert not (out / "resolved_config.json").exists()

@@ -257,6 +257,11 @@ def test_grouped_vjp_batch_matches_per_image_vjp_and_rows_stand_alone(kind):
     upstream = rng.substream(3).normal(size=(3, 4, 6))
     stacked = psi.vjp_batch(images, upstream, groups=groups)
     assert stacked.shape == (3, 37, 2, 5, 4)
+    # pullback hands back distinct rows: one per group for the input-free
+    # linear pullback, one per image for the conv one.
+    pulled, index = psi.pullback(images, upstream, groups=groups)
+    assert pulled.shape == (3, 4 if kind == "linear" else 37, 2, 5, 4)
+    assert pulled[:, index].tobytes() == stacked.tobytes()
     for r, rows in enumerate(upstream):
         alone = psi.vjp_batch(images, rows, groups=groups)
         assert alone.shape == (37, 2, 5, 4)

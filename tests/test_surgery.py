@@ -214,8 +214,10 @@ def kernel_inputs(seed, domains=3, rows=6, shape=(2, 8, 8)):
     return grads, base, assigned
 
 
-def assert_kernel_matches_oracle(grads, base, assigned):
-    got = batch_surgery_updates(grads, base, assigned, KERNEL_WEIGHTS)
+def assert_kernel_matches_oracle(grads, base, assigned, rows=None):
+    got = batch_surgery_updates(grads, base, assigned, KERNEL_WEIGHTS, rows=rows)
+    if rows is not None:
+        grads, base = grads[:, rows], base[rows]
     want = per_sample_surgery(grads, base, assigned, KERNEL_WEIGHTS)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -227,23 +229,21 @@ def test_kernel_matches_per_sample_oracle_on_distinct_rows():
 
 
 def test_kernel_matches_oracle_on_contiguous_duplicate_runs():
-    # The linear featurizer's layout: classes contiguous, assigned domains
-    # contiguous within a class, one stack and base per class.
+    # The linear featurizer's layout: one stack and base row per class,
+    # classes contiguous, assigned domains contiguous within a class.
     grads, base, _ = kernel_inputs(20, rows=2)
     ipc, pattern = 5, np.array([0, 0, 1, 1, 2])
     rows = np.repeat(np.arange(2), ipc)
-    assert_kernel_matches_oracle(grads[:, rows], base[rows], np.tile(pattern, 2))
+    assert_kernel_matches_oracle(grads, base, np.tile(pattern, 2), rows)
 
 
 def test_kernel_transforms_each_class_stack_once_in_the_linear_layout(monkeypatch):
-    # 5 classes x ipc 10 over S = 3 domains: one stack per class, and a base
-    # gradient that differs row by row. Forward: 5 stacks x 3 domains x 3
-    # channels; inverse: 5 class signals, then 15 (class, domain) deviations.
+    # 5 classes x ipc 10 over S = 3 domains: one stack and one base row per
+    # class. Forward: 5 stacks x 3 domains x 3 channels; inverse: the 5
+    # class signals only (the domain signals are taken in pixel space).
     classes, ipc, pattern = 5, 10, np.repeat(np.arange(3), [4, 3, 3])
-    grads, _, _ = kernel_inputs(23, rows=classes, shape=(3, 8, 8))
-    base = SeededRng(23).substream(2).normal(size=(classes * ipc, 3, 8, 8))
-    rows = np.repeat(np.arange(classes), ipc)
-    stack, assigned = grads[:, rows], np.tile(pattern, classes)
+    grads, base, _ = kernel_inputs(23, rows=classes, shape=(3, 8, 8))
+    rows, assigned = np.repeat(np.arange(classes), ipc), np.tile(pattern, classes)
     planes = {"fft2": [], "ifft2": []}
     for name in planes:
         real = getattr(np.fft, name)
@@ -252,32 +252,34 @@ def test_kernel_transforms_each_class_stack_once_in_the_linear_layout(monkeypatc
             seen.append(a.size // (a.shape[-2] * a.shape[-1]))
             return real(a, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counting)
-    got = batch_surgery_updates(stack, base, assigned, KERNEL_WEIGHTS)
-    assert planes == {"fft2": [45], "ifft2": [15, 45]}
+    got = batch_surgery_updates(grads, base, assigned, KERNEL_WEIGHTS, rows=rows)
+    assert planes == {"fft2": [45], "ifft2": [15]}
     monkeypatch.undo()
-    want = per_sample_surgery(stack, base, assigned, KERNEL_WEIGHTS)
+    want = per_sample_surgery(grads[:, rows], base[rows], assigned, KERNEL_WEIGHTS)
     assert got.tobytes() == want.tobytes()
 
 
 def test_kernel_matches_oracle_on_non_adjacent_duplicates():
     grads, base, assigned = kernel_inputs(21, rows=3)
     rows = np.array([0, 1, 0, 2, 1, 0])
-    assert_kernel_matches_oracle(grads[:, rows], base[rows], assigned[rows])
+    assert_kernel_matches_oracle(grads, base, assigned[rows], rows)
 
 
 @pytest.mark.parametrize("differs", ["stack", "base", "assigned"])
 def test_kernel_keeps_apart_adjacent_rows_that_differ_in_one_input(differs):
+    # Two rows that differ only in the stack or only in the base, or one
+    # row taken with two assigned domains: samples 0 and 2 share everything.
     grads, base, _ = kernel_inputs(22, rows=2)
-    copies = np.zeros(3, dtype=np.int64)
-    g, b, a = grads[:, copies], base[copies], np.zeros(3, dtype=np.int64)
+    g, b = grads[:, [0, 0]], base[[0, 0]]
+    rows, assigned = np.array([0, 1, 0]), np.zeros(3, dtype=np.int64)
     if differs == "stack":
         g[:, 1] = grads[:, 1]
     elif differs == "base":
         b[1] = base[1]
     else:
-        a[1] = 1
-    assert_kernel_matches_oracle(g, b, a)
-    out = batch_surgery_updates(g, b, a, KERNEL_WEIGHTS)
+        rows, assigned = np.zeros(3, dtype=np.int64), np.array([0, 1, 0])
+    assert_kernel_matches_oracle(g, b, assigned, rows)
+    out = batch_surgery_updates(g, b, assigned, KERNEL_WEIGHTS, rows=rows)
     assert not np.array_equal(out[0], out[1])
     assert out[0].tobytes() == out[2].tobytes()
 
@@ -285,7 +287,7 @@ def test_kernel_keeps_apart_adjacent_rows_that_differ_in_one_input(differs):
 def test_kernel_matches_oracle_on_two_domain_stacks():
     grads, base, assigned = kernel_inputs(24, domains=2, rows=3)
     rows = np.array([0, 0, 1, 2, 2])
-    assert_kernel_matches_oracle(grads[:, rows], base[rows], assigned[rows])
+    assert_kernel_matches_oracle(grads, base, assigned[rows], rows)
 
 
 def test_kernel_rejects_rows_that_do_not_match_the_stack():
@@ -296,6 +298,27 @@ def test_kernel_rejects_rows_that_do_not_match_the_stack():
         batch_surgery_updates(grads[:, :2], base[:2], assigned, KERNEL_WEIGHTS)
     with pytest.raises(UnknownDomain):
         batch_surgery_updates(grads, base, assigned + 3, KERNEL_WEIGHTS)
+
+
+def test_kernel_rejects_a_bad_row_index():
+    grads, base, _ = kernel_inputs(28, rows=3)
+    assigned = np.array([0, 1, 2, 0, 1])
+    rows = np.array([0, 2, 1, 1, 0])
+    batch_surgery_updates(grads, base, assigned, KERNEL_WEIGHTS, rows=rows)
+    for bad in (rows + 1, rows - 1, rows.astype(np.float64), rows[None]):
+        with pytest.raises(ShapeMismatch):
+            batch_surgery_updates(grads, base, assigned, KERNEL_WEIGHTS, rows=bad)
+        with pytest.raises(ShapeMismatch):
+            batch_consensus_maps(grads, EPS, rows=bad)
+    # rows and assigned of different lengths
+    with pytest.raises(ShapeMismatch):
+        batch_surgery_updates(grads, base, assigned, KERNEL_WEIGHTS, rows=rows[:-1])
+    with pytest.raises(ShapeMismatch):
+        batch_surgery_updates(grads, base, assigned[:-1], KERNEL_WEIGHTS, rows=rows)
+    with pytest.raises(UnknownDomain):
+        batch_surgery_updates(grads, base, assigned + 1, KERNEL_WEIGHTS, rows=rows)
+    with pytest.raises(UnknownDomain):
+        batch_surgery_updates(grads, base, assigned - 1, KERNEL_WEIGHTS, rows=rows)
 
 
 def test_kernel_rejects_a_duplicated_non_hermitian_row(monkeypatch):
@@ -312,11 +335,50 @@ def test_kernel_rejects_a_duplicated_non_hermitian_row(monkeypatch):
         return out
 
     monkeypatch.setattr(np.fft, "fft2", corrupting_fft2)
-    clean = np.array([1, 1])
-    batch_surgery_updates(grads[:, clean], base[clean], assigned[clean], KERNEL_WEIGHTS)
+    shared = np.zeros(2, dtype=np.int64)
+    batch_surgery_updates(grads[:, 1:], base[1:], assigned[:2], KERNEL_WEIGHTS, rows=shared)
     rows = np.array([1, 0, 0, 0])
     with pytest.raises(NonHermitianInput):
-        batch_surgery_updates(grads[:, rows], base[rows], assigned[rows], KERNEL_WEIGHTS)
+        batch_surgery_updates(grads, base, assigned[rows], KERNEL_WEIGHTS, rows=rows)
+
+
+def kernel_domain_signal(grads, assigned):
+    """The kernel's domain signal alone: no base, no class signal."""
+    w = SurgeryWeights(lambda_c=0.0, lambda_d=1.0, eta=1.0, epsilon=EPS, base_scale=0.0)
+    return batch_surgery_updates(grads, np.zeros(grads.shape[1:]), assigned, w)
+
+
+def assert_domain_signal_is_spectral_deviation(grads, assigned):
+    # The paper's definition: ifft2 of the assigned domain's spectrum minus
+    # the mean spectrum, here from fourier.fft2 / ifft2 sample by sample.
+    got = kernel_domain_signal(grads, assigned)
+    for i, s in enumerate(assigned):
+        spectra = np.stack([fft2(g) for g in grads[:, i]])
+        want = ifft2(spectra[s] - spectra.mean(axis=0))
+        assert np.abs(got[i] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_domain_signal_is_the_inverse_of_the_spectral_deviation():
+    for seed, domains in ((30, 2), (31, 3), (32, 5)):
+        grads, _, assigned = kernel_inputs(seed, domains=domains, rows=7)
+        assert_domain_signal_is_spectral_deviation(grads, assigned)
+
+
+def test_domain_signal_matches_the_spectral_definition_on_toy_gradients():
+    from sgsdistill.dm import matching_rows
+    from sgsdistill.featurizers import ConvFeaturizer, LinearFeaturizer
+    from sgsdistill.pipeline import DistillConfig, initialize
+    from sgsdistill.toydata import ToySpec, generate_toy
+
+    source = generate_toy(ToySpec(height=8, width=8, train_per_cell=8, test_per_cell=2),
+                          3).without_domain(0)
+    synthetic = initialize(source, DistillConfig(ipc=4))
+    views = [source.train_view(domain=s) for s in range(source.domain_count)]
+    rng = SeededRng(33)
+    for psi in (LinearFeaturizer.create(source.image_shape, 32, rng.substream(0)),
+                ConvFeaturizer.create(source.image_shape[0], 4, 3, rng.substream(1))):
+        rows, index, _ = matching_rows(synthetic, views, psi)
+        assert_domain_signal_is_spectral_deviation(rows[1:][:, index], synthetic.domains)
 
 
 def test_consensus_maps_match_per_sample_path():
@@ -325,6 +387,8 @@ def test_consensus_maps_match_per_sample_path():
     got = batch_consensus_maps(grads[:, rows], EPS)
     want = per_sample_consensus_maps(grads[:, rows], EPS)
     for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    for g, w in zip(batch_consensus_maps(grads, EPS, rows=rows), want):
         assert g.tobytes() == w.tobytes()
     with pytest.raises(ValueError):
         batch_consensus_maps(grads, 0.0)
