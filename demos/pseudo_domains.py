@@ -15,7 +15,6 @@ from sgsdistill import (
     generate_toy,
     kmeans,
     sdg_toy_spec,
-    style_stats,
 )
 from sgsdistill.pseudo import style_stats_batch
 

@@ -12,13 +12,11 @@ from .circular import (
     ResultantSweep,
     SpectralModel,
     attenuation_curve,
-    circular_variance,
     empirical_resultant,
     resultant_sweep,
-    sample_domain_spectra,
 )
 from .datasets import TEST, TRAIN, DataView, MultiDomainDataset, SyntheticSet
-from .dm import DmGradient, class_feature_mean, dm_gradient, dm_loss, domain_gradient
+from .dm import DmGradient, class_feature_mean, dm_gradient, dm_loss
 from .evaluation import (
     EvalConfig,
     EvalReport,
@@ -51,7 +49,6 @@ from .pseudo import (
     cluster_purity,
     default_style_featurizer,
     kmeans,
-    style_stats,
 )
 from .rng import SeededRng
 from .storage import (
@@ -70,7 +67,6 @@ from .surgery import (
     batch_surgery_updates,
     consensus,
     decompose,
-    sgs_step,
 )
 from .toydata import StyleSpec, ToySpec, generate_toy, sdg_toy_spec
 
@@ -109,7 +105,6 @@ __all__ = [
     "attenuation_curve",
     "batch_surgery_updates",
     "checkpoint",
-    "circular_variance",
     "class_feature_mean",
     "cluster_purity",
     "config_distiller",
@@ -118,7 +113,6 @@ __all__ = [
     "default_style_featurizer",
     "dm_gradient",
     "dm_loss",
-    "domain_gradient",
     "empirical_resultant",
     "export_metrics_csv",
     "fft2",
@@ -135,13 +129,10 @@ __all__ = [
     "restore",
     "resultant_sweep",
     "run_distillation",
-    "sample_domain_spectra",
     "save_dataset",
     "save_grids",
     "sdg_protocol",
     "sdg_toy_spec",
-    "sgs_step",
-    "style_stats",
     "surgery_snapshot",
     "toy_protocol_config",
     "train_classifier",

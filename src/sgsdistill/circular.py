@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientRange, OutOfRange, TooFewSamples
+from .errors import InsufficientRange, TooFewSamples
 from .rng import SeededRng
 
 DEFAULT_EPSILON = 1e-8
@@ -44,13 +44,6 @@ class SpectralModel:
         return 1.0 if a == 0.0 else float(np.sin(a) / a)
 
 
-def sample_domain_spectra(model: SpectralModel, domain_count, rng: SeededRng):
-    """Draw one spectral value per domain around the shared signal's phase."""
-    if domain_count < 2:
-        raise TooFewSamples("need at least two domains")
-    return _sample_matrix(model, 1, domain_count, rng)[0]
-
-
 def _sample_matrix(model: SpectralModel, trials, domain_count, rng: SeededRng):
     """(trials, domains) complex draws; magnitudes independent of phases."""
     base_phase = float(np.angle(model.shared))
@@ -66,14 +59,6 @@ def empirical_resultant(samples, epsilon=DEFAULT_EPSILON):
     if samples.size < 2:
         raise TooFewSamples("resultant needs at least two samples")
     return float(np.abs(samples.sum()) / (np.abs(samples).sum() + epsilon))
-
-
-def circular_variance(resultant):
-    """1 - resultant length."""
-    r = float(resultant)
-    if not 0.0 <= r <= 1.0:
-        raise OutOfRange(f"resultant {r} outside [0, 1]")
-    return 1.0 - r
 
 
 @dataclass

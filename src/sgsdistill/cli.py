@@ -44,7 +44,7 @@ from .pipeline import (
 )
 from .pseudo import assign_pseudo_domains, cluster_purity, default_style_featurizer
 from .rng import SeededRng
-from .toydata import ToySpec, generate_toy, toyspec_from_dict, toyspec_to_dict
+from .toydata import generate_toy, sdg_toy_spec, toyspec_from_dict, toyspec_to_dict
 
 
 class _UsageError(Exception):
@@ -98,7 +98,13 @@ def _resolve(args):
     if getattr(args, "seed", None) is not None:
         seed = args.seed
 
-    toy = toyspec_to_dict(toyspec_from_dict(file_cfg.get("toy", {})))
+    toy_spec = toyspec_from_dict(file_cfg.get("toy", {}))
+    # Pseudo-domains need latent styles: with one style per domain, K-means
+    # splits the source by class.
+    if (getattr(args, "protocol", None) == "sdg" or getattr(args, "param", None) == "k") \
+            and "styles" not in file_cfg.get("toy", {}) and not getattr(args, "data", None):
+        toy_spec = replace(toy_spec, styles=sdg_toy_spec().styles)
+    toy = toyspec_to_dict(toy_spec)
 
     distill_dict = config_to_dict(toy_protocol_config())
     distill_dict.update(file_cfg.get("distill", {}))
@@ -133,7 +139,7 @@ def _resolve(args):
         "eval": {"runs": eval_cfg.runs, "epochs": eval_cfg.epochs, "lr": eval_cfg.lr},
         "oracle": oracle,
     }
-    return resolved, toyspec_from_dict(toy), distill, eval_cfg, oracle
+    return resolved, toy_spec, distill, eval_cfg, oracle
 
 
 def _ensure_out(args):

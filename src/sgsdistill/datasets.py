@@ -2,7 +2,9 @@
 
 Images are float64 arrays shaped (N, channels, height, width). Each sample
 carries a class id, a domain id, a train/test split flag, and a stable uid so
-evaluation protocols can prove which samples ever entered a pipeline.
+evaluation protocols can prove which samples ever entered a pipeline. A view
+caches its class pixel means and, for the latest featurizer, its class
+feature-mean matrix (`dm.class_feature_mean`).
 """
 
 from dataclasses import dataclass, field, replace
@@ -25,7 +27,7 @@ class DataView:
     uids: np.ndarray | None = None
     _by_class: dict = field(default=None, repr=False)
     _pixel_means: dict = field(default=None, repr=False)
-    _feature_means: dict = field(default=None, repr=False)
+    _feature_means: tuple = field(default=None, repr=False)
 
     def __len__(self):
         return self.images.shape[0]
@@ -55,19 +57,14 @@ class DataView:
             self._pixel_means[c] = self.class_images(c).mean(axis=0)
         return self._pixel_means[c]
 
-    def cached_feature_mean(self, psi, c, compute):
-        """Per-featurizer class feature-mean cache (real data is immutable).
-
-        c is a class id, or None for the matrix of every class's mean. Only
-        the most recent featurizer's entries are kept, so resampling
-        featurizers every iteration costs no memory, while a featurizer_stream
-        that returns one featurizer gets full reuse across iterations.
-        """
-        if self._feature_means is None or self._feature_means.get("token") != psi.token:
-            self._feature_means = {"token": psi.token}
-        if c not in self._feature_means:
-            self._feature_means[c] = compute()
-        return self._feature_means[c]
+    def cached_feature_mean(self, psi, compute):
+        """The class feature-mean matrix under psi, computed once per
+        featurizer (real data is immutable). Only the most recent
+        featurizer's matrix is kept, so drawing a fresh featurizer every
+        iteration costs no memory."""
+        if self._feature_means is None or self._feature_means[0] != psi.token:
+            self._feature_means = (psi.token, compute())
+        return self._feature_means[1]
 
     def require_nonempty(self):
         if len(self) == 0:
@@ -173,9 +170,6 @@ class MultiDomainDataset:
         old = self.domains.copy()
         return self.with_domain_labels(np.zeros(len(self), dtype=np.int64), 1), old
 
-    def domains_present(self):
-        return sorted(np.unique(self.domains).tolist())
-
 
 @dataclass
 class SyntheticSet:
@@ -198,10 +192,6 @@ class SyntheticSet:
     @property
     def class_count(self):
         return int(self.labels.max()) + 1 if len(self) else 0
-
-    @property
-    def ipc(self):
-        return len(self) // self.class_count if self.class_count else 0
 
     def as_view(self):
         return DataView(images=self.images, labels=self.labels, class_count=self.class_count)

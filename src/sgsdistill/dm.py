@@ -2,64 +2,51 @@
 
 The loss for a view of real data is the sum over classes of the squared
 distance between synthetic and real per-class feature means. Means are taken
-over the full view every call (no minibatching), which keeps the gradients
-deterministic and testable against finite differences; callers that need
-stochastic behavior can subsample the view first.
+over the whole view passed in; the loop minibatches by passing class-balanced
+subsets of the views (`pipeline._iteration_inputs`).
 
 `matching_rows` yields the pooled gradient and every per-domain gradient
 of every class from one pass: each view's class-mean matrix comes from one
-featurization (cached on the view per featurizer), the pooled real class
-means are the count-weighted mix of the domain means, the synthetic class
-means come from one forward, and one `pullback` of the (S + 1, classes)
-covectors returns distinct gradient rows plus each image's row (one row per
-class under the linear featurizer), gathered to images only on request.
-Every covector row is pulled back on its own, so the pooled row is bitwise
-the same whether or not the domain rows ride along. `matching_gradients`
-and `dm_gradient` gather; `dm_loss` stops before the pullback.
+featurization (`class_feature_mean`, cached on the view per featurizer), the
+pooled real class means are the count-weighted mix of the domain means, the
+synthetic class means come from one forward, and one `pullback` of the
+(S + 1, classes) covectors returns distinct gradient rows plus each image's
+row (one row per class under the linear featurizer). Every covector row is
+pulled back on its own, so the pooled row is bitwise the same whether or not
+the domain rows ride along. `dm_gradient` gathers the pooled rows to the
+images; `dm_loss` stops before the pullback.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import MultiDomainDataset, SyntheticSet
-from .errors import EmptyClass, ShapeMismatch, UnknownDomain
+from .datasets import SyntheticSet
+from .errors import EmptyClass, ShapeMismatch
 from .featurizers import mean_features
 
 
-def class_feature_mean(view, c, psi):
-    """Mean feature vector of class c over all samples in the view.
-
-    c=None gives the (class_count, F) means of every class from one
-    featurization (a linear map reads the stacked class pixel means, a conv
-    map featurizes the view once and averages each class's rows), with NaN
-    rows for the classes the view lacks. Both are cached on the view for psi.
-    """
-    if c is None:
-        return view.cached_feature_mean(psi, None, lambda: _all_class_means(view, psi))
-    view.class_indices(c)  # raises EmptyClass
-    return view.cached_feature_mean(
-        psi, int(c),
-        lambda: mean_features(psi, lambda: view.class_images(c),
-                              pixel_mean=lambda: view.class_pixel_mean(c)),
-    )
-
-
-def _all_class_means(view, psi):
-    held = [c for c, idx in view.by_class().items() if idx.size]
-    means = np.full((view.class_count, psi.feature_dim), np.nan)
-    if held:
-        means[held] = mean_features(
-            psi, view.images, groups=[view.by_class()[c] for c in held],
-            pixel_mean=lambda: np.stack([view.class_pixel_mean(c) for c in held]))
-    return means
+def class_feature_mean(view, psi):
+    """(class_count, F) mean features of every class in the view, from one
+    featurization: a linear map reads the stacked class pixel means, a conv
+    map featurizes the view once and averages each class's rows. Classes the
+    view lacks get NaN rows. Cached on the view for psi."""
+    def compute():
+        held = [c for c, idx in view.by_class().items() if idx.size]
+        means = np.full((view.class_count, psi.feature_dim), np.nan)
+        if held:
+            means[held] = mean_features(
+                psi, view.images, [view.by_class()[c] for c in held],
+                pixel_mean=lambda: np.stack([view.class_pixel_mean(c) for c in held]))
+        return means
+    return view.cached_feature_mean(psi, compute)
 
 
 @dataclass
 class DmGradient:
     """Per-synthetic-sample pixel gradients plus the loss they descend."""
 
-    gradients: np.ndarray | None  # (n, channels, h, w); None if not pulled back
+    gradients: np.ndarray  # (n, channels, h, w)
     loss: float
 
 
@@ -68,8 +55,8 @@ def _class_deltas(synthetic: SyntheticSet, domain_views, psi, per_domain):
     sizes (K,). deltas[0, c] is mean psi(synthetic_c) minus the pooled real
     class mean (the count-weighted mix of the views holding class c),
     deltas[1 + s, c] the same against view s. A view without class c raises
-    EmptyClass when per_domain is set; otherwise it gets weight 0 and a NaN
-    row, so its loss is NaN.
+    EmptyClass when per_domain is set (surgery needs every class in every
+    domain); otherwise it gets weight 0 and a NaN row, so its loss is NaN.
     """
     shape = synthetic.images.shape[1:]
     if any(view.images.shape[1:] != shape for view in domain_views):
@@ -77,18 +64,19 @@ def _class_deltas(synthetic: SyntheticSet, domain_views, psi, per_domain):
     k = synthetic.class_count
     syn_view = synthetic.as_view()
     sizes = np.array([syn_view.class_indices(c).size for c in range(k)])  # raises EmptyClass
-    mu_syn = class_feature_mean(syn_view, None, psi)
+    mu_syn = class_feature_mean(syn_view, psi)
     counts = np.array([np.bincount(view.labels, minlength=k)[:k] for view in domain_views])
     held = counts > 0
     if not held.any(axis=0).all():
         raise EmptyClass(f"class {np.argmin(held.any(axis=0))} has no real samples")
     if per_domain and not held.all():
         s, c = np.argwhere(~held)[0]
-        raise EmptyClass(f"class {c} has no samples in view {s}")
+        raise EmptyClass(f"class {c} has no samples in source domain {s}; surgery needs "
+                         "every class in every source (pseudo-)domain")
     mu_real = np.full((len(domain_views),) + mu_syn.shape, np.nan)
     for s, view in enumerate(domain_views):
         if held[s].any():
-            means = class_feature_mean(view, None, psi)[:k]
+            means = class_feature_mean(view, psi)[:k]
             mu_real[s, :len(means)] = means
     weights = (counts / counts.sum(axis=0))[..., None]
     pooled = (weights * np.where(held[..., None], mu_real, 0.0)).sum(axis=0)
@@ -113,15 +101,6 @@ def matching_rows(synthetic: SyntheticSet, domain_views, psi, per_domain=True):
     return pulled, index, losses
 
 
-def matching_gradients(synthetic: SyntheticSet, domain_views, psi, per_domain=True):
-    """`matching_rows` gathered to per-sample (pooled, per_domain) DmGradients;
-    with per_domain=False the per-view entries carry losses and no gradients."""
-    pulled, index, losses = matching_rows(synthetic, domain_views, psi, per_domain)
-    grads = [DmGradient(gradients=pulled[r][index] if r < len(pulled) else None,
-                        loss=float(loss)) for r, loss in enumerate(losses)]
-    return grads[0], grads[1:]
-
-
 def dm_loss(synthetic: SyntheticSet, view, psi):
     """Sum over classes of || mean psi(synthetic_c) - mean psi(real_c) ||^2."""
     return float(_class_deltas(synthetic, [view], psi, False)[1][0])
@@ -129,11 +108,5 @@ def dm_loss(synthetic: SyntheticSet, view, psi):
 
 def dm_gradient(synthetic: SyntheticSet, view, psi):
     """Exact gradient of dm_loss with respect to every synthetic image."""
-    return matching_gradients(synthetic, [view], psi, per_domain=False)[0]
-
-
-def domain_gradient(synthetic: SyntheticSet, source: MultiDomainDataset, s, psi):
-    """dm_gradient with the real side restricted to source domain s."""
-    if not 0 <= int(s) < source.domain_count:
-        raise UnknownDomain(f"domain {s} not in 0..{source.domain_count - 1}")
-    return dm_gradient(synthetic, source.train_view(domain=int(s)), psi)
+    rows, index, losses = matching_rows(synthetic, [view], psi, per_domain=False)
+    return DmGradient(gradients=rows[0][index], loss=float(losses[0]))

@@ -41,10 +41,6 @@ class NotConvolutional(DistillError):
     pass
 
 
-class OutOfRange(DistillError):
-    pass
-
-
 class InsufficientRange(DistillError):
     pass
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .datasets import MultiDomainDataset, SyntheticSet
-from .errors import DistillError, EmptyClass, EmptySet, UnknownDomain
+from .errors import DistillError, EmptyClass, EmptySet, InvalidConfig, UnknownDomain
 from .pipeline import DistillConfig, FeaturizerSpec, run_distillation
 from .pseudo import assign_pseudo_domains, default_style_featurizer
 from .rng import SeededRng
@@ -142,6 +142,10 @@ class EvalConfig:
     epochs: int = 400
     lr: float = 0.05
     base_seed: int = 0
+
+    def __post_init__(self):
+        if self.runs < 1 or self.epochs < 0 or self.lr <= 0:
+            raise InvalidConfig(f"eval needs runs >= 1, epochs >= 0 and lr > 0, got {self}")
 
 
 def assert_protocol_isolation(full: MultiDomainDataset, source: MultiDomainDataset,

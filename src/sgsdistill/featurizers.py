@@ -81,7 +81,8 @@ class LinearFeaturizer:
         return (self.weight.T @ upstream).reshape(x.shape)
 
     def pullback(self, images, upstream, groups=None):
-        """vjp_batch ungathered: (pulled, index), image i's pullback at
+        """Pullback of every image against upstream, as ConvFeaturizer.vjp_batch
+        takes it, left ungathered: (pulled, index), image i's pullback at
         pulled[..., index[i], :, :, :]. W^T u ignores the input point, so each
         covector is pulled back once; the stacked matmul runs one gemm per
         row, so a row's bits do not depend on the rows beside it."""
@@ -90,11 +91,6 @@ class LinearFeaturizer:
             raise ShapeMismatch(f"batch shape {images.shape} incompatible with weight")
         rows, groups, lead = _covector_rows(upstream, self.feature_dim, groups, len(images))
         return (rows @ self.weight).reshape(lead + rows.shape[1:2] + images.shape[1:]), groups
-
-    def vjp_batch(self, images, upstream, groups=None):
-        """As ConvFeaturizer.vjp_batch: `pullback` gathered to the images."""
-        pulled, index = self.pullback(images, upstream, groups)
-        return np.take(pulled, index, axis=-4)
 
     def hidden_activations(self, x):
         raise NotConvolutional("a linear featurizer has no spatial intermediates")
@@ -253,20 +249,13 @@ def _covector_rows(upstream, feature_dim, groups, n):
     return upstream.reshape((-1,) + upstream.shape[-2:]), groups, upstream.shape[:-2]
 
 
-def mean_features(psi, images, pixel_mean=None, groups=None):
-    """Class-mean features; uses the pixel mean directly when the map is linear.
-
-    For a LinearFeaturizer the feature mean equals W applied to the pixel mean,
-    so a cached pixel mean avoids re-featurizing the whole class every call.
-    With groups (index arrays into images), the result holds one mean row per
-    group from one featurization, and pixel_mean is the stack of the groups'
-    pixel means. Either argument may be a zero-argument callable, called only
-    on the path that reads it.
+def mean_features(psi, images, groups, pixel_mean):
+    """One mean feature row per group (index arrays into images), from one
+    featurization. A linear map's feature mean is W applied to the pixel
+    mean, so a LinearFeaturizer featurizes the stack of the groups' pixel
+    means instead, which the zero-argument callable pixel_mean returns.
     """
-    if pixel_mean is not None and isinstance(psi, LinearFeaturizer):
-        pixel_mean = pixel_mean() if callable(pixel_mean) else pixel_mean
-        return psi.features(pixel_mean) if groups is None else psi.features_batch(pixel_mean)
-    rows = psi.features_batch(images() if callable(images) else images)
-    if groups is None:
-        return rows.mean(axis=0)
+    if isinstance(psi, LinearFeaturizer):
+        return psi.features_batch(pixel_mean())
+    rows = psi.features_batch(images)
     return np.stack([rows[g].mean(axis=0) for g in groups])

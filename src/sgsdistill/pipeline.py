@@ -1,19 +1,21 @@
 """The end-to-end distillation loop.
 
-Each iteration draws a fresh featurizer from a stream keyed by the absolute
-iteration number, computes the pooled gradient and the per-domain gradients
-of every class in one matching pass (one featurization per real domain, one
-synthetic forward and one pullback, see `dm.matching_rows`), and hands the
-distinct gradient rows and each sample's row index straight to the surgery
-kernel, which transforms each distinct per-domain stack once (under the
-linear featurizer, once per class, see `surgery.batch_surgery_updates`) and
-applies the three-signal step with each sample's assigned domain. Plain
-matching (`algorithm="dm"`) pulls back only the pooled covectors (bitwise
-the gradient surgery starts from) and lets a domain missing a class through
-with a NaN loss. The synthetic set (images, labels, domain assignments, init
-provenance and iteration counter) is the whole loop state, and a checkpoint
-is one container holding all of it; keying the stream by iteration makes a
-restored checkpoint continue bit-identically to a run that never stopped.
+Iteration t draws its featurizer and, when batch_per_class > 0, class-balanced
+minibatches of the real domain views from streams keyed by t
+(`_iteration_inputs`, shared with the surgery snapshot). One matching pass
+gives the pooled and per-domain gradients of every class (one featurization
+per real view, one synthetic forward and one pullback, see
+`dm.matching_rows`), and the distinct gradient rows and each sample's row
+index go straight to the surgery kernel, which transforms each distinct
+per-domain stack once (under the linear featurizer, once per class, see
+`surgery.batch_surgery_updates`) and applies the three-signal step with each
+sample's assigned domain. Plain matching (`algorithm="dm"`) pulls back only
+the pooled covectors (bitwise the gradient surgery starts from) and lets a
+domain missing a class through with a NaN loss. The synthetic set (images,
+labels, domain assignments, init provenance and iteration counter) is the
+whole loop state, and a checkpoint is one container holding all of it;
+keying the streams by iteration makes a restored checkpoint continue
+bit-identically to a run that never stopped.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -99,7 +101,6 @@ class DistillConfig:
         return SurgeryWeights(
             lambda_c=self.lambda_c,
             lambda_d=self.lambda_d,
-            eta=self.eta,
             epsilon=self.epsilon,
             base_scale=1.0 if self.use_base else 0.0,
         )
@@ -202,16 +203,23 @@ def _subsample_view(view, per_class, rng):
                     uids=None if view.uids is None else view.uids[keep])
 
 
-def run_distillation(source: MultiDomainDataset, cfg: DistillConfig,
-                     featurizer_stream=None, initial=None,
+def _iteration_inputs(source, cfg, rng, t, domain_views):
+    """Iteration t's featurizer and real views: the domain train views, or
+    their class-balanced minibatches when batch_per_class > 0."""
+    psi = cfg.featurizer.build(source.image_shape, rng.substream(_STREAM_FEATURIZER, t))
+    if cfg.batch_per_class == 0:
+        return psi, domain_views
+    return psi, [_subsample_view(view, cfg.batch_per_class, rng.substream(_STREAM_BATCH, t, s))
+                 for s, view in enumerate(domain_views)]
+
+
+def run_distillation(source: MultiDomainDataset, cfg: DistillConfig, initial=None,
                      checkpoint_dir=None):
     """Distill; returns the final synthetic set plus the loss history.
 
-    featurizer_stream(t) may override the default per-iteration draw (a
-    stream that returns one featurizer fixes it for the run). Passing
-    `initial` (e.g. a restored checkpoint) continues from its iteration
-    counter; with the same config the continuation is bit-identical to an
-    uninterrupted run.
+    Passing `initial` (e.g. a restored checkpoint) continues from its
+    iteration counter; with the same config the continuation is
+    bit-identical to an uninterrupted run.
     """
     s_count = source.domain_count
     if cfg.algorithm == "sgs" and s_count < 2:
@@ -220,23 +228,13 @@ def run_distillation(source: MultiDomainDataset, cfg: DistillConfig,
             "derive pseudo-domains first for single-source data"
         )
     rng = SeededRng(cfg.seed)
-    if featurizer_stream is None:
-        featurizer_stream = lambda t: cfg.featurizer.build(
-            source.image_shape, rng.substream(_STREAM_FEATURIZER, t))
-
     synthetic = initial.copy() if initial is not None else initialize(source, cfg)
     domain_views = [source.train_view(domain=s) for s in range(s_count)]
     weights = cfg.weights()
     history = []
 
     for t in range(synthetic.iteration, cfg.iterations):
-        psi = featurizer_stream(t)
-        real_domains = domain_views
-        if cfg.batch_per_class > 0:
-            real_domains = [
-                _subsample_view(view, cfg.batch_per_class, rng.substream(_STREAM_BATCH, t, s))
-                for s, view in enumerate(domain_views)
-            ]
+        psi, real_domains = _iteration_inputs(source, cfg, rng, t, domain_views)
         rows, index, losses = matching_rows(synthetic, real_domains, psi,
                                             per_domain=cfg.algorithm != "dm")
         history.append((t, *losses.tolist()))
@@ -258,17 +256,16 @@ def run_distillation(source: MultiDomainDataset, cfg: DistillConfig,
 def surgery_snapshot(source: MultiDomainDataset, cfg: DistillConfig,
                      synthetic: SyntheticSet):
     """Per-sample resultant maps and class signals at the synthetic set's
-    current state, using the featurizer its next iteration would draw and
-    the spectral split the training kernel runs. Feeds the optional
+    current state, from the inputs its next iteration would draw and the
+    spectral split the training kernel runs. Feeds the optional
     offline-inspection dump.
     """
     if source.domain_count < 2:
         raise TooFewDomains("surgery snapshot needs at least two domains")
-    rng = SeededRng(cfg.seed)
-    psi = cfg.featurizer.build(source.image_shape,
-                               rng.substream(_STREAM_FEATURIZER, synthetic.iteration))
-    rows, index, _ = matching_rows(
-        synthetic, [source.train_view(domain=s) for s in range(source.domain_count)], psi)
+    domain_views = [source.train_view(domain=s) for s in range(source.domain_count)]
+    psi, real_domains = _iteration_inputs(source, cfg, SeededRng(cfg.seed),
+                                          synthetic.iteration, domain_views)
+    rows, index, _ = matching_rows(synthetic, real_domains, psi)
     return batch_consensus_maps(rows[1:], cfg.epsilon, rows=index)
 
 

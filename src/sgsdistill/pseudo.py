@@ -16,14 +16,10 @@ from .featurizers import IMAGE_BLOCK, ConvFeaturizer, spatial_mean
 from .rng import SeededRng
 
 
-def style_stats(x, psi):
-    """Per-channel mean and population std of hidden activations, concatenated."""
-    return style_stats_batch(np.asarray(x)[None], psi)[0]
-
-
 def style_stats_batch(images, psi):
-    """style_stats of every image in a batch (N, C, H, W) -> (N, 2 * channels),
-    one channels-last correlation per block of images."""
+    """Per-channel mean and population std of each image's hidden activations,
+    concatenated: (N, C, H, W) -> (N, 2 * channels), one channels-last
+    correlation per block of images."""
     if not isinstance(psi, ConvFeaturizer):
         raise NotConvolutional("style statistics need spatial feature maps")
     images = np.asarray(images, dtype=np.float64)

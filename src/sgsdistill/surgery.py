@@ -106,7 +106,7 @@ def decompose(stack: DomainGradientStack, cons: ConsensusResult, base=None):
 
 @dataclass(frozen=True)
 class SurgeryWeights:
-    """Step-size and signal-strength knobs for the three-signal update.
+    """Signal-strength knobs for the three-signal update.
 
     base_scale exists so ablations (class-only, domain-only, class+domain) are
     pure configuration; the default 1.0 keeps the standard update.
@@ -114,22 +114,19 @@ class SurgeryWeights:
 
     lambda_c: float = 1.0
     lambda_d: float = 1.0
-    eta: float = 1.0
     epsilon: float = 1e-8
     base_scale: float = 1.0
 
     def __post_init__(self):
         if self.lambda_c < 0 or self.lambda_d < 0:
             raise ValueError("signal strengths must be non-negative")
-        # eta = 0 is allowed as the degenerate "no step" case.
-        if self.eta < 0:
-            raise ValueError("learning rate must be non-negative")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
 
 
 def combined_update(bundle: GradientBundle, assigned_domain, w: SurgeryWeights):
-    """base_scale*g + lambda_c*g_class + lambda_d*g_domain[s] for one sample."""
+    """base_scale*g + lambda_c*g_class + lambda_d*g_domain[s] for one sample;
+    exactly g when lambda_c = lambda_d = 0 and base_scale = 1."""
     if bundle.base is None:
         raise ValueError("bundle has no base gradient")
     s = int(assigned_domain)
@@ -140,15 +137,6 @@ def combined_update(bundle: GradientBundle, assigned_domain, w: SurgeryWeights):
         + w.lambda_c * bundle.class_signal
         + w.lambda_d * bundle.domain_signals[s]
     )
-
-
-def sgs_step(x_hat, bundle: GradientBundle, assigned_domain, w: SurgeryWeights):
-    """x - eta * (base_scale*g + lambda_c*g_class + lambda_d*g_domain[s]).
-
-    With lambda_c = lambda_d = 0 and base_scale = 1 this reproduces the plain
-    distribution-matching step bit for bit.
-    """
-    return x_hat - w.eta * combined_update(bundle, assigned_domain, w)
 
 
 def _domain_stack(domain_gradients, rows):

@@ -69,6 +69,12 @@ def make_synthetic(rng, class_count=3, ipc=2, shape=(1, 4, 4), domain_count=2):
     )
 
 
+def gathered_vjp(psi, images, upstream, groups=None):
+    """A featurizer's pullback gathered to the images: (..., n, C, H, W)."""
+    pulled, index = psi.pullback(images, upstream, groups)
+    return np.take(pulled, index, axis=-4)
+
+
 def naive_matvec(mat, vec):
     """Double-loop matrix-vector product, independent of numpy's matmul."""
     out = np.zeros(mat.shape[0])

@@ -13,7 +13,7 @@ import pytest
 
 from sgsdistill.circular import SpectralModel, attenuation_curve, resultant_sweep
 from sgsdistill.datasets import SyntheticSet
-from sgsdistill.dm import dm_gradient, dm_loss, domain_gradient
+from sgsdistill.dm import dm_gradient, dm_loss
 from sgsdistill.errors import DistillError
 from sgsdistill.evaluation import (
     EvalConfig,
@@ -206,7 +206,7 @@ def test_criterion_04_gradient_exactness():
             50, rng.substream(5, 0 if kind == "linear" else 1))
         worst[f"{kind}_domain"] = _fd_probes(
             synthetic, dom0,
-            lambda: domain_gradient(synthetic, ds, 0, psi).gradients,
+            lambda: dm_gradient(synthetic, dom0, psi).gradients,
             lambda: dm_loss(synthetic, dom0, psi),
             50, rng.substream(6, 0 if kind == "linear" else 1))
     ok = all(v < 1e-5 for v in worst.values())

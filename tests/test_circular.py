@@ -4,33 +4,32 @@ import pytest
 from sgsdistill.circular import (
     DEFAULT_EPSILON,
     SpectralModel,
+    _sample_matrix,
     attenuation_curve,
-    circular_variance,
     empirical_resultant,
     resultant_sweep,
-    sample_domain_spectra,
 )
-from sgsdistill.errors import InsufficientRange, OutOfRange, TooFewSamples
+from sgsdistill.errors import InsufficientRange, TooFewSamples
 from sgsdistill.rng import SeededRng
 from sgsdistill.surgery import DomainGradientStack, consensus
 
 
 def test_zero_noise_shares_the_phase_exactly():
     model = SpectralModel(shared=np.exp(0.7j), phase_halfwidth=0.0, mag_low=0.5, mag_high=2.0)
-    draws = sample_domain_spectra(model, 64, SeededRng(0))
+    draws = _sample_matrix(model, 1, 64, SeededRng(0))[0]
     assert np.abs(np.angle(draws) - 0.7).max() < 1e-12
 
 
 def test_degenerate_magnitude_bounds():
     model = SpectralModel(shared=1.0, phase_halfwidth=np.pi, mag_low=1.3, mag_high=1.3)
-    draws = sample_domain_spectra(model, 64, SeededRng(1))
+    draws = _sample_matrix(model, 1, 64, SeededRng(1))[0]
     assert np.abs(np.abs(draws) - 1.3).max() < 1e-12
 
 
 def test_phase_resultant_matches_sinc_limit():
     # |mean exp(j*noise)| over 1e6 unit-magnitude draws vs sin(a)/a at a = pi/2.
     model = SpectralModel(shared=1.0, phase_halfwidth=np.pi / 2)
-    draws = sample_domain_spectra(model, 1_000_000, SeededRng(2))
+    draws = _sample_matrix(model, 1, 1_000_000, SeededRng(2))[0]
     resultant = np.abs(draws.mean())
     assert resultant == pytest.approx(2.0 / np.pi, abs=0.002)
 
@@ -47,8 +46,6 @@ def test_antipodal_pair_scores_zero():
 def test_too_few_samples_rejected():
     with pytest.raises(TooFewSamples):
         empirical_resultant(np.array([1.0 + 0j]))
-    with pytest.raises(TooFewSamples):
-        sample_domain_spectra(SpectralModel(), 1, SeededRng(3))
 
 
 def test_resultant_estimate_at_quarter_turn_noise():
@@ -62,14 +59,6 @@ def test_resultant_monotone_in_noise_width():
     sweep = resultant_sweep(grid, 20_000, SeededRng(5), trials=10)
     assert np.all(np.diff(sweep.estimates) < 0.0)
     assert np.abs(sweep.estimates - sweep.expected).max() < 0.01
-
-
-def test_circular_variance():
-    assert circular_variance(1.0) == 0.0
-    assert circular_variance(0.0) == 1.0
-    assert circular_variance(0.6366) == pytest.approx(0.3634, abs=1e-12)
-    with pytest.raises(OutOfRange):
-        circular_variance(1.5)
 
 
 def test_one_bin_formula_matches_consensus_bit_for_bit():

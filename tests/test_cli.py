@@ -270,3 +270,42 @@ def test_pseudo_domain_count_is_checked_before_any_output(tmp_path, argv):
     out = tmp_path / "out"
     assert run([*argv, "--out", str(out)]) == 1
     assert not (out / "resolved_config.json").exists()
+
+
+def test_readme_sdg_example_runs_on_the_default_toy_data(tmp_path):
+    # The README command, at reduced size: without --data or toy styles, the
+    # SDG paths generate the latent-style source, so every pseudo-domain
+    # holds every class.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"distill": {"iterations": 3},
+                               "eval": {"runs": 1, "epochs": 40}}))
+    out = tmp_path / "sdg"
+    assert run(["eval", "--config", str(cfg), "--out", str(out), "--protocol", "sdg",
+                "--k", "4", "--seed", "0"]) == 0
+    assert (out / "sdg_ood.csv").read_text().splitlines()[0] == "target,seed,accuracy"
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    assert resolved["toy"]["styles"][0] == {"kind": "tinted", "variants": 4,
+                                            "tint_strength": 1.5}
+    again = tmp_path / "again"
+    assert run(["eval", "--config", str(out / "resolved_config.json"), "--out", str(again),
+                "--protocol", "sdg", "--k", "4"]) == 0
+    for name in ("sdg_ood.csv", "resolved_config.json"):
+        assert (out / name).read_bytes() == (again / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-data"],
+    ["distill"],
+    ["eval", "--protocol", "mdg"],
+    ["eval", "--protocol", "sdg"],
+    ["oracle"],
+    ["cluster"],
+    ["sweep", "--param", "lambda-c", "--values", "0,1"],
+])
+@pytest.mark.parametrize("bad", [{"runs": 0}, {"epochs": -1}, {"lr": 0.0}])
+def test_invalid_eval_settings_fail_before_any_output(tmp_path, argv, bad):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL_CFG, "eval": {**SMALL_CFG["eval"], **bad}}))
+    out = tmp_path / "out"
+    assert run([*argv, "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()

@@ -2,18 +2,12 @@ import numpy as np
 import pytest
 
 from sgsdistill.datasets import TRAIN, DataView, SyntheticSet
-from sgsdistill.dm import (
-    class_feature_mean,
-    dm_gradient,
-    dm_loss,
-    domain_gradient,
-    matching_gradients,
-)
-from sgsdistill.errors import EmptyClass, ShapeMismatch, UnknownDomain
+from sgsdistill.dm import class_feature_mean, dm_gradient, dm_loss, matching_rows
+from sgsdistill.errors import EmptyClass, ShapeMismatch
 from sgsdistill.featurizers import ConvFeaturizer, LinearFeaturizer
 from sgsdistill.rng import SeededRng
 
-from helpers import central_fd_grid, fd_relative_error, make_dataset, make_synthetic
+from helpers import central_fd_grid, fd_relative_error, gathered_vjp, make_dataset, make_synthetic
 
 
 def view_of(images, labels, class_count):
@@ -21,11 +15,24 @@ def view_of(images, labels, class_count):
                     class_count=class_count)
 
 
+def gathered_matching(synthetic, views, psi, per_domain=True):
+    """The matching pass gathered to the images: per-sample gradients
+    (S + 1, n, ...) of the pooled loss then each view's, and the losses."""
+    rows, index, losses = matching_rows(synthetic, views, psi, per_domain)
+    return rows[:, index], losses
+
+
+def domain_gradients(synthetic, ds, psi):
+    """Per-sample gradients of each source domain's loss, (S, n, ...)."""
+    views = [ds.train_view(domain=s) for s in range(ds.domain_count)]
+    return gathered_matching(synthetic, views, psi)[0][1:]
+
+
 def test_single_sample_class_mean_is_its_own_features():
     rng = SeededRng(0)
     x = rng.substream(0).normal(size=(1, 1, 3, 3))
     psi = LinearFeaturizer.create((1, 3, 3), 4, rng.substream(1))
-    mu = class_feature_mean(view_of(x, [0], 1), 0, psi)
+    mu = class_feature_mean(view_of(x, [0], 1), psi)[0]
     assert np.abs(mu - psi.features(x[0])).max() < 1e-14
 
 
@@ -34,7 +41,7 @@ def test_opposite_features_average_to_zero():
     x = rng.substream(0).normal(size=(1, 1, 3, 3))
     imgs = np.concatenate([x, -x])
     psi = LinearFeaturizer.create((1, 3, 3), 4, rng.substream(1))
-    mu = class_feature_mean(view_of(imgs, [0, 0], 1), 0, psi)
+    mu = class_feature_mean(view_of(imgs, [0, 0], 1), psi)[0]
     assert np.abs(mu).max() < 1e-14
 
 
@@ -49,15 +56,8 @@ def test_class_mean_matches_accumulate_and_divide_oracle():
         for img in imgs:
             acc += psi.features(img)
         expected = acc / 10.0
-        mu = class_feature_mean(view_of(imgs, [0] * 10, 1), 0, psi)
+        mu = class_feature_mean(view_of(imgs, [0] * 10, 1), psi)[0]
         assert np.abs(mu - expected).max() < 1e-12
-
-
-def test_class_mean_raises_on_missing_class():
-    imgs = np.zeros((2, 1, 2, 2))
-    psi = LinearFeaturizer(np.eye(4))
-    with pytest.raises(EmptyClass):
-        class_feature_mean(view_of(imgs, [0, 0], 2), 1, psi)
 
 
 def hand_case():
@@ -151,10 +151,12 @@ def test_domain_gradient_reduces_to_pooled_for_single_domain():
     synthetic = make_synthetic(rng.substream(1), class_count=2, ipc=2, shape=(1, 3, 3),
                                domain_count=1)
     psi = LinearFeaturizer.create((1, 3, 3), 4, rng.substream(2))
+    gathered, losses = gathered_matching(synthetic, [ds.train_view(domain=0)], psi)
+    assert np.array_equal(gathered[0], gathered[1])
+    assert losses[0] == losses[1]
     pooled = dm_gradient(synthetic, ds.train_view(), psi)
-    restricted = domain_gradient(synthetic, ds, 0, psi)
-    assert np.array_equal(pooled.gradients, restricted.gradients)
-    assert pooled.loss == restricted.loss
+    assert np.array_equal(pooled.gradients, gathered[1])
+    assert pooled.loss == losses[1]
 
 
 def test_identical_domain_means_give_identical_gradients():
@@ -173,8 +175,7 @@ def test_identical_domain_means_give_identical_gradients():
     )
     synthetic = make_synthetic(rng.substream(1), class_count=2, ipc=2, shape=(1, 3, 3))
     psi = LinearFeaturizer.create((1, 3, 3), 5, rng.substream(2))
-    g0 = domain_gradient(synthetic, ds, 0, psi).gradients
-    g1 = domain_gradient(synthetic, ds, 1, psi).gradients
+    g0, g1 = domain_gradients(synthetic, ds, psi)
     assert np.abs(g0 - g1).max() < 1e-14
 
 
@@ -184,8 +185,7 @@ def test_domain_gradient_matches_finite_differences():
                       shape=(1, 3, 3))
     synthetic = make_synthetic(rng.substream(1), class_count=2, ipc=2, shape=(1, 3, 3))
     psi = LinearFeaturizer.create((1, 3, 3), 4, rng.substream(2))
-    for s in range(2):
-        analytic = domain_gradient(synthetic, ds, s, psi).gradients
+    for s, analytic in enumerate(domain_gradients(synthetic, ds, psi)):
         view = ds.train_view(domain=s)
         for i in range(len(synthetic)):
             def f(x, i=i):
@@ -194,15 +194,6 @@ def test_domain_gradient_matches_finite_differences():
                 return dm_loss(probe, view, psi)
             fd = central_fd_grid(f, synthetic.images[i])
             assert fd_relative_error(analytic[i], fd) < 1e-5
-
-
-def test_unknown_domain_rejected():
-    rng = SeededRng(9)
-    ds = make_dataset(rng.substream(0), class_count=2, domain_count=2, shape=(1, 3, 3))
-    synthetic = make_synthetic(rng.substream(1), class_count=2, ipc=2, shape=(1, 3, 3))
-    psi = LinearFeaturizer.create((1, 3, 3), 4, rng.substream(2))
-    with pytest.raises(UnknownDomain):
-        domain_gradient(synthetic, ds, 5, psi)
 
 
 def test_loss_and_gradient_scaling():
@@ -249,12 +240,11 @@ def test_pooled_mean_equals_average_of_domain_means_with_equal_counts():
     ds = make_dataset(rng.substream(0), class_count=2, domain_count=3, train_per_cell=5,
                       shape=(1, 3, 3))
     psi = LinearFeaturizer.create((1, 3, 3), 6, rng.substream(1))
-    for c in range(2):
-        pooled = class_feature_mean(ds.train_view(), c, psi)
-        per_domain = np.mean(
-            [class_feature_mean(ds.train_view(domain=s), c, psi) for s in range(3)], axis=0
-        )
-        assert np.abs(pooled - per_domain).max() < 1e-12 * max(1.0, np.abs(pooled).max())
+    pooled = class_feature_mean(ds.train_view(), psi)
+    per_domain = np.mean(
+        [class_feature_mean(ds.train_view(domain=s), psi) for s in range(3)], axis=0
+    )
+    assert np.abs(pooled - per_domain).max() < 1e-12 * max(1.0, np.abs(pooled).max())
 
 
 def test_pooled_loss_differs_from_averaged_domain_losses():
@@ -294,8 +284,7 @@ def test_pooled_gradient_differs_from_averaged_domain_gradients_unequal_counts()
     synthetic = make_synthetic(rng.substream(1), class_count=1, ipc=2, shape=(1, 3, 3))
     psi = LinearFeaturizer.create((1, 3, 3), 4, rng.substream(2))
     pooled = dm_gradient(synthetic, ds.train_view(), psi).gradients
-    averaged = np.mean([domain_gradient(synthetic, ds, s, psi).gradients for s in range(2)],
-                       axis=0)
+    averaged = domain_gradients(synthetic, ds, psi).mean(axis=0)
     assert np.abs(pooled - averaged).max() > 1e-6
 
 
@@ -344,12 +333,12 @@ def max_rel(a, b):
 def test_matching_gradients_match_per_view_reference(kind, unequal):
     ds, synthetic, psi = matching_case(40, unequal, kind)
     views = [ds.train_view(domain=s) for s in range(3)]
-    pooled, per_domain = matching_gradients(synthetic, views, psi)
-    assert len(per_domain) == 3
-    for got, view in zip([pooled] + per_domain, [ds.train_view()] + views):
+    gathered, losses = gathered_matching(synthetic, views, psi)
+    assert len(gathered) == len(losses) == 4
+    for got, got_loss, view in zip(gathered, losses, [ds.train_view()] + views):
         grads, loss = reference_dm_gradient(synthetic, view, psi)
-        assert max_rel(got.gradients, grads) < 1e-12
-        assert got.loss == pytest.approx(loss, rel=1e-12)
+        assert max_rel(got, grads) < 1e-12
+        assert got_loss == pytest.approx(loss, rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["linear", "conv"])
@@ -368,15 +357,15 @@ def test_matching_gradients_match_finite_differences(kind):
         else:
             raise AssertionError("no margin-safe synthetic set found")
     views = [ds.train_view(domain=s) for s in range(3)]
-    pooled, per_domain = matching_gradients(synthetic, views, psi)
-    for got, view in zip([pooled] + per_domain, [ds.train_view()] + views):
+    gathered, _ = gathered_matching(synthetic, views, psi)
+    for got, view in zip(gathered, [ds.train_view()] + views):
         for i in range(len(synthetic)):
             def f(x, i=i, view=view):
                 probe = synthetic.copy()
                 probe.images[i] = x
                 return dm_loss(probe, view, psi)
             fd = central_fd_grid(f, synthetic.images[i])
-            assert fd_relative_error(got.gradients[i], fd) < 1e-5
+            assert fd_relative_error(got[i], fd) < 1e-5
 
 
 def test_stacked_vjp_batch_equals_one_upstream_at_a_time():
@@ -387,18 +376,18 @@ def test_stacked_vjp_batch_equals_one_upstream_at_a_time():
         LinearFeaturizer.create((2, 4, 4), 3, rng.substream(2)),
         ConvFeaturizer.create(2, 3, 3, rng.substream(3)),
     ]:
-        stacked = psi.vjp_batch(images, upstream)
+        stacked = gathered_vjp(psi, images, upstream)
         assert stacked.shape == (4, 5, 2, 4, 4)
         assert stacked.flags.writeable
         for k, u in enumerate(upstream):
-            single = psi.vjp_batch(images, u)
+            single = gathered_vjp(psi, images, u)
             assert single.shape == (5, 2, 4, 4)
             assert single.tobytes() == stacked[k].tobytes()
             for i, x in enumerate(images):
                 assert max_rel(single[i], psi.vjp(x, u)) < 1e-12
         for bad in (np.ones(4), np.ones((2, 4)), np.ones((1, 2, 3))):
             with pytest.raises(ShapeMismatch):
-                psi.vjp_batch(images, bad)
+                psi.pullback(images, bad)
 
 
 @pytest.mark.parametrize("kind", ["linear", "conv"])
@@ -408,39 +397,41 @@ def test_pooled_only_pass_skips_views_missing_a_class(kind):
     ds = ds.subset(keep)
     views = [ds.train_view(domain=s) for s in range(3)]
     with pytest.raises(EmptyClass):
-        matching_gradients(synthetic, views, psi)
-    pooled, per_domain = matching_gradients(synthetic, views, psi, per_domain=False)
+        gathered_matching(synthetic, views, psi)
+    gathered, losses = gathered_matching(synthetic, views, psi, per_domain=False)
     grads, loss = reference_dm_gradient(synthetic, ds.train_view(), psi)
-    assert max_rel(pooled.gradients, grads) < 1e-12
-    assert pooled.loss == pytest.approx(loss, rel=1e-12)
-    assert all(d.gradients is None for d in per_domain)
-    assert np.isnan(per_domain[2].loss)
-    for d, view in zip(per_domain[:2], views[:2]):
-        assert d.loss == pytest.approx(reference_dm_gradient(synthetic, view, psi)[1], rel=1e-12)
+    assert len(gathered) == 1  # only the pooled covectors are pulled back
+    assert max_rel(gathered[0], grads) < 1e-12
+    assert losses[0] == pytest.approx(loss, rel=1e-12)
+    assert np.isnan(losses[3])
+    for got_loss, view in zip(losses[1:3], views[:2]):
+        assert got_loss == pytest.approx(reference_dm_gradient(synthetic, view, psi)[1],
+                                         rel=1e-12)
 
 
 def test_pooled_row_is_bitwise_the_same_with_or_without_domain_rows():
     for kind in ("linear", "conv"):
         ds, synthetic, psi = matching_case(45, True, kind)
         views = [ds.train_view(domain=s) for s in range(3)]
-        full, _ = matching_gradients(synthetic, views, psi)
-        alone, _ = matching_gradients(synthetic, views, psi, per_domain=False)
-        assert full.gradients.tobytes() == alone.gradients.tobytes()
-        assert full.loss == alone.loss
+        full, full_losses = gathered_matching(synthetic, views, psi)
+        alone, alone_losses = gathered_matching(synthetic, views, psi, per_domain=False)
+        assert full[0].tobytes() == alone[0].tobytes()
+        assert full_losses[0] == alone_losses[0]
 
 
 def test_linear_class_mean_reads_the_pixel_mean_without_indexing():
     imgs = SeededRng(46).substream(0).normal(size=(4, 1, 2, 2))
     view = view_of(imgs, [0, 0, 1, 1], 2)
-    view.class_pixel_mean(0)  # cached, as after a first iteration
+    pixel_means = np.stack([view.class_pixel_mean(c) for c in (0, 1)])  # cached
     calls = []
     view.class_images = lambda c: calls.append(c) or imgs[view.labels == c]
     psi = LinearFeaturizer(np.eye(4))
-    mu = class_feature_mean(view, 0, psi)
+    mu = class_feature_mean(view, psi)
     assert calls == []
-    assert mu.tobytes() == psi.features(imgs[:2].mean(axis=0)).tobytes()
-    class_feature_mean(view, 0, ConvFeaturizer(np.ones((1, 1, 1, 1))))
-    assert calls == [0]
+    assert mu.tobytes() == psi.features_batch(pixel_means).tobytes()
+    # A conv map featurizes the view's images once and averages each class's rows.
+    class_feature_mean(view, ConvFeaturizer(np.ones((1, 1, 1, 1))))
+    assert calls == []
 
 
 @pytest.mark.parametrize("kind", ["linear", "conv"])
@@ -452,13 +443,13 @@ def test_all_class_means_match_one_class_at_a_time(kind):
         psi = LinearFeaturizer.create((1, 4, 4), 5, rng.substream(1))
     else:
         psi = ConvFeaturizer.create(1, 5, 3, rng.substream(1))
-    means = class_feature_mean(view, None, psi)
+    means = class_feature_mean(view, psi)
     assert means.shape == (4, 5)
     assert np.isnan(means[[1, 3]]).all()
-    assert class_feature_mean(view, None, psi) is means  # cached for psi
+    assert class_feature_mean(view, psi) is means  # cached for psi
     for c in (0, 2):
-        one = class_feature_mean(view, c, psi)
+        one = psi.features_batch(imgs[view.labels == c]).mean(axis=0)
         if kind == "conv":  # conv rows do not depend on the batch they ride in
             assert means[c].tobytes() == one.tobytes()
-        else:
-            assert max_rel(means[c], one) < 1e-14
+        else:  # the linear path featurizes the class pixel means instead
+            assert max_rel(means[c], one) < 1e-12

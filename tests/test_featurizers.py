@@ -8,6 +8,7 @@ from sgsdistill.rng import SeededRng
 from helpers import (
     central_fd_grid,
     fd_relative_error,
+    gathered_vjp,
     naive_correlate,
     naive_correlate_adjoint,
     naive_matvec,
@@ -134,8 +135,11 @@ def test_mean_features_pixel_mean_shortcut_matches_batch_path():
     rng = SeededRng(10)
     imgs = rng.substream(0).normal(size=(9, 1, 5, 5))
     psi = LinearFeaturizer.create((1, 5, 5), 6, rng.substream(1))
-    direct = mean_features(psi, imgs)
-    via_mean = mean_features(psi, imgs, pixel_mean=imgs.mean(axis=0))
+    groups = [np.arange(4), np.arange(4, 9)]
+    direct = np.stack([psi.features_batch(imgs[g]).mean(axis=0) for g in groups])
+    via_mean = mean_features(psi, imgs, groups,
+                             pixel_mean=lambda: np.stack([imgs[g].mean(axis=0) for g in groups]))
+    assert direct.shape == via_mean.shape == (2, 6)
     assert np.abs(direct - via_mean).max() < 1e-12 * max(1.0, np.abs(direct).max())
 
 
@@ -255,7 +259,7 @@ def test_grouped_vjp_batch_matches_per_image_vjp_and_rows_stand_alone(kind):
         psi = ConvFeaturizer.create(2, 6, 3, rng.substream(1))
     groups = rng.substream(2).integers(0, 4, size=37)
     upstream = rng.substream(3).normal(size=(3, 4, 6))
-    stacked = psi.vjp_batch(images, upstream, groups=groups)
+    stacked = gathered_vjp(psi, images, upstream, groups)
     assert stacked.shape == (3, 37, 2, 5, 4)
     # pullback hands back distinct rows: one per group for the input-free
     # linear pullback, one per image for the conv one.
@@ -263,21 +267,21 @@ def test_grouped_vjp_batch_matches_per_image_vjp_and_rows_stand_alone(kind):
     assert pulled.shape == (3, 4 if kind == "linear" else 37, 2, 5, 4)
     assert pulled[:, index].tobytes() == stacked.tobytes()
     for r, rows in enumerate(upstream):
-        alone = psi.vjp_batch(images, rows, groups=groups)
+        alone = gathered_vjp(psi, images, rows, groups)
         assert alone.shape == (37, 2, 5, 4)
         assert alone.tobytes() == stacked[r].tobytes()
-        assert psi.vjp_batch(images, rows[None], groups=groups).tobytes() == alone.tobytes()
+        assert gathered_vjp(psi, images, rows[None], groups).tobytes() == alone.tobytes()
         for i, x in enumerate(images):
             want = psi.vjp(x, rows[groups[i]])
             assert np.abs(alone[i] - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
     # Each image's pullback does not depend on the other images.
-    single = psi.vjp_batch(images[20:21], upstream, groups=groups[20:21])
+    single = gathered_vjp(psi, images[20:21], upstream, groups[20:21])
     assert single[:, 0].tobytes() == stacked[:, 20].tobytes()
     bad_groups = [groups[:-1], groups.astype(np.float64), groups + 4, groups - 5,
                   groups.reshape(1, -1)]
     for bad in bad_groups:
         with pytest.raises(ShapeMismatch):
-            psi.vjp_batch(images, upstream, groups=bad)
+            psi.pullback(images, upstream, groups=bad)
     for bad in (np.ones(6), np.ones((3, 4, 5)), np.ones((2, 3, 4, 6))):
         with pytest.raises(ShapeMismatch):
-            psi.vjp_batch(images, bad, groups=groups)
+            psi.pullback(images, bad, groups=groups)

@@ -3,13 +3,13 @@ import pytest
 from dataclasses import replace
 
 from sgsdistill.datasets import TRAIN, DataView
-from sgsdistill.dm import dm_gradient
+from sgsdistill.dm import dm_gradient, dm_loss
 from sgsdistill.errors import DistillError, EmptyClass, InvalidConfig, IoError, TooFewDomains
 from sgsdistill.evaluation import assert_protocol_isolation
-from sgsdistill.featurizers import LinearFeaturizer
 from sgsdistill import pipeline, storage
 from sgsdistill.pipeline import (
     _STREAM_BATCH,
+    _STREAM_FEATURIZER,
     ALGORITHMS,
     DistillConfig,
     FeaturizerSpec,
@@ -20,6 +20,7 @@ from sgsdistill.pipeline import (
     restore,
     run_distillation,
     surgery_snapshot,
+    _iteration_inputs,
     _subsample_view,
 )
 from sgsdistill.rng import SeededRng
@@ -37,6 +38,12 @@ KINDS = {"linear": FeaturizerSpec(kind="linear", dim=32),
 @pytest.fixture(scope="module")
 def toy():
     return generate_toy(SMALL_TOY, seed=0)
+
+
+def first_inputs(source, cfg, t=0):
+    """Iteration t's featurizer and real views, as the loop draws them."""
+    views = [source.train_view(domain=s) for s in range(source.domain_count)]
+    return _iteration_inputs(source, cfg, SeededRng(cfg.seed), t, views)
 
 
 def test_uniform_pattern_with_remainder(toy):
@@ -146,15 +153,15 @@ def test_dm_run_survives_a_domain_missing_a_class(toy, kind):
     spec = FeaturizerSpec(kind=kind, dim=32, channels=4)
     cfg = DistillConfig(ipc=4, iterations=2, seed=18, init="random", algorithm="dm",
                         featurizer=spec)
-    psi = spec.build(source.image_shape, SeededRng(19))
-    res = run_distillation(source, cfg, featurizer_stream=lambda t: psi)
+    res = run_distillation(source, cfg)
+    psi, _ = first_inputs(source, cfg)
     init = initialize(source, cfg)
     expected = dm_gradient(init, source.train_view(), psi)
     assert res.history[0][1] == pytest.approx(expected.loss, rel=1e-12)
     assert np.isnan(res.history[0][3])
     assert all(np.isfinite(res.history[0][s]) for s in (2, 4, 5))
-    with pytest.raises(EmptyClass):
-        run_distillation(source, replace(cfg, algorithm="sgs"), featurizer_stream=lambda t: psi)
+    with pytest.raises(EmptyClass, match="every class in every source"):
+        run_distillation(source, replace(cfg, algorithm="sgs"))
 
 
 def test_noise_init_loss_decreases_over_seeds(toy):
@@ -256,13 +263,15 @@ def test_pooled_batch_is_union_of_domain_batches(toy):
     keep = np.ones(len(toy), dtype=bool)
     keep[cell[:7]] = False
     source = toy.subset(keep)
-    cfg = DistillConfig(ipc=4, iterations=1, seed=16, algorithm="dm", batch_per_class=8)
-    psi = LinearFeaturizer.create(source.image_shape, 32, SeededRng(17))
-    res = run_distillation(source, cfg, featurizer_stream=lambda t: psi)
+    cfg = DistillConfig(ipc=4, iterations=1, seed=16, algorithm="dm", batch_per_class=8,
+                        **FAST)
+    res = run_distillation(source, cfg)
+    psi, drawn = first_inputs(source, cfg)
     rng = SeededRng(cfg.seed)
     batches = [_subsample_view(source.train_view(domain=s), 8, rng.substream(_STREAM_BATCH, 0, s))
                for s in range(source.domain_count)]
     assert [b.class_indices(0).size for b in batches] == [8, 5, 8, 8]
+    assert [b.images.tobytes() for b in drawn] == [b.images.tobytes() for b in batches]
     union = DataView(images=np.concatenate([b.images for b in batches]),
                      labels=np.concatenate([b.labels for b in batches]),
                      class_count=source.class_count)
@@ -277,30 +286,63 @@ def test_pooled_batch_is_union_of_domain_batches(toy):
 def test_fixed_featurizer_is_the_first_draw_and_featurizes_each_view_once(monkeypatch, toy, kind):
     spec = KINDS[kind]
     cfg = DistillConfig(ipc=3, iterations=4, seed=19, featurizer=spec)
-    first = spec.build(toy.image_shape, SeededRng(cfg.seed).substream(pipeline._STREAM_FEATURIZER, 0))
-    streamed = run_distillation(toy, cfg, featurizer_stream=lambda t: first)
-    assert streamed.history[0] == run_distillation(toy, replace(cfg, iterations=1)).history[0]
+    # Iteration t's featurizer is the stream's draw keyed by t.
+    psi, views = first_inputs(toy, cfg)
+    drawn = spec.build(toy.image_shape, SeededRng(cfg.seed).substream(_STREAM_FEATURIZER, 0))
+    weights = (lambda f: f.weight) if kind == "linear" else (lambda f: f.kernels)
+    assert weights(psi).tobytes() == weights(drawn).tobytes()
+    first = run_distillation(toy, replace(cfg, iterations=1))
+    assert first.history[0][1] == pytest.approx(
+        dm_loss(initialize(toy, cfg), toy.train_view(), psi), rel=1e-12)
 
-    computed = []
+    computed, featurized = [], []
     cached = DataView.cached_feature_mean
+    features_batch = type(psi).features_batch
 
-    def counting(view, psi, c, compute):
+    def counting(view, psi, compute):
         def counted():
-            computed.append((id(view), view.uids is not None, c))
+            computed.append((id(view), view.uids is not None))
             return compute()
-        return cached(view, psi, c, counted)
+        return cached(view, psi, counted)
 
     monkeypatch.setattr(DataView, "cached_feature_mean", counting)
-    fixed = run_distillation(toy, cfg, featurizer_stream=lambda t: first)
-    assert fixed.synthetic.images.tobytes() == streamed.synthetic.images.tobytes()
-    assert fixed.history == streamed.history
-    real = [entry for entry in computed if entry[1]]
-    assert len(real) == len({entry[0] for entry in real}) == toy.domain_count
-    assert all(c is None for _, _, c in computed)
-    assert len(computed) - len(real) == cfg.iterations   # one synthetic pass per iteration
-    computed.clear()
-    run_distillation(toy, cfg)
-    assert sum(entry[1] for entry in computed) == toy.domain_count * cfg.iterations
+    monkeypatch.setattr(type(psi), "features_batch",
+                        lambda self, images: featurized.append(1) or features_batch(self, images))
+    for batch_per_class in (0, 4):
+        computed.clear()
+        featurized.clear()
+        res = run_distillation(toy, replace(cfg, batch_per_class=batch_per_class))
+        assert res.synthetic.iteration == cfg.iterations
+        real = [view for view, is_real in computed if is_real]
+        assert len(real) == toy.domain_count * cfg.iterations
+        assert len(computed) - len(real) == cfg.iterations   # the synthetic set
+        assert len(featurized) == len(computed)   # one featurization per view
+        if batch_per_class == 0:   # the same train views every iteration
+            assert len(set(real)) == toy.domain_count
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("batch_per_class", [0, 4])
+def test_surgery_snapshot_matches_the_next_iterations_kernel_input(monkeypatch, toy, kind,
+                                                                    batch_per_class):
+    cfg = DistillConfig(ipc=5, iterations=2, seed=17, featurizer=KINDS[kind],
+                        batch_per_class=batch_per_class)
+    synthetic = run_distillation(toy, cfg).synthetic
+    maps = surgery_snapshot(toy, cfg, synthetic)
+    inputs = []
+    kernel = pipeline.batch_surgery_updates
+
+    def spy(domain_gradients, base, assigned, w, rows=None):
+        inputs.append((domain_gradients, rows))
+        return kernel(domain_gradients, base, assigned, w, rows=rows)
+
+    monkeypatch.setattr(pipeline, "batch_surgery_updates", spy)
+    run_distillation(toy, replace(cfg, iterations=3), initial=synthetic)
+    assert len(inputs) == 1
+    want = pipeline.batch_consensus_maps(inputs[0][0], cfg.epsilon, rows=inputs[0][1])
+    for got, expected in zip(maps, want):
+        assert got.shape == synthetic.images.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_config_round_trip_and_unknown_keys():

@@ -9,7 +9,6 @@ from sgsdistill.pseudo import (
     ClusterModel,
     cluster_purity,
     kmeans,
-    style_stats,
     style_stats_batch,
 )
 from sgsdistill.rng import SeededRng
@@ -23,14 +22,14 @@ def test_constant_activation_plane_stats():
     kern[0, 0, 0, 0] = 1.0
     psi = ConvFeaturizer(kern)
     x = np.full((1, 5, 5), 0.7)
-    stats = style_stats(x, psi)
+    stats = style_stats_batch(x[None], psi)[0]
     assert stats[0] == pytest.approx(0.7, abs=1e-15)
     assert stats[1] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_zero_input_zero_stats():
     psi = ConvFeaturizer.create(2, 3, 3, SeededRng(0))
-    assert not style_stats(np.zeros((2, 6, 6)), psi).any()
+    assert not style_stats_batch(np.zeros((1, 2, 6, 6)), psi).any()
 
 
 def test_style_stats_match_two_pass_oracle():
@@ -38,7 +37,7 @@ def test_style_stats_match_two_pass_oracle():
     psi = ConvFeaturizer.create(1, 4, 3, rng.substream(0))
     x = rng.substream(1).normal(size=(1, 6, 6))
     maps = psi.hidden_activations(x)
-    stats = style_stats(x, psi)
+    stats = style_stats_batch(x[None], psi)[0]
     for ch in range(4):
         plane = maps[ch].ravel()
         mean = sum(plane) / plane.size
@@ -57,7 +56,7 @@ def test_style_stats_batch_matches_single_images_and_two_pass_oracle():
     assert batch.shape == (70, 8)
     scale = np.abs(batch).max()
     for x, row in zip(images, batch):
-        assert np.abs(row - style_stats(x, psi)).max() <= 1e-12 * scale
+        assert np.abs(row - style_stats_batch(x[None], psi)[0]).max() <= 1e-12 * scale
         maps = np.maximum(naive_correlate(x, psi.kernels), 0.0)
         for ch in range(4):
             plane = maps[ch].ravel()
@@ -69,8 +68,6 @@ def test_style_stats_batch_matches_single_images_and_two_pass_oracle():
 
 
 def test_style_stats_require_conv():
-    with pytest.raises(NotConvolutional):
-        style_stats(np.zeros((1, 2, 2)), LinearFeaturizer(np.eye(4)))
     with pytest.raises(NotConvolutional):
         style_stats_batch(np.zeros((2, 1, 2, 2)), LinearFeaturizer(np.eye(4)))
 

@@ -12,9 +12,9 @@ from sgsdistill.surgery import (
     SurgeryWeights,
     batch_consensus_maps,
     batch_surgery_updates,
+    combined_update,
     consensus,
     decompose,
-    sgs_step,
 )
 
 from helpers import per_sample_consensus_maps, per_sample_surgery
@@ -142,17 +142,9 @@ def test_step_with_zero_lambdas_is_plain_update():
     stack = random_stack(8, domains=2, shape=(1, 8, 8))
     bundle = decompose(stack, consensus(stack, EPS), base=g)
     eta = 0.7
-    w = SurgeryWeights(lambda_c=0.0, lambda_d=0.0, eta=eta, epsilon=EPS)
-    stepped = sgs_step(x, bundle, 0, w)
+    w = SurgeryWeights(lambda_c=0.0, lambda_d=0.0, epsilon=EPS)
+    stepped = x - eta * combined_update(bundle, 0, w)
     assert stepped.tobytes() == (x - eta * g).tobytes()
-
-
-def test_step_with_zero_eta_is_identity():
-    x = SeededRng(9).normal(size=(1, 4, 4))
-    stack = random_stack(10, domains=2, shape=(1, 4, 4))
-    bundle = decompose(stack, consensus(stack, EPS), base=np.ones_like(x))
-    w = SurgeryWeights(lambda_c=1.0, lambda_d=1.0, eta=0.0, epsilon=EPS)
-    assert sgs_step(x, bundle, 1, w).tobytes() == x.tobytes()
 
 
 def test_consensus_case_doubles_the_step():
@@ -160,8 +152,8 @@ def test_consensus_case_doubles_the_step():
     x = SeededRng(12).normal(size=(1, 8, 8))
     stack = DomainGradientStack.from_gradients(0, np.stack([g, g, g]))
     bundle = decompose(stack, consensus(stack, EPS), base=g)
-    w = SurgeryWeights(lambda_c=1.0, lambda_d=1.0, eta=0.5, epsilon=EPS)
-    stepped = sgs_step(x, bundle, 0, w)
+    w = SurgeryWeights(lambda_c=1.0, lambda_d=1.0, epsilon=EPS)
+    stepped = x - 0.5 * combined_update(bundle, 0, w)
     expected = x - 0.5 * 2.0 * g  # domain deviations vanish; class approximates g
     assert np.abs(stepped - expected).max() < 1e-8
 
@@ -169,19 +161,16 @@ def test_consensus_case_doubles_the_step():
 def test_step_rejects_unknown_domain_and_missing_base():
     stack = random_stack(13, domains=2, shape=(1, 4, 4))
     bundle = decompose(stack, consensus(stack, EPS))
-    x = np.zeros((1, 4, 4))
     with pytest.raises(ValueError):
-        sgs_step(x, bundle, 0, SurgeryWeights())
-    bundle.base = np.zeros_like(x)
+        combined_update(bundle, 0, SurgeryWeights())
+    bundle.base = np.zeros((1, 4, 4))
     with pytest.raises(UnknownDomain):
-        sgs_step(x, bundle, 5, SurgeryWeights())
+        combined_update(bundle, 5, SurgeryWeights())
 
 
 def test_weight_validation():
     with pytest.raises(ValueError):
         SurgeryWeights(lambda_c=-1.0)
-    with pytest.raises(ValueError):
-        SurgeryWeights(eta=-0.1)
     with pytest.raises(ValueError):
         SurgeryWeights(epsilon=0.0)
 
@@ -202,8 +191,7 @@ def test_decomposition_invariants_property(seed, domains):
     assert np.linalg.norm(bundle.class_signal) <= np.linalg.norm(ifft2(cons.mean_spectrum)) + 1e-12
 
 
-KERNEL_WEIGHTS = SurgeryWeights(lambda_c=0.7, lambda_d=1.3, eta=1.0, epsilon=EPS,
-                                base_scale=0.9)
+KERNEL_WEIGHTS = SurgeryWeights(lambda_c=0.7, lambda_d=1.3, epsilon=EPS, base_scale=0.9)
 
 
 def kernel_inputs(seed, domains=3, rows=6, shape=(2, 8, 8)):
@@ -344,7 +332,7 @@ def test_kernel_rejects_a_duplicated_non_hermitian_row(monkeypatch):
 
 def kernel_domain_signal(grads, assigned):
     """The kernel's domain signal alone: no base, no class signal."""
-    w = SurgeryWeights(lambda_c=0.0, lambda_d=1.0, eta=1.0, epsilon=EPS, base_scale=0.0)
+    w = SurgeryWeights(lambda_c=0.0, lambda_d=1.0, epsilon=EPS, base_scale=0.0)
     return batch_surgery_updates(grads, np.zeros(grads.shape[1:]), assigned, w)
 
 
