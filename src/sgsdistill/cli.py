@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: gen-data, distill, eval, oracle, cluster, sweep. A JSON config
-file carries the toy-data spec, distillation settings, and eval settings;
-flags override config values. Every run writes resolved_config.json next to
-its outputs, and re-feeding that file reproduces the outputs byte for byte.
+file carries the toy-data spec and the distill, eval and oracle settings;
+only this module knows its format, and flags override its values. Every run
+writes resolved_config.json (the typed Settings record) next to its outputs,
+and re-feeding that file reproduces the outputs byte for byte.
 
 Exit codes: 0 success, 1 usage or config error, 2 runtime data error,
 3 I/O error.
@@ -13,9 +14,11 @@ import argparse
 import concurrent.futures
 import hashlib
 import json
+import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -35,16 +38,10 @@ from .evaluation import (
     sdg_protocol,
     toy_protocol_config,
 )
-from .pipeline import (
-    checkpoint,
-    config_from_dict,
-    config_to_dict,
-    run_distillation,
-    surgery_snapshot,
-)
+from .pipeline import DistillConfig, checkpoint, run_distillation, surgery_snapshot
 from .pseudo import assign_pseudo_domains, cluster_purity, default_style_featurizer
 from .rng import SeededRng
-from .toydata import generate_toy, sdg_toy_spec, toyspec_from_dict, toyspec_to_dict
+from .toydata import ToySpec, generate_toy, sdg_toy_spec
 
 
 class _UsageError(Exception):
@@ -56,17 +53,91 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-_EVAL_KEYS = {"runs", "epochs", "lr"}
-_ORACLE_KEYS = {"s_list", "trials", "halfwidths", "sweep_domains", "sweep_trials"}
-_TOP_KEYS = {"seed", "toy", "distill", "eval", "oracle"}
+# Options an earlier version had. Their defaults are what the loop does now,
+# so a resolved config an earlier version wrote still reproduces its outputs.
+_REMOVED_OPTIONS = {"momentum": 0.0, "clamp": False, "resample_featurizer": True}
 
-_DEFAULT_ORACLE = {
-    "s_list": [4, 16, 64, 256, 1024],
-    "trials": 2000,
-    "halfwidths": [0.0, 0.25, 0.5, 0.75, 1.0],  # multiples of pi
-    "sweep_domains": 100_000,
-    "sweep_trials": 10,
-}
+# The distill fields a flag of the same name overrides (--iters sets iterations).
+_DISTILL_FLAGS = ("lambda_c", "lambda_d", "ipc", "iterations", "eta", "epsilon", "init")
+
+
+@dataclass(frozen=True)
+class OracleConfig:
+    """Monte-Carlo verification settings; halfwidths are multiples of pi."""
+
+    s_list: tuple[int, ...] = (4, 16, 64, 256, 1024)
+    trials: int = 2000
+    halfwidths: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
+    sweep_domains: int = 100_000
+    sweep_trials: int = 10
+
+    def __post_init__(self):
+        s = self.s_list
+        if len(s) < 3 or s[0] < 2 or any(b <= a for a, b in zip(s, s[1:])):
+            raise InvalidConfig("s_list needs at least three strictly increasing "
+                                f"domain counts of at least 2, got {list(s)}")
+        if self.trials < 1 or self.sweep_trials < 1:
+            raise InvalidConfig("trials and sweep_trials must be at least 1")
+        if self.sweep_domains < 2:
+            raise InvalidConfig("sweep_domains must be at least 2")
+        if not self.halfwidths or not all(0 <= a <= 1 for a in self.halfwidths):
+            raise InvalidConfig("halfwidths must be a non-empty list in [0, 1]")
+
+
+@dataclass(frozen=True)
+class Settings:
+    """Everything a run reads from config and flags, as resolved_config.json records it."""
+
+    seed: int
+    toy: ToySpec
+    distill: DistillConfig
+    eval: EvalConfig
+    oracle: OracleConfig
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be non-negative, got {self.seed}")
+
+
+def _checked(kind, value, where):
+    """A JSON value of the annotated field type, kept as it is (no coercion)."""
+    if is_dataclass(kind):
+        return _from_dict(kind, value, where)
+    if get_origin(kind) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise InvalidConfig(f"{where} must be a list, got {value!r}")
+        return tuple(_checked(get_args(kind)[0], v, where) for v in value)
+    is_int = isinstance(value, int) and not isinstance(value, bool)
+    if kind is float:
+        ok = is_int or (isinstance(value, float) and math.isfinite(value))
+    elif kind is int:
+        ok = is_int
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        name = {int: "an integer", float: "a finite number", bool: "true or false",
+                str: "a string"}[kind]
+        raise InvalidConfig(f"{where} must be {name}, got {value!r}")
+    return value
+
+
+def _from_dict(cls, data, where="config"):
+    """Build config dataclass `cls` from a JSON object, nested sections included.
+
+    Unknown keys and ill-typed values are config errors, and so are the range
+    errors the dataclasses raise themselves; `where` names the section.
+    """
+    if not isinstance(data, dict):
+        raise InvalidConfig(f"{where} must be a JSON object, got {data!r}")
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(data) - set(types)
+    if unknown:
+        raise InvalidConfig(f"unknown keys in {where}: {sorted(unknown)}")
+    kwargs = {k: _checked(t, data[k], f"{where}.{k}") for k, t in types.items() if k in data}
+    try:
+        return cls(**kwargs)
+    except (InvalidConfig, InvalidSpec, ValueError, TypeError) as exc:
+        raise InvalidConfig(f"{where}: {exc}") from exc
 
 
 def _load_config(path):
@@ -81,74 +152,62 @@ def _load_config(path):
         raise InvalidConfig(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InvalidConfig("config root must be a JSON object")
-    unknown = set(data) - _TOP_KEYS
-    if unknown:
-        raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
-    for section, keys in [("eval", _EVAL_KEYS), ("oracle", _ORACLE_KEYS)]:
-        extra = set(data.get(section, {})) - keys
-        if extra:
-            raise InvalidConfig(f"unknown {section} config keys: {sorted(extra)}")
     return data
 
 
-def _resolve(args):
-    """Merge defaults, config file, and flag overrides into one plain dict."""
-    file_cfg = _load_config(getattr(args, "config", None))
-    seed = file_cfg.get("seed", 0)
-    if getattr(args, "seed", None) is not None:
-        seed = args.seed
+def _section(file_cfg, name):
+    section = file_cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise InvalidConfig(f"config.{name} must be a JSON object, got {section!r}")
+    return dict(section)
 
-    toy_spec = toyspec_from_dict(file_cfg.get("toy", {}))
+
+def _numbers(flag, text, kind):
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise InvalidConfig(f"{flag}: {exc}") from exc
+
+
+def _resolve(args):
+    """Merge the config file, the defaults and the flags, then load them once."""
+    file_cfg = _load_config(args.config)
+    seed = file_cfg.get("seed", 0) if args.seed is None else args.seed
+
+    toy = _section(file_cfg, "toy")
     # Pseudo-domains need latent styles: with one style per domain, K-means
     # splits the source by class.
     if (getattr(args, "protocol", None) == "sdg" or getattr(args, "param", None) == "k") \
-            and "styles" not in file_cfg.get("toy", {}) and not getattr(args, "data", None):
-        toy_spec = replace(toy_spec, styles=sdg_toy_spec().styles)
-    toy = toyspec_to_dict(toy_spec)
+            and "styles" not in toy and not getattr(args, "data", None):
+        toy["styles"] = asdict(sdg_toy_spec())["styles"]
 
-    distill_dict = config_to_dict(toy_protocol_config())
-    distill_dict.update(file_cfg.get("distill", {}))
-    overrides = {
-        "lambda_c": getattr(args, "lambda_c", None),
-        "lambda_d": getattr(args, "lambda_d", None),
-        "ipc": getattr(args, "ipc", None),
-        "iterations": getattr(args, "iters", None),
-        "eta": getattr(args, "eta", None),
-        "epsilon": getattr(args, "epsilon", None),
-        "init": getattr(args, "init", None),
-    }
-    distill_dict.update({k: v for k, v in overrides.items() if v is not None})
-    distill_dict["seed"] = seed
-    distill = config_from_dict(distill_dict)
+    distill = {**asdict(toy_protocol_config()), **_section(file_cfg, "distill")}
+    for key, default in _REMOVED_OPTIONS.items():
+        if key in distill and distill.pop(key) != default:
+            raise InvalidConfig(f"distill option {key!r} was removed; "
+                                f"only its old default {default!r} is accepted")
+    flags = {k: getattr(args, k, None) for k in _DISTILL_FLAGS}
+    distill.update({k: v for k, v in flags.items() if v is not None}, seed=seed)
 
-    eval_dict = {"runs": 5, "epochs": 400, "lr": 0.05}
-    eval_dict.update(file_cfg.get("eval", {}))
-    eval_cfg = EvalConfig(base_seed=seed, **eval_dict)
+    evals = _section(file_cfg, "eval")
+    if "base_seed" in evals:   # the top-level seed sets it
+        raise InvalidConfig("unknown keys in config.eval: ['base_seed']")
 
-    oracle = dict(_DEFAULT_ORACLE)
-    oracle.update(file_cfg.get("oracle", {}))
+    oracle = _section(file_cfg, "oracle")
     if getattr(args, "s_list", None) is not None:
-        oracle["s_list"] = [int(v) for v in args.s_list.split(",")]
+        oracle["s_list"] = _numbers("--s-list", args.s_list, int)
     if getattr(args, "trials", None) is not None:
         oracle["trials"] = args.trials
 
-    resolved = {
-        "seed": seed,
-        "toy": toy,
-        "distill": config_to_dict(distill),
-        "eval": {"runs": eval_cfg.runs, "epochs": eval_cfg.epochs, "lr": eval_cfg.lr},
-        "oracle": oracle,
-    }
-    return resolved, toy_spec, distill, eval_cfg, oracle
+    return _from_dict(Settings, {**file_cfg, "seed": seed, "toy": toy, "distill": distill,
+                                 "eval": {**evals, "base_seed": seed}, "oracle": oracle})
 
 
-def _ensure_out(args):
-    out = args.out
+def _write_resolved(settings, out):
+    """Start the output directory with resolved_config.json; returns the config hash."""
     os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _write_resolved(resolved, out):
+    resolved = asdict(settings)
+    del resolved["eval"]["base_seed"]   # the top-level seed
     storage.write_json(resolved, os.path.join(out, "resolved_config.json"))
     return hashlib.sha256(
         json.dumps(resolved, sort_keys=True).encode("utf-8")
@@ -162,44 +221,45 @@ def _pseudo_domain_count(k):
     return int(k)
 
 
-def _dataset_for(args, toy_spec, seed):
-    if getattr(args, "data", None):
-        return storage.load_dataset(args.data)
-    return generate_toy(toy_spec, seed=seed)
+def _dataset_for(data_path, settings):
+    if data_path:
+        return storage.load_dataset(data_path)
+    return generate_toy(settings.toy, seed=settings.seed)
 
 
 def _cmd_gen_data(args):
-    resolved, toy_spec, _, _, _ = _resolve(args)
-    out = _ensure_out(args)
-    _write_resolved(resolved, out)
-    ds = generate_toy(toy_spec, seed=resolved["seed"])
-    data_path = os.path.join(out, f"{toy_spec.name}.dgdd")
+    settings = _resolve(args)
+    out = args.out
+    _write_resolved(settings, out)
+    ds = generate_toy(settings.toy, seed=settings.seed)
+    name = settings.toy.name
+    data_path = os.path.join(out, f"{name}.dgdd")
     storage.save_dataset(ds, data_path)
     meta = {
-        "name": toy_spec.name,
-        "seed": resolved["seed"],
+        "name": name,
+        "seed": settings.seed,
         "class_count": ds.class_count,
         "domain_count": ds.domain_count,
         "samples": len(ds),
         "hidden_style": ds.extras["hidden_style"].tolist(),
     }
-    storage.write_json(meta, os.path.join(out, f"{toy_spec.name}.meta.json"))
+    storage.write_json(meta, os.path.join(out, f"{name}.meta.json"))
     print(f"wrote {data_path} ({len(ds)} samples)")
     return 0
 
 
 def _cmd_distill(args):
-    resolved, toy_spec, distill_cfg, _, _ = _resolve(args)
-    out = _ensure_out(args)
-    _write_resolved(resolved, out)
-    source = _dataset_for(args, toy_spec, resolved["seed"])
-    result = run_distillation(source, distill_cfg, checkpoint_dir=out)
+    settings = _resolve(args)
+    out = args.out
+    _write_resolved(settings, out)
+    source = _dataset_for(args.data, settings)
+    result = run_distillation(source, settings.distill, checkpoint_dir=out)
     final_path = os.path.join(out, "distilled.dgck")
     checkpoint(result.synthetic, final_path)
     storage.write_loss_history_csv(result.history, result.domain_count,
                                    os.path.join(out, "loss_history.csv"))
-    if getattr(args, "dump_rmaps", False):
-        resultants, class_signals = surgery_snapshot(source, distill_cfg,
+    if args.dump_rmaps:
+        resultants, class_signals = surgery_snapshot(source, settings.distill,
                                                      result.synthetic)
         storage.save_grids(resultants, os.path.join(out, "resultant_maps.dggr"))
         storage.save_grids(class_signals, os.path.join(out, "class_signals.dggr"))
@@ -208,15 +268,15 @@ def _cmd_distill(args):
 
 
 def _cmd_eval(args):
-    resolved, toy_spec, distill_cfg, eval_cfg, _ = _resolve(args)
+    settings = _resolve(args)
     k = _pseudo_domain_count(args.k) if args.protocol == "sdg" else None
-    out = _ensure_out(args)
-    config_hash = _write_resolved(resolved, out)
-    ds = _dataset_for(args, toy_spec, resolved["seed"])
-    distiller = config_distiller(distill_cfg)
+    out = args.out
+    config_hash = _write_resolved(settings, out)
+    ds = _dataset_for(args.data, settings)
+    distiller = config_distiller(settings.distill)
     summary = {"config_hash": config_hash, "protocol": args.protocol}
     if args.protocol in ("mdg", "id"):
-        outcome = mdg_protocol(ds, distiller, eval_cfg)
+        outcome = mdg_protocol(ds, distiller, settings.eval)
         if args.protocol == "mdg":
             storage.export_metrics_csv(outcome.ood, os.path.join(out, "mdg_ood.csv"))
             summary["ood"] = outcome.ood.summary()
@@ -224,7 +284,7 @@ def _cmd_eval(args):
                                    os.path.join(out, "mdg_id.csv"))
         summary["in_distribution"] = outcome.in_distribution.summary()
     else:
-        report, _ = sdg_protocol(ds, args.source_domain, k, distiller, eval_cfg)
+        report, _ = sdg_protocol(ds, args.source_domain, k, distiller, settings.eval)
         storage.export_metrics_csv(report, os.path.join(out, "sdg_ood.csv"))
         summary["ood"] = report.summary()
         summary["k"] = k
@@ -235,18 +295,17 @@ def _cmd_eval(args):
 
 
 def _cmd_oracle(args):
-    resolved, _, _, _, oracle = _resolve(args)
-    out = _ensure_out(args)
-    config_hash = _write_resolved(resolved, out)
-    seed = resolved["seed"]
-    uniform = SpectralModel(shared=1.0 + 0.0j, phase_halfwidth=np.pi,
-                            trials=oracle["trials"])
-    decay = attenuation_curve(uniform, oracle["s_list"], SeededRng(seed, (1,)),
-                              trials=oracle["trials"])
+    settings = _resolve(args)
+    out = args.out
+    config_hash = _write_resolved(settings, out)
+    seed, oracle = settings.seed, settings.oracle
+    uniform = SpectralModel(shared=1.0 + 0.0j, phase_halfwidth=np.pi, trials=oracle.trials)
+    decay = attenuation_curve(uniform, oracle.s_list, SeededRng(seed, (1,)),
+                              trials=oracle.trials)
     storage.export_metrics_csv(decay, os.path.join(out, "decay_curve.csv"))
-    sweep = resultant_sweep([a * np.pi for a in oracle["halfwidths"]],
-                            oracle["sweep_domains"], SeededRng(seed, (2,)),
-                            trials=oracle["sweep_trials"])
+    sweep = resultant_sweep([a * np.pi for a in oracle.halfwidths],
+                            oracle.sweep_domains, SeededRng(seed, (2,)),
+                            trials=oracle.sweep_trials)
     storage.export_metrics_csv(sweep, os.path.join(out, "resultant_sweep.csv"))
     summary = {
         "config_hash": config_hash,
@@ -260,13 +319,13 @@ def _cmd_oracle(args):
 
 
 def _cmd_cluster(args):
-    resolved, toy_spec, _, _, _ = _resolve(args)
+    settings = _resolve(args)
     k = _pseudo_domain_count(args.k)
-    out = _ensure_out(args)
-    _write_resolved(resolved, out)
-    ds = _dataset_for(args, toy_spec, resolved["seed"])
+    out = args.out
+    _write_resolved(settings, out)
+    ds = _dataset_for(args.data, settings)
     flat, truth = ds.flatten_domains()
-    seed = resolved["seed"]
+    seed = settings.seed
     psi = default_style_featurizer(ds.image_shape[0], SeededRng(seed, (11,)))
     relabeled, model = assign_pseudo_domains(flat, psi, k, SeededRng(seed, (12,)))
     assign_path = os.path.join(out, "assignments.csv")
@@ -283,43 +342,36 @@ def _cmd_cluster(args):
     return 0
 
 
-def _sweep_cell(resolved, param, value, data_path):
+def _sweep_cell(settings, param, value, data_path):
     """One sweep cell; module-level so process pools can pickle it."""
-    distill_cfg = config_from_dict(resolved["distill"])
-    eval_cfg = EvalConfig(base_seed=resolved["seed"], **resolved["eval"])
-    toy_spec = toyspec_from_dict(resolved["toy"])
-    ds = storage.load_dataset(data_path) if data_path else \
-        generate_toy(toy_spec, seed=resolved["seed"])
+    ds = _dataset_for(data_path, settings)
     if param == "k":
         report, _ = sdg_protocol(ds, 0, int(value),
-                                 config_distiller(distill_cfg), eval_cfg)
+                                 config_distiller(settings.distill), settings.eval)
     else:
-        cfg = replace(distill_cfg, **{param: float(value)})
-        report = mdg_protocol(ds, config_distiller(cfg), eval_cfg).ood
+        cfg = replace(settings.distill, **{param: float(value)})
+        report = mdg_protocol(ds, config_distiller(cfg), settings.eval).ood
     return report.mean(), report.std()
 
 
 def _cmd_sweep(args):
     if args.jobs < 1:
         raise InvalidConfig("--jobs must be at least 1")
-    resolved, _, distill_cfg, _, _ = _resolve(args)
+    settings = _resolve(args)
     param = args.param.replace("-", "_")
     if param not in ("lambda_c", "lambda_d", "k"):
         raise InvalidConfig(f"cannot sweep parameter {args.param!r}")
-    try:
-        values = [float(v) for v in args.values.split(",")]
-    except ValueError as exc:
-        raise InvalidConfig(f"--values: {exc}") from exc
+    values = _numbers("--values", args.values, float)
     if len(values) > 64:
         raise GridTooLarge(f"{len(values)} cells exceed the sweep budget of 64")
     for v in values:   # an invalid cell fails before any output is written
         if param == "k":
             _pseudo_domain_count(v)
         else:
-            replace(distill_cfg, **{param: v})
-    out = _ensure_out(args)
-    _write_resolved(resolved, out)
-    cells = [(resolved, param, v, getattr(args, "data", None)) for v in values]
+            replace(settings.distill, **{param: _checked(float, v, "--values")})
+    out = args.out
+    _write_resolved(settings, out)
+    cells = [(settings, param, v, args.data) for v in values]
     workers = min(args.jobs, len(cells), os.cpu_count() or 1)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -352,7 +404,7 @@ def build_parser():
         p.add_argument("--lambda-c", type=float, dest="lambda_c")
         p.add_argument("--lambda-d", type=float, dest="lambda_d")
         p.add_argument("--ipc", type=int)
-        p.add_argument("--iters", type=int)
+        p.add_argument("--iters", type=int, dest="iterations")
         p.add_argument("--eta", type=float)
         p.add_argument("--epsilon", type=float)
         p.add_argument("--init", choices=["noise", "random", "uniform"])

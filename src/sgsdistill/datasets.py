@@ -204,14 +204,3 @@ class SyntheticSet:
             iteration=self.iteration,
             init_uids=self.init_uids.copy(),
         )
-
-    def check_balance(self, ipc, domain_count):
-        """Exactly ipc images per class; per class, domain counts differ by <= 1."""
-        for c in range(self.class_count):
-            members = np.flatnonzero(self.labels == c)
-            if members.size != ipc:
-                raise ValueError(f"class {c} has {members.size} images, expected {ipc}")
-            counts = np.bincount(self.domains[members], minlength=domain_count)
-            if counts.max() - counts.min() > 1:
-                raise ValueError(f"unbalanced domain assignment for class {c}: {counts}")
-        return True

@@ -18,7 +18,7 @@ keying the streams by iteration makes a restored checkpoint continue
 bit-identically to a run that never stopped.
 """
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -267,39 +267,6 @@ def surgery_snapshot(source: MultiDomainDataset, cfg: DistillConfig,
                                           synthetic.iteration, domain_views)
     rows, index, _ = matching_rows(synthetic, real_domains, psi)
     return batch_consensus_maps(rows[1:], cfg.epsilon, rows=index)
-
-
-def config_to_dict(cfg: DistillConfig):
-    out = asdict(cfg)
-    out["featurizer"] = asdict(cfg.featurizer)
-    return out
-
-
-# Options an earlier version had. Their defaults are what the loop does now,
-# so a resolved config an earlier version wrote still reproduces its outputs.
-_REMOVED_OPTIONS = {"momentum": 0.0, "clamp": False, "resample_featurizer": True}
-
-
-def config_from_dict(data):
-    data = dict(data)
-    feat = data.pop("featurizer", None)
-    for key, default in _REMOVED_OPTIONS.items():
-        if key in data and data.pop(key) != default:
-            raise InvalidConfig(f"distill option {key!r} was removed; "
-                                f"only its old default {default!r} is accepted")
-    known = set(DistillConfig.__dataclass_fields__) - {"featurizer"}
-    unknown = set(data) - known
-    if unknown:
-        raise InvalidConfig(f"unknown distill config keys: {sorted(unknown)}")
-    if feat is not None:
-        funknown = set(feat) - set(FeaturizerSpec.__dataclass_fields__)
-        if funknown:
-            raise InvalidConfig(f"unknown featurizer keys: {sorted(funknown)}")
-        data["featurizer"] = FeaturizerSpec(**feat)
-    try:
-        return DistillConfig(**data)
-    except TypeError as exc:
-        raise InvalidConfig(str(exc)) from exc
 
 
 def checkpoint(synthetic: SyntheticSet, path):

@@ -65,7 +65,7 @@ class ToySpec:
     width: int = 16
     channels: int = 3
     class_count: int = 5
-    styles: tuple = DEFAULT_STYLES
+    styles: tuple[StyleSpec, ...] = DEFAULT_STYLES
     train_per_cell: int = 100
     test_per_cell: int = 50
     jitter: int = 2
@@ -85,8 +85,8 @@ class ToySpec:
             raise InvalidSpec("domain styles must be distinct")
         if self.train_per_cell < 1 or self.test_per_cell < 1:
             raise InvalidSpec("every (domain, class, split) cell must be non-empty")
-        if self.jitter < 0:
-            raise InvalidSpec("jitter must be non-negative")
+        if self.jitter < 0 or self.noise_sigma < 0:
+            raise InvalidSpec("jitter and noise_sigma must be non-negative")
 
     @property
     def domain_count(self):
@@ -201,46 +201,6 @@ def generate_toy(spec: ToySpec, seed):
             "jitter": np.array(jitters, dtype=np.int64),
         },
     )
-
-
-def toyspec_to_dict(spec: ToySpec):
-    return {
-        "height": spec.height,
-        "width": spec.width,
-        "channels": spec.channels,
-        "class_count": spec.class_count,
-        "styles": [
-            {"kind": s.kind, "variants": s.variants, "tint_strength": s.tint_strength}
-            for s in spec.styles
-        ],
-        "train_per_cell": spec.train_per_cell,
-        "test_per_cell": spec.test_per_cell,
-        "jitter": spec.jitter,
-        "noise_sigma": spec.noise_sigma,
-        "name": spec.name,
-    }
-
-
-def toyspec_from_dict(data):
-    data = dict(data)
-    styles = data.pop("styles", None)
-    known = set(ToySpec.__dataclass_fields__) - {"styles"}
-    unknown = set(data) - known
-    if unknown:
-        raise InvalidSpec(f"unknown toy spec keys: {sorted(unknown)}")
-    kwargs = dict(data)
-    if styles is not None:
-        parsed = []
-        for entry in styles:
-            extra = set(entry) - {"kind", "variants", "tint_strength"}
-            if extra:
-                raise InvalidSpec(f"unknown style keys: {sorted(extra)}")
-            parsed.append(StyleSpec(**entry))
-        kwargs["styles"] = tuple(parsed)
-    try:
-        return ToySpec(**kwargs)
-    except TypeError as exc:
-        raise InvalidSpec(str(exc)) from exc
 
 
 def sdg_toy_spec(variants=4, tint_strength=1.5, **kwargs):

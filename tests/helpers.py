@@ -69,6 +69,15 @@ def make_synthetic(rng, class_count=3, ipc=2, shape=(1, 4, 4), domain_count=2):
     )
 
 
+def assert_balanced(synthetic, ipc, domain_count):
+    """Exactly ipc images per class; per class, domain counts differ by at most one."""
+    for c in range(synthetic.class_count):
+        members = np.flatnonzero(synthetic.labels == c)
+        assert members.size == ipc, f"class {c} has {members.size} images, expected {ipc}"
+        counts = np.bincount(synthetic.domains[members], minlength=domain_count)
+        assert counts.max() - counts.min() <= 1, f"class {c} domain counts {counts}"
+
+
 def gathered_vjp(psi, images, upstream, groups=None):
     """A featurizer's pullback gathered to the images: (..., n, C, H, W)."""
     pulled, index = psi.pullback(images, upstream, groups)

@@ -1,11 +1,17 @@
 import concurrent.futures
 import json
 import os
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
 from sgsdistill import cli
 from sgsdistill.cli import run
+from sgsdistill.errors import InvalidConfig
+from sgsdistill.evaluation import EvalConfig
+from sgsdistill.pipeline import DistillConfig, FeaturizerSpec
+from sgsdistill.toydata import ToySpec, sdg_toy_spec
 
 SMALL_CFG = {
     "toy": {"train_per_cell": 10, "test_per_cell": 5, "class_count": 3},
@@ -44,14 +50,33 @@ def test_distill_zero_lambdas_matches_dm_reference(tmp_path, cfg_path):
     assert (a / "distilled.dgck").read_bytes() == (b / "distilled.dgck").read_bytes()
 
 
-def test_resolved_config_round_trip(tmp_path, cfg_path):
+# (flags resolved_config.json records, flags it does not, files to compare)
+ROUND_TRIPS = {
+    "gen-data": ([], [], ["toy.dgdd", "toy.meta.json"]),
+    "distill": (["--lambda-c", "0.5", "--iters", "6"], ["--dump-rmaps"],
+                ["distilled.dgck", "loss_history.csv", "resultant_maps.dggr"]),
+    "eval": (["--eta", "0.5"], ["--protocol", "mdg"], ["mdg_ood.csv", "summary.json"]),
+    "oracle": (["--s-list", "4,8,16", "--trials", "20"], [],
+               ["decay_curve.csv", "resultant_sweep.csv", "summary.json"]),
+    "cluster": ([], ["--k", "3"], ["assignments.csv", "summary.json"]),
+    "sweep": ([], ["--param", "lambda-c", "--values", "0,1"], ["sweep.csv"]),
+}
+
+
+@pytest.mark.parametrize("command", list(ROUND_TRIPS))
+def test_resolved_config_round_trip(tmp_path, command):
+    recorded, unrecorded, names = ROUND_TRIPS[command]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL_CFG, "oracle": {"halfwidths": [0, 0.5, 1],
+                                                       "sweep_domains": 500,
+                                                       "sweep_trials": 3}}))
     first = tmp_path / "first"
-    assert run(["distill", "--config", cfg_path, "--out", str(first), "--seed", "9",
-                "--lambda-c", "0.5", "--iters", "6"]) == 0
+    assert run([command, *recorded, *unrecorded, "--config", str(cfg), "--out", str(first),
+                "--seed", "9"]) == 0
     second = tmp_path / "second"
-    assert run(["distill", "--config", str(first / "resolved_config.json"),
+    assert run([command, *unrecorded, "--config", str(first / "resolved_config.json"),
                 "--out", str(second)]) == 0
-    for name in ["distilled.dgck", "loss_history.csv", "resolved_config.json"]:
+    for name in ["resolved_config.json", *names]:
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
@@ -293,7 +318,7 @@ def test_readme_sdg_example_runs_on_the_default_toy_data(tmp_path):
         assert (out / name).read_bytes() == (again / name).read_bytes()
 
 
-@pytest.mark.parametrize("argv", [
+SUBCOMMANDS = [
     ["gen-data"],
     ["distill"],
     ["eval", "--protocol", "mdg"],
@@ -301,7 +326,10 @@ def test_readme_sdg_example_runs_on_the_default_toy_data(tmp_path):
     ["oracle"],
     ["cluster"],
     ["sweep", "--param", "lambda-c", "--values", "0,1"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS)
 @pytest.mark.parametrize("bad", [{"runs": 0}, {"epochs": -1}, {"lr": 0.0}])
 def test_invalid_eval_settings_fail_before_any_output(tmp_path, argv, bad):
     cfg = tmp_path / "cfg.json"
@@ -309,3 +337,129 @@ def test_invalid_eval_settings_fail_before_any_output(tmp_path, argv, bad):
     out = tmp_path / "out"
     assert run([*argv, "--config", str(cfg), "--out", str(out)]) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: "-".join(argv[:3:2]))
+@pytest.mark.parametrize("section, bad", [
+    ("eval", {"runs": 1.5}),
+    ("eval", {"runs": "2"}),
+    ("distill", {"use_base": "no"}),
+    ("distill", {"ipc": 2.5}),
+    ("toy", {"height": 16.5}),
+    (None, {"seed": "7"}),
+    (None, {"seed": -1}),
+    ("distill", {"eta": float("nan")}),
+    ("distill", {"featurizer": {"dim": 8.5}}),
+    ("oracle", {"trials": "5"}),
+], ids=lambda v: v if isinstance(v, str) or v is None else json.dumps(v))
+def test_malformed_config_values_fail_before_any_output(tmp_path, capsys, argv, section, bad):
+    cfg = {**SMALL_CFG, **bad} if section is None else \
+        {**SMALL_CFG, section: {**SMALL_CFG.get(section, {}), **bad}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))   # a NaN is written as the JSON extension NaN
+    out = tmp_path / "out"
+    assert run([*argv, "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-data", "--seed", "-1"],
+    ["distill", "--lambda-c", "nan"],
+    ["distill", "--eta", "inf"],
+    ["eval", "--protocol", "mdg", "--lambda-d", "-inf"],
+    ["sweep", "--param", "lambda-c", "--values", "nan"],
+    ["sweep", "--param", "lambda-d", "--values", "0,inf"],
+    ["oracle", "--s-list", "4,2,8"],
+    ["oracle", "--s-list", "4,x,8"],
+    ["oracle", "--s-list", "1,4,8"],
+    ["oracle", "--s-list", "4,8"],
+    ["oracle", "--trials", "0"],
+])
+def test_malformed_flag_values_fail_before_any_output(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_loader_round_trip_and_unknown_keys():
+    cfg = DistillConfig(ipc=7, iterations=3, lambda_c=0.5,
+                        featurizer=FeaturizerSpec(kind="conv", channels=4))
+    as_dict = json.loads(json.dumps(asdict(cfg)))
+    assert cli._from_dict(DistillConfig, as_dict) == cfg
+    with pytest.raises(InvalidConfig, match="mystery"):
+        cli._from_dict(DistillConfig, {**as_dict, "mystery": 1})
+    with pytest.raises(InvalidConfig, match="bogus"):
+        cli._from_dict(DistillConfig, {**as_dict, "featurizer": {"bogus": 2}})
+    spec = sdg_toy_spec(class_count=3)
+    assert cli._from_dict(ToySpec, json.loads(json.dumps(asdict(spec)))) == spec
+    with pytest.raises(InvalidConfig, match="shade"):
+        cli._from_dict(ToySpec, {"styles": [{"kind": "clean", "shade": 1}, {"kind": "invert"}]})
+
+
+def test_loader_keeps_json_numbers_as_written():
+    loaded = cli._from_dict(EvalConfig, {"runs": 2, "lr": 1})
+    assert loaded == EvalConfig(runs=2, lr=1) and type(loaded.lr) is int
+
+
+@pytest.mark.parametrize("cls, data", [
+    (EvalConfig, {"runs": True}),
+    (EvalConfig, {"lr": False}),
+    (EvalConfig, {"lr": float("inf")}),
+    (EvalConfig, {"lr": "0.1"}),
+    (DistillConfig, {"use_base": 1}),
+    (DistillConfig, {"init": 3}),
+    (DistillConfig, {"featurizer": "conv"}),
+    (ToySpec, {"styles": {"kind": "clean"}}),
+    (ToySpec, {"styles": [{"variants": 1}, {"kind": "clean"}]}),
+    (ToySpec, {"noise_sigma": -0.1}),
+    (cli.OracleConfig, {"s_list": [4, 8.0, 16]}),
+    (cli.OracleConfig, {"s_list": [4, 4, 8]}),
+    (cli.OracleConfig, {"sweep_trials": 0}),
+    (cli.OracleConfig, {"sweep_domains": 1}),
+    (cli.OracleConfig, {"halfwidths": [0.5, None]}),
+    (cli.OracleConfig, {"halfwidths": [0.5, 1.5]}),
+    (cli.OracleConfig, {"halfwidths": [-0.25]}),
+    (cli.OracleConfig, {"halfwidths": []}),
+], ids=lambda v: v.__name__ if isinstance(v, type) else json.dumps(v))
+def test_loader_rejects_ill_typed_and_out_of_range_values(cls, data):
+    with pytest.raises(InvalidConfig):
+        cli._from_dict(cls, data)
+
+
+def _resolve(tmp_path, distill):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"distill": distill}))
+    return cli._resolve(cli.build_parser().parse_args(
+        ["distill", "--config", str(path), "--out", str(tmp_path / "o")]))
+
+
+def test_removed_options_load_only_at_their_old_defaults(tmp_path):
+    plain = {"ipc": 7, "iterations": 3, "lambda_c": 0.5}
+    legacy = {**plain, "momentum": 0.0, "clamp": False, "resample_featurizer": True}
+    assert _resolve(tmp_path, legacy) == _resolve(tmp_path, plain)
+    for key, value in [("momentum", 0.5), ("clamp", True), ("resample_featurizer", False)]:
+        with pytest.raises(InvalidConfig, match=key):
+            _resolve(tmp_path, {**legacy, key: value})
+
+
+def test_top_level_seed_sets_the_distill_and_eval_seeds(tmp_path):
+    settings = _resolve(tmp_path, {"seed": 5})
+    assert settings.seed == settings.distill.seed == settings.eval.base_seed == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eval": {"base_seed": 3}}))
+    with pytest.raises(InvalidConfig, match="base_seed"):
+        cli._resolve(cli.build_parser().parse_args(["gen-data", "--config", str(cfg),
+                                                    "--out", "o"]))
+
+
+def test_readme_cli_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    commands = [line.split()[1:] for line in block.splitlines()
+                if line.startswith("sgsdistill ")]
+    assert {argv[0] for argv in commands} == set(cli._COMMANDS)
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)   # a renamed or removed flag raises a usage error

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sgsdistill.datasets import TEST, TRAIN, DataView, MultiDomainDataset, SyntheticSet
+from sgsdistill.datasets import TEST, TRAIN, DataView, MultiDomainDataset
 from sgsdistill.errors import EmptyClass, EmptySet, UnknownDomain
 from sgsdistill.rng import SeededRng
 
@@ -73,22 +73,6 @@ def test_class_pixel_mean_cached():
     first = view.class_pixel_mean(0)
     assert view.class_pixel_mean(0) is first
     assert np.abs(first - view.images[:3].mean(axis=0)).max() < 1e-15
-
-
-def test_synthetic_balance_checks():
-    syn = SyntheticSet(
-        images=np.zeros((4, 1, 2, 2)),
-        labels=np.array([0, 0, 1, 1]),
-        domains=np.array([0, 1, 0, 1]),
-    )
-    syn.check_balance(2, 2)
-    bad = SyntheticSet(
-        images=np.zeros((4, 1, 2, 2)),
-        labels=np.array([0, 0, 1, 1]),
-        domains=np.array([0, 0, 0, 1]),
-    )
-    with pytest.raises(ValueError):
-        bad.check_balance(2, 2)
 
 
 def test_dataset_validation():

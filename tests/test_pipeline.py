@@ -14,8 +14,6 @@ from sgsdistill.pipeline import (
     DistillConfig,
     FeaturizerSpec,
     checkpoint,
-    config_from_dict,
-    config_to_dict,
     initialize,
     restore,
     run_distillation,
@@ -27,7 +25,7 @@ from sgsdistill.rng import SeededRng
 from sgsdistill.storage import write_loss_history_csv
 from sgsdistill.toydata import ToySpec, generate_toy
 
-from helpers import make_dataset, per_sample_consensus_maps, per_sample_surgery
+from helpers import assert_balanced, make_dataset, per_sample_consensus_maps, per_sample_surgery
 
 SMALL_TOY = ToySpec(train_per_cell=12, test_per_cell=4, class_count=3)
 FAST = dict(featurizer=FeaturizerSpec(kind="linear", dim=32))
@@ -52,7 +50,7 @@ def test_uniform_pattern_with_remainder(toy):
     for c in range(3):
         counts = np.bincount(syn.domains[syn.labels == c], minlength=4)
         assert counts.tolist() == [3, 3, 2, 2]
-    syn.check_balance(10, 4)
+    assert_balanced(syn, 10, 4)
 
 
 def test_uniform_pattern_divisible(toy):
@@ -183,7 +181,7 @@ def test_run_is_bit_reproducible(toy):
 def test_domain_balance_preserved_through_run(toy):
     cfg = DistillConfig(ipc=10, iterations=3, seed=7, **FAST)
     res = run_distillation(toy, cfg)
-    res.synthetic.check_balance(10, toy.domain_count)
+    assert_balanced(res.synthetic, 10, toy.domain_count)
 
 
 def test_checkpoint_round_trip(tmp_path, toy):
@@ -343,29 +341,6 @@ def test_surgery_snapshot_matches_the_next_iterations_kernel_input(monkeypatch, 
     for got, expected in zip(maps, want):
         assert got.shape == synthetic.images.shape
         assert got.tobytes() == expected.tobytes()
-
-
-def test_config_round_trip_and_unknown_keys():
-    cfg = DistillConfig(ipc=7, iterations=3, lambda_c=0.5,
-                        featurizer=FeaturizerSpec(kind="conv", channels=4))
-    as_dict = config_to_dict(cfg)
-    assert config_from_dict(as_dict) == cfg
-    with pytest.raises(InvalidConfig):
-        config_from_dict({**as_dict, "mystery": 1})
-    bad = dict(as_dict)
-    bad["featurizer"] = {**as_dict["featurizer"], "bogus": 2}
-    with pytest.raises(InvalidConfig):
-        config_from_dict(bad)
-
-
-def test_removed_options_load_only_at_their_old_defaults():
-    cfg = DistillConfig(ipc=7, iterations=3, lambda_c=0.5)
-    legacy = {**config_to_dict(cfg), "momentum": 0.0, "clamp": False,
-              "resample_featurizer": True}
-    assert config_from_dict(legacy) == cfg
-    for key, value in [("momentum", 0.5), ("clamp", True), ("resample_featurizer", False)]:
-        with pytest.raises(InvalidConfig, match=key):
-            config_from_dict({**legacy, key: value})
 
 
 def test_config_validation():
