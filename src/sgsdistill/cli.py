@@ -30,6 +30,7 @@ from .errors import (
     InvalidConfig,
     InvalidSpec,
     IoError,
+    UnknownDomain,
 )
 from .evaluation import (
     EvalConfig,
@@ -38,6 +39,7 @@ from .evaluation import (
     sdg_protocol,
     toy_protocol_config,
 )
+from .featurizers import one_lane
 from .pipeline import DistillConfig, checkpoint, run_distillation, surgery_snapshot
 from .pseudo import assign_pseudo_domains, cluster_purity, default_style_featurizer
 from .rng import SeededRng
@@ -270,9 +272,11 @@ def _cmd_distill(args):
 def _cmd_eval(args):
     settings = _resolve(args)
     k = _pseudo_domain_count(args.k) if args.protocol == "sdg" else None
+    ds = _dataset_for(args.data, settings)
+    if k is not None and not 0 <= args.source_domain < ds.domain_count:
+        raise UnknownDomain(f"source domain {args.source_domain} does not exist")
     out = args.out
     config_hash = _write_resolved(settings, out)
-    ds = _dataset_for(args.data, settings)
     distiller = config_distiller(settings.distill)
     summary = {"config_hash": config_hash, "protocol": args.protocol}
     if args.protocol in ("mdg", "id"):
@@ -374,7 +378,10 @@ def _cmd_sweep(args):
     cells = [(settings, param, v, args.data) for v in values]
     workers = min(args.jobs, len(cells), os.cpu_count() or 1)
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        # Each worker process is one lane of this pool: its featurizer loops
+        # run on its own thread only, so pools never nest.
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers,
+                                                    initializer=one_lane) as pool:
             futures = [pool.submit(_sweep_cell, *cell) for cell in cells]
             results = [f.result() for f in futures]
     else:

@@ -10,9 +10,22 @@ each pixel's k x k window into a row with columns in (i, j, c) order, and
 multiply by the kernels as a (k*k*C, O) matrix. In that order each of a
 window's k rows is k*C consecutive values of the padded input, so the copy
 moves contiguous runs instead of single pixels.
+
+Batches are correlated a block of images at a time, and the blocks run in
+lanes, one per CPU in the process's affinity mask: lane 0 on the calling
+thread, the others on a module thread pool made on first use, whose threads
+each hold one CPU (numpy drops the interpreter lock in the window copy and
+the gemm, which dominate).
+Each lane correlates in buffers the caller allocated for it before the
+lanes start, and writes disjoint slices of the caller's output. Each image's
+window matrix is its own gemm, so results are bitwise the same for any
+lane count and any block size. With one usable CPU no thread is started.
 """
 
+import concurrent.futures
 import itertools
+import os
+import threading
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -23,18 +36,105 @@ from .rng import SeededRng
 # Distinguishes featurizer instances in feature-mean caches.
 _TOKENS = itertools.count()
 
-# Images per correlation in ConvFeaturizer.features_batch and
-# pseudo.style_stats_batch. The window rows and maps take ~90 KB per 16x16x3
-# image at 16 channels; blocks keep that transient small whatever the batch
-# size, so it fits in cache and in freed memory instead of raising the peak.
-# numpy multiplies each image's window matrix on its own, so the block
-# changes no result.
-IMAGE_BLOCK = 64
-# Images per adjoint correlation in ConvFeaturizer.vjp_batch. Its window rows
-# take ~290 KB per 16x16 image at 16 channels (k*k*O columns); 16-image
-# blocks (4.7 MB) raised the process's peak RSS by 13 MB, 8-image blocks
-# did not, and whole 50-image synthetic sets ran 5% slower.
-ADJOINT_BLOCK = 8
+# Images per correlation in ConvFeaturizer.features_batch, the rectifier mask
+# of vjp_batch and pseudo.style_stats_batch. One block's buffers take ~94 KB
+# per 16x16x3 image at 16 channels, 3 MB per block on one thread; each lane
+# holds one block's buffers for the whole call. Small blocks keep that in
+# cache whatever the batch size.
+IMAGE_BLOCK = 32
+# Images per adjoint correlation in ConvFeaturizer.vjp_batch. Its buffers
+# take ~335 KB per 16x16 image at 16 channels (window rows of k*k*O
+# columns), 1.3 MB per block on one thread, so two lanes hold what one
+# 8-image block did. Lanes allocate their buffers once per call, not per
+# block: with two lanes, adjoint blocks of 4, 8 and 16 images all left the
+# distill-conv benchmark's peak RSS at 118.1-118.3 MB.
+ADJOINT_BLOCK = 4
+
+# The lanes' thread pool, (workers, executor); made on first use.
+_pool = None
+_pool_lock = threading.Lock()
+# At most this many lanes per loop; None is one per usable CPU. A process-pool
+# worker sets 1 through one_lane(), so pools never nest.
+_lane_cap = None
+
+
+def _usable_cpus():
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _hold_cpu(made):
+    """Thread-pool initializer: hold the new lane thread to one CPU of the
+    affinity mask, the k-th thread made to the k-th CPU after the first.
+    Threads left free that keep handing the interpreter lock to each other
+    are woken onto one CPU by the scheduler, and run no faster than one."""
+    if hasattr(os, "sched_setaffinity"):
+        cpus = sorted(os.sched_getaffinity(0))
+        try:
+            os.sched_setaffinity(0, {cpus[next(made) % len(cpus)]})
+        except OSError:
+            pass   # a sandbox may forbid it; a free thread is slower, not wrong
+
+
+def _executor(workers):
+    """The lanes' pool, made (or remade larger) to hold `workers` threads."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] < workers:
+            if _pool is not None:
+                _pool[1].shutdown(wait=False)
+            _pool = (workers, concurrent.futures.ThreadPoolExecutor(
+                workers, "featurizer-lane", initializer=_hold_cpu,
+                initargs=(itertools.count(1),)))
+        return _pool[1]
+
+
+def _drop_pool():
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+# A forked child has no pool threads; it makes its own pool when it needs one.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def one_lane():
+    """Run every laned loop of this process on the calling thread alone.
+    A process-pool initializer: each worker is already one lane of its pool."""
+    global _lane_cap
+    _lane_cap = 1
+
+
+def _in_lanes(tasks, workspace, run):
+    """run(task, work) for each task in range(tasks), over min(usable CPUs,
+    tasks) lanes. Lane l takes tasks l, l + lanes, ... with its own work =
+    workspace(), made here on the calling thread before any lane starts.
+    Lane 0 runs on the calling thread, the others on the module pool; returns
+    when every lane is done, raising the first error."""
+    lanes = min(_lane_cap or _usable_cpus(), tasks)
+    if lanes < 1:
+        return
+    works = [workspace() for _ in range(lanes)]
+
+    def lane(index):
+        for task in range(index, tasks, lanes):
+            run(task, works[index])
+
+    if lanes == 1:
+        lane(0)
+        return
+    pool = _executor(lanes - 1)
+    futures = [pool.submit(lane, index) for index in range(1, lanes)]
+    try:
+        lane(0)
+    finally:
+        concurrent.futures.wait(futures)
+    for future in futures:
+        future.result()
 
 
 class LinearFeaturizer:
@@ -142,9 +242,14 @@ class ConvFeaturizer:
             raise ShapeMismatch(f"batch shape {images.shape} incompatible with kernels")
         return images
 
-    def _forward(self, images):
-        """Pre-rectifier maps of a checked batch (N, C, H, W), channels-last (N, H*W, O)."""
-        return _correlate(images.transpose(0, 2, 3, 1), self.kernels)
+    def _forward(self, images, work=None):
+        """Pre-rectifier maps of a checked batch (N, C, H, W), channels-last
+        (N, H*W, O), in work's buffers (fresh ones by default)."""
+        n, c, h, w = images.shape
+        if work is None:
+            work = _Workspace(n, h, w, self.kernels)
+        work.interior[:n] = images.transpose(0, 2, 3, 1)
+        return _correlate(work, n)
 
     def preactivations(self, x):
         """Pre-rectifier maps (out_channels, H, W); exposed for kink-margin checks."""
@@ -156,18 +261,33 @@ class ConvFeaturizer:
         return np.maximum(self.preactivations(x), 0.0)
 
     def features(self, x):
-        return spatial_mean(self.activation_maps(self._check(x)[None]))[0]
+        return self.features_batch(self._check(x)[None])[0]
 
-    def activation_maps(self, images):
-        """Post-rectifier maps of a batch (N, C, H, W), channels-last (N, H*W, O)."""
-        z = self._forward(self._check_batch(images))
-        return np.maximum(z, 0.0, out=z)
+    def map_blocks(self, images, write):
+        """write(block, maps) for every IMAGE_BLOCK slice of a batch (N, C, H, W)
+        and its pre-rectifier maps (b, H*W, O), the blocks spread over the
+        lanes. write stores into the caller's arrays and may overwrite maps.
+        It runs on a lane's thread, so it must call no laned method (lanes do
+        not nest) and no public featurizer method (perfbench's tracer wraps
+        those, and its span stack belongs to one thread)."""
+        images = self._check_batch(images)
+        n, _, h, w = images.shape
+
+        def run(task, work):
+            block = slice(task * IMAGE_BLOCK, (task + 1) * IMAGE_BLOCK)
+            write(block, self._forward(images[block], work))
+
+        _in_lanes(-(-n // IMAGE_BLOCK),
+                  lambda: _Workspace(min(n, IMAGE_BLOCK), h, w, self.kernels), run)
 
     def features_batch(self, images):
         images = self._check_batch(images)
         out = np.empty((len(images), self.feature_dim))
-        for i in range(0, len(images), IMAGE_BLOCK):
-            out[i:i + IMAGE_BLOCK] = spatial_mean(self.activation_maps(images[i:i + IMAGE_BLOCK]))
+
+        def write(block, z):
+            out[block] = spatial_mean(np.maximum(z, 0.0, out=z))
+
+        self.map_blocks(images, write)
         return out
 
     def vjp(self, x, upstream):
@@ -186,25 +306,30 @@ class ConvFeaturizer:
         The rectifier mask is computed once and shared by every row; each row
         is then pulled back on its own, ADJOINT_BLOCK images per correlation,
         so an image's result depends neither on the other rows nor on the
-        other images."""
+        other images. The (row, block) tasks run in lanes."""
         images = self._check_batch(images)
         rows, groups, lead = _covector_rows(upstream, self.feature_dim, groups, len(images))
         n, c, h, w = images.shape
-        active = np.empty((n, h * w, self.feature_dim), dtype=bool)
-        for i in range(0, n, IMAGE_BLOCK):
-            np.greater(self._forward(images[i:i + IMAGE_BLOCK]), 0.0,
-                       out=active[i:i + IMAGE_BLOCK])
+        o = self.feature_dim
+        active = np.empty((n, h * w, o), dtype=bool)
+        self.map_blocks(images, lambda block, z: np.greater(z, 0.0, out=active[block]))
         # The adjoint of the padded correlation correlates the cotangent with
         # the spatially flipped kernels, in and out channels swapped.
         flipped = self.kernels[..., ::-1, ::-1].transpose(1, 0, 2, 3)
+        per_image = rows[:, groups, None, None, :] / (h * w)
         grads = np.empty((len(rows),) + images.shape)
-        for r, u in enumerate(rows):
-            per_image = u[groups, None, :] / (h * w)
-            for i in range(0, n, ADJOINT_BLOCK):
-                block = slice(i, i + ADJOINT_BLOCK)
-                cotangent = (active[block] * per_image[block]).reshape(-1, h, w, self.feature_dim)
-                grads[r, block] = (_correlate(cotangent, flipped)
-                                   .reshape(-1, h, w, c).transpose(0, 3, 1, 2))
+        blocks = -(-n // ADJOINT_BLOCK)
+
+        def adjoint(task, work):
+            r, i = divmod(task, blocks)
+            block = slice(i * ADJOINT_BLOCK, (i + 1) * ADJOINT_BLOCK)
+            mask = active[block].reshape(-1, h, w, o)
+            np.multiply(mask, per_image[r, block], out=work.interior[:len(mask)])
+            grads[r, block] = (_correlate(work, len(mask))
+                               .reshape(-1, h, w, c).transpose(0, 3, 1, 2))
+
+        _in_lanes(len(rows) * blocks,
+                  lambda: _Workspace(min(n, ADJOINT_BLOCK), h, w, flipped), adjoint)
         return grads.reshape(lead + images.shape)
 
     def pullback(self, images, upstream, groups=None):
@@ -213,17 +338,32 @@ class ConvFeaturizer:
         return grads, np.arange(grads.shape[-4])
 
 
-def _correlate(maps, kernels):
-    """Zero-padded stride-1 cross-correlation of channels-last maps (N, H, W, C)
-    with kernels (O, C, k, k) -> (N, H*W, O); the im2col of the module docstring."""
-    n, h, w, c = maps.shape
-    k = kernels.shape[2]
-    p = k // 2
-    padded = np.zeros((n, h + 2 * p, w + 2 * p, c))
-    padded[:, p:p + h, p:p + w] = maps
-    windows = sliding_window_view(padded.reshape(n, h + 2 * p, -1), (k, k * c), axis=(1, 2))
-    matrix = kernels.transpose(2, 3, 1, 0).reshape(-1, kernels.shape[0])
-    return windows[:, :, ::c].reshape(n, h * w, -1) @ matrix
+class _Workspace:
+    """Buffers for correlating up to n channels-last (h, w, C) maps with
+    kernels (O, C, k, k): the padded maps, zeroed once so that their border
+    stays zero (callers write only the interior), the window rows, the
+    product, and the kernels as a (k*k*C, O) matrix."""
+
+    def __init__(self, n, h, w, kernels):
+        o, c, k = kernels.shape[:3]
+        p = k // 2
+        self.padded = np.zeros((n, h + 2 * p, w + 2 * p, c))
+        self.interior = self.padded[:, p:p + h, p:p + w]
+        self.rows = np.empty((n, h * w, k * k * c))
+        self.out = np.empty((n, h * w, o))
+        self.matrix = kernels.transpose(2, 3, 1, 0).reshape(-1, o)
+        # Each pixel's k x k window, (n, h, w, k, k*C), and the rows as the same shape.
+        self.windows = sliding_window_view(
+            self.padded.reshape(n, h + 2 * p, -1), (k, k * c), axis=(1, 2))[:, :, ::c]
+        self.window_rows = self.rows.reshape(self.windows.shape)
+
+
+def _correlate(work, n):
+    """Zero-padded stride-1 cross-correlation of the first n maps in
+    work.interior with work's kernels -> (n, H*W, O), a view of work.out;
+    the im2col of the module docstring."""
+    np.copyto(work.window_rows[:n], work.windows[:n])
+    return np.matmul(work.rows[:n], work.matrix, out=work.out[:n])
 
 
 def spatial_mean(maps):

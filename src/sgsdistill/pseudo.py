@@ -12,25 +12,27 @@ import numpy as np
 
 from .datasets import MultiDomainDataset
 from .errors import NotConvolutional, TooFewSamples
-from .featurizers import IMAGE_BLOCK, ConvFeaturizer, spatial_mean
+from .featurizers import ConvFeaturizer, spatial_mean
 from .rng import SeededRng
 
 
 def style_stats_batch(images, psi):
     """Per-channel mean and population std of each image's hidden activations,
     concatenated: (N, C, H, W) -> (N, 2 * channels), one channels-last
-    correlation per block of images."""
+    correlation per block of images (ConvFeaturizer.map_blocks)."""
     if not isinstance(psi, ConvFeaturizer):
         raise NotConvolutional("style statistics need spatial feature maps")
-    images = np.asarray(images, dtype=np.float64)
     f = psi.feature_dim
     out = np.empty((len(images), 2 * f))
-    for i in range(0, len(images), IMAGE_BLOCK):
-        maps = psi.activation_maps(images[i:i + IMAGE_BLOCK])
+
+    def write(block, maps):
+        np.maximum(maps, 0.0, out=maps)
         mean = spatial_mean(maps)
         maps -= mean[:, None, :]
-        out[i:i + IMAGE_BLOCK, :f] = mean
-        out[i:i + IMAGE_BLOCK, f:] = np.sqrt(spatial_mean(maps * maps))
+        out[block, :f] = mean
+        out[block, f:] = np.sqrt(spatial_mean(np.multiply(maps, maps, out=maps)))
+
+    psi.map_blocks(images, write)
     return out
 
 

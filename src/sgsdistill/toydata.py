@@ -87,6 +87,8 @@ class ToySpec:
             raise InvalidSpec("every (domain, class, split) cell must be non-empty")
         if self.jitter < 0 or self.noise_sigma < 0:
             raise InvalidSpec("jitter and noise_sigma must be non-negative")
+        if self.name in ("", ".", "..") or any(ch in self.name for ch in "/\\\0"):
+            raise InvalidSpec(f"name must be a plain file stem, got {self.name!r}")
 
     @property
     def domain_count(self):

@@ -4,13 +4,16 @@ import os
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sgsdistill import cli
+from sgsdistill import cli, featurizers
 from sgsdistill.cli import run
 from sgsdistill.errors import InvalidConfig
 from sgsdistill.evaluation import EvalConfig
+from sgsdistill.featurizers import ConvFeaturizer
 from sgsdistill.pipeline import DistillConfig, FeaturizerSpec
+from sgsdistill.rng import SeededRng
 from sgsdistill.toydata import ToySpec, sdg_toy_spec
 
 SMALL_CFG = {
@@ -199,6 +202,25 @@ def test_sweep_zero_cell_equals_dm_baseline(tmp_path):
     assert zero_row_mean == pytest.approx(baseline, abs=5e-7)  # CSV keeps 6 digits
 
 
+def test_sweep_workers_after_a_laned_call_match_a_serial_sweep(monkeypatch, tmp_path):
+    # The parent's lanes have started threads before the pool forks its
+    # workers; each worker runs one lane and the cells give the serial bytes.
+    monkeypatch.setattr(featurizers, "_usable_cpus", lambda: 2)
+    psi = ConvFeaturizer.create(3, 4, 3, SeededRng(5))
+    psi.features_batch(np.zeros((2 * featurizers.IMAGE_BLOCK, 3, 8, 8)))
+    assert featurizers._pool is not None
+    cfg = {**SMALL_CFG, "distill": {"ipc": 4, "iterations": 3, "featurizer": {"kind": "conv"}}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    csvs = []
+    for jobs in ("2", "1"):
+        out = tmp_path / f"jobs{jobs}"
+        assert run(["sweep", "--config", str(cfg_path), "--out", str(out), "--param",
+                    "lambda-c", "--values", "0,1", "--seed", "3", "--jobs", jobs]) == 0
+        csvs.append((out / "sweep.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 def test_sweep_over_pseudo_domain_counts(tmp_path):
     # Enough samples per cell that every (pseudo-domain, class) pair stays
     # populated after clustering the tinted source.
@@ -239,7 +261,8 @@ class _InlinePool:
 
     sizes = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer):
+        assert initializer is featurizers.one_lane   # never nest pools
         self.sizes.append(max_workers)
 
     def __enter__(self):
@@ -295,6 +318,29 @@ def test_pseudo_domain_count_is_checked_before_any_output(tmp_path, argv):
     out = tmp_path / "out"
     assert run([*argv, "--out", str(out)]) == 1
     assert not (out / "resolved_config.json").exists()
+
+
+@pytest.mark.parametrize("name", ["../escape", "", ".", "..", "a/b", "a\\b"])
+def test_toy_name_must_be_a_plain_file_stem(tmp_path, name):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"toy": {"name": name}}))
+    out = tmp_path / "o"
+    assert run(["gen-data", "--config", str(cfg), "--out", str(out)]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("data", ["generated", "file"])
+def test_unknown_sdg_source_domain_fails_before_any_output(tmp_path, capsys, cfg_path, data):
+    flags = []
+    if data == "file":
+        assert run(["gen-data", "--config", cfg_path, "--out", str(tmp_path / "data")]) == 0
+        flags = ["--data", str(tmp_path / "data" / "toy.dgdd")]
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(["eval", "--config", cfg_path, "--out", str(out), "--protocol", "sdg",
+                "--source-domain", "9", *flags]) == 2
+    assert "source domain 9 does not exist" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_readme_sdg_example_runs_on_the_default_toy_data(tmp_path):

@@ -1,6 +1,13 @@
+import os
+import signal
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from sgsdistill import featurizers
 from sgsdistill.errors import NotConvolutional, ShapeMismatch
 from sgsdistill.featurizers import IMAGE_BLOCK, ConvFeaturizer, LinearFeaturizer, mean_features
 from sgsdistill.rng import SeededRng
@@ -285,3 +292,117 @@ def test_grouped_vjp_batch_matches_per_image_vjp_and_rows_stand_alone(kind):
     for bad in (np.ones(6), np.ones((3, 4, 5)), np.ones((2, 3, 4, 6))):
         with pytest.raises(ShapeMismatch):
             psi.pullback(images, bad, groups=groups)
+
+
+# Batch sizes around the block edges: no block, one short block, a full
+# block plus one image, and several blocks with a short last one.
+LANE_BATCHES = [0, 1, IMAGE_BLOCK - 1, IMAGE_BLOCK + 1, 3 * IMAGE_BLOCK + 5]
+
+
+@pytest.mark.parametrize("n", LANE_BATCHES)
+def test_conv_outputs_do_not_depend_on_the_lane_count(monkeypatch, n):
+    rng = SeededRng(70)
+    psi = ConvFeaturizer.create(3, 4, 3, rng.substream(0))
+    images = rng.substream(1).normal(size=(n, 3, 5, 7))
+    groups = rng.substream(2).integers(0, 3, size=n)
+    grouped = rng.substream(3).normal(size=(2, 3, 4))
+    stacked = rng.substream(4).normal(size=(3, 4))
+    results = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(featurizers, "_usable_cpus", lambda: cpus)
+        results.append([psi.features_batch(images),
+                        psi.vjp_batch(images, grouped, groups=groups),
+                        psi.vjp_batch(images, stacked)])
+    for one, three in zip(*results):
+        assert one.shape == three.shape and one.tobytes() == three.tobytes()
+
+
+def test_lanes_run_every_task_once_in_their_own_workspace(monkeypatch):
+    # More lanes than this host may have CPUs, switching threads often: every
+    # task runs exactly once, lane 0 on the calling thread, each lane with
+    # the one workspace made for it.
+    monkeypatch.setattr(featurizers, "_usable_cpus", lambda: 5)
+    seen = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            seen.clear()
+            featurizers._in_lanes(23, lambda: [], lambda task, work: (
+                work.append(task), seen.append((task, threading.get_ident(), id(work)))))
+            assert sorted(task for task, _, _ in seen) == list(range(23))
+            lane_of = {}
+            for task, thread, work in seen:
+                assert lane_of.setdefault(task % 5, (thread, work)) == (thread, work)
+            assert lane_of[0][0] == threading.get_ident()
+            assert len({work for _, work in lane_of.values()}) == 5
+    finally:
+        sys.setswitchinterval(interval)
+
+    def fail(task, work):
+        if task == 3:
+            raise ValueError("lane error")
+    with pytest.raises(ValueError, match="lane error"):
+        featurizers._in_lanes(8, lambda: None, fail)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+@pytest.mark.parametrize("allowed", [True, False])
+def test_lane_threads_hold_one_cpu_each_where_allowed(monkeypatch, allowed):
+    monkeypatch.setattr(featurizers, "_pool", None)   # a fresh pool runs its initializer
+    monkeypatch.setattr(featurizers, "_usable_cpus", lambda: 2)
+    if not allowed:
+        def refuse(pid, cpus):
+            raise PermissionError("affinity is not ours to set")
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    seen = {}
+    featurizers._in_lanes(2, lambda: None,
+                          lambda task, work: seen.setdefault(task, os.sched_getaffinity(0)))
+    featurizers._pool[1].shutdown()
+    mask = os.sched_getaffinity(0)
+    assert seen[0] == mask   # the calling thread stays free
+    assert seen[1] == ({sorted(mask)[1 % len(mask)]} if allowed else mask)
+
+
+@pytest.mark.parametrize("single", ["one usable cpu", "one_lane"])
+def test_a_single_lane_starts_no_thread(monkeypatch, single):
+    monkeypatch.setattr(featurizers, "_pool", None)
+    monkeypatch.setattr(featurizers, "_lane_cap", None)
+    monkeypatch.setattr(featurizers, "_usable_cpus", lambda: 1 if single == "one usable cpu" else 4)
+    if single == "one_lane":
+        featurizers.one_lane()
+    threads = threading.active_count()
+    rng = SeededRng(71)
+    psi = ConvFeaturizer.create(3, 4, 3, rng.substream(0))
+    images = rng.substream(1).normal(size=(2 * IMAGE_BLOCK + 1, 3, 5, 7))
+    psi.features_batch(images)
+    psi.vjp_batch(images, rng.substream(2).normal(size=(3, 4)))
+    assert featurizers._pool is None
+    assert threading.active_count() == threads
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork here")
+def test_a_forked_child_makes_its_own_lane_pool(monkeypatch):
+    # The parent's pool threads do not exist in a forked child; the child's
+    # laned calls must start their own instead of waiting on them forever.
+    monkeypatch.setattr(featurizers, "_usable_cpus", lambda: 2)
+    rng = SeededRng(72)
+    psi = ConvFeaturizer.create(3, 4, 3, rng.substream(0))
+    images = rng.substream(1).normal(size=(2 * IMAGE_BLOCK + 1, 3, 5, 7))
+    expected = psi.features_batch(images).tobytes()
+    assert featurizers._pool is not None
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if psi.features_batch(images).tobytes() == expected else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if status[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's laned call did not finish")
+    assert os.waitstatus_to_exitcode(status[1]) == 0

@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from sgsdistill import featurizers
 from sgsdistill.errors import NotConvolutional, TooFewSamples
-from sgsdistill.featurizers import ConvFeaturizer, LinearFeaturizer
+from sgsdistill.featurizers import IMAGE_BLOCK, ConvFeaturizer, LinearFeaturizer
 from sgsdistill.pseudo import (
     ClusterModel,
     cluster_purity,
@@ -14,6 +15,18 @@ from sgsdistill.pseudo import (
 from sgsdistill.rng import SeededRng
 
 from helpers import naive_correlate
+
+
+@pytest.mark.parametrize("n", [0, 1, IMAGE_BLOCK - 1, IMAGE_BLOCK + 1, 3 * IMAGE_BLOCK + 5])
+def test_style_stats_do_not_depend_on_the_lane_count(monkeypatch, n):
+    rng = SeededRng(21)
+    psi = ConvFeaturizer.create(3, 4, 3, rng.substream(0))
+    images = rng.substream(1).normal(size=(n, 3, 5, 7))
+    stats = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(featurizers, "_usable_cpus", lambda: cpus)
+        stats.append(style_stats_batch(images, psi))
+    assert stats[0].shape == (n, 8) and stats[0].tobytes() == stats[1].tobytes()
 
 
 def test_constant_activation_plane_stats():
