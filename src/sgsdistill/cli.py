@@ -39,7 +39,7 @@ from .evaluation import (
     sdg_protocol,
     toy_protocol_config,
 )
-from .featurizers import one_lane
+from . import featurizers
 from .pipeline import DistillConfig, checkpoint, run_distillation, surgery_snapshot
 from .pseudo import assign_pseudo_domains, cluster_purity, default_style_featurizer
 from .rng import SeededRng
@@ -376,12 +376,12 @@ def _cmd_sweep(args):
     out = args.out
     _write_resolved(settings, out)
     cells = [(settings, param, v, args.data) for v in values]
-    workers = min(args.jobs, len(cells), os.cpu_count() or 1)
+    workers = min(args.jobs, len(cells), featurizers._usable_cpus())
     if workers > 1:
         # Each worker process is one lane of this pool: its featurizer loops
         # run on its own thread only, so pools never nest.
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers,
-                                                    initializer=one_lane) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers, initializer=featurizers.one_lane) as pool:
             futures = [pool.submit(_sweep_cell, *cell) for cell in cells]
             results = [f.result() for f in futures]
     else:

@@ -2,7 +2,8 @@
 
 Both featurizers are frozen at construction (no training), so every gradient
 that flows through them is analytically checkable against finite differences.
-Weights are zero-mean Gaussian with variance 1/fan-in, drawn from a SeededRng.
+Weights are zero-mean Gaussian with variance 1/fan-in, drawn by
+`linear_weights` and `conv_weights` from a SeededRng or its numpy generator.
 
 The conv featurizer's forward pass, adjoint and style maps share one
 channels-last im2col, `_correlate`: pad the (N, H, W, C) input once, copy
@@ -20,6 +21,10 @@ Each lane correlates in buffers the caller allocated for it before the
 lanes start, and writes disjoint slices of the caller's output. Each image's
 window matrix is its own gemm, so results are bitwise the same for any
 lane count and any block size. With one usable CPU no thread is started.
+
+`draw_ahead` starts one weight draw on that pool while the caller goes on,
+as the distillation loop draws its next featurizer; it too runs on the
+calling thread wherever the loops run one lane.
 """
 
 import concurrent.futures
@@ -137,6 +142,35 @@ def _in_lanes(tasks, workspace, run):
         future.result()
 
 
+def draw_ahead(draw, rng: SeededRng):
+    """Start draw(rng.generator) on a lane of the module pool and return its
+    Future, so the caller's next work overlaps it. The lane calls numpy only:
+    rng was derived on the calling thread, and draw must call only `normal`
+    on its argument. Wherever the laned loops run one lane (one usable CPU,
+    or under one_lane) draw(rng) runs here instead, through SeededRng.normal,
+    which is the generator's normal; no thread is started. The caller waits
+    for the Future before it returns."""
+    if (_lane_cap or _usable_cpus()) > 1:
+        return _executor(1).submit(draw, rng.generator)
+    future = concurrent.futures.Future()
+    future.set_result(draw(rng))
+    return future
+
+
+def linear_weights(input_shape, feature_dim, rng):
+    """A (feature_dim, pixels) LinearFeaturizer weight; rng is a SeededRng or
+    anything else with its `normal(loc, scale, size)`."""
+    d = int(np.prod(input_shape))
+    return rng.normal(0.0, 1.0 / np.sqrt(d), size=(feature_dim, d))
+
+
+def conv_weights(in_channels, out_channels, kernel_size, rng):
+    """(out, in, k, k) ConvFeaturizer kernels, drawn as linear_weights is."""
+    fan_in = in_channels * kernel_size * kernel_size
+    shape = (out_channels, in_channels, kernel_size, kernel_size)
+    return rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape)
+
+
 class LinearFeaturizer:
     """Random linear projection of flattened grids: features = W @ x.ravel()."""
 
@@ -150,8 +184,7 @@ class LinearFeaturizer:
 
     @classmethod
     def create(cls, input_shape, feature_dim, rng: SeededRng):
-        d = int(np.prod(input_shape))
-        return cls(rng.normal(0.0, 1.0 / np.sqrt(d), size=(feature_dim, d)))
+        return cls(linear_weights(input_shape, feature_dim, rng))
 
     @property
     def feature_dim(self):
@@ -220,9 +253,7 @@ class ConvFeaturizer:
 
     @classmethod
     def create(cls, in_channels, out_channels, kernel_size, rng: SeededRng):
-        fan_in = in_channels * kernel_size * kernel_size
-        shape = (out_channels, in_channels, kernel_size, kernel_size)
-        return cls(rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape))
+        return cls(conv_weights(in_channels, out_channels, kernel_size, rng))
 
     @property
     def feature_dim(self):

@@ -2,7 +2,11 @@
 
 Iteration t draws its featurizer and, when batch_per_class > 0, class-balanced
 minibatches of the real domain views from streams keyed by t
-(`_iteration_inputs`, shared with the surgery snapshot). One matching pass
+(`_iteration_inputs`, shared with the surgery snapshot). The loop draws
+iteration t + 1's featurizer weights on a lane of the featurizer pool while
+iteration t runs (`featurizers.draw_ahead`; inline where there is one lane),
+and waits for that draw before it returns or raises; the snapshot draws its
+featurizer through the same routine, `_draw_featurizer`. One matching pass
 gives the pooled and per-domain gradients of every class (one featurization
 per real view, one synthetic forward and one pullback, see
 `dm.matching_rows`), and the distinct gradient rows and each sample's row
@@ -18,6 +22,8 @@ keying the streams by iteration makes a restored checkpoint continue
 bit-identically to a run that never stopped.
 """
 
+import concurrent.futures
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +33,8 @@ from .datasets import DataView, MultiDomainDataset, SyntheticSet
 # dm_gradient is not called here; perfbench/tracer.py wraps this name.
 from .dm import dm_gradient, matching_rows
 from .errors import DistillError, EmptyClass, InvalidConfig, TooFewDomains
-from .featurizers import ConvFeaturizer, LinearFeaturizer
+from .featurizers import (ConvFeaturizer, LinearFeaturizer, conv_weights, draw_ahead,
+                          linear_weights)
 from .rng import SeededRng
 from .surgery import SurgeryWeights, batch_consensus_maps, batch_surgery_updates
 
@@ -55,10 +62,16 @@ class FeaturizerSpec:
         if self.dim < 1 or self.channels < 1 or self.kernel < 1 or self.kernel % 2 == 0:
             raise InvalidConfig("featurizer dimensions must be positive (kernel odd)")
 
-    def build(self, image_shape, rng: SeededRng):
+    def draw(self, image_shape, rng):
+        """Weights for images of image_shape, from a SeededRng or its numpy
+        generator (`featurizers.linear_weights` and `conv_weights`)."""
         if self.kind == "linear":
-            return LinearFeaturizer.create(image_shape, self.dim, rng)
-        return ConvFeaturizer.create(image_shape[0], self.channels, self.kernel, rng)
+            return linear_weights(image_shape, self.dim, rng)
+        return conv_weights(image_shape[0], self.channels, self.kernel, rng)
+
+    def holding(self, weights):
+        """The featurizer of this kind with weights that `draw` returned."""
+        return (LinearFeaturizer if self.kind == "linear" else ConvFeaturizer)(weights)
 
 
 @dataclass(frozen=True)
@@ -203,10 +216,18 @@ def _subsample_view(view, per_class, rng):
                     uids=None if view.uids is None else view.uids[keep])
 
 
-def _iteration_inputs(source, cfg, rng, t, domain_views):
-    """Iteration t's featurizer and real views: the domain train views, or
-    their class-balanced minibatches when batch_per_class > 0."""
-    psi = cfg.featurizer.build(source.image_shape, rng.substream(_STREAM_FEATURIZER, t))
+def _draw_featurizer(source, cfg, rng, t):
+    """Start drawing iteration t's featurizer weights (`featurizers.draw_ahead`)
+    and return the Future; the stream is derived here, on the calling thread."""
+    return draw_ahead(functools.partial(cfg.featurizer.draw, source.image_shape),
+                      rng.substream(_STREAM_FEATURIZER, t))
+
+
+def _iteration_inputs(source, cfg, rng, t, domain_views, weights):
+    """Iteration t's featurizer, holding the weights drawn from its stream, and
+    real views: the domain train views, or their class-balanced minibatches
+    when batch_per_class > 0."""
+    psi = cfg.featurizer.holding(weights)
     if cfg.batch_per_class == 0:
         return psi, domain_views
     return psi, [_subsample_view(view, cfg.batch_per_class, rng.substream(_STREAM_BATCH, t, s))
@@ -233,23 +254,36 @@ def run_distillation(source: MultiDomainDataset, cfg: DistillConfig, initial=Non
     weights = cfg.weights()
     history = []
 
-    for t in range(synthetic.iteration, cfg.iterations):
-        psi, real_domains = _iteration_inputs(source, cfg, rng, t, domain_views)
-        rows, index, losses = matching_rows(synthetic, real_domains, psi,
-                                            per_domain=cfg.algorithm != "dm")
-        history.append((t, *losses.tolist()))
-        if cfg.algorithm == "dm":
-            updates = rows[0][index]
-        else:
-            updates = batch_surgery_updates(rows[1:], rows[0], synthetic.domains, weights,
-                                            rows=index)
-        synthetic.images = synthetic.images - cfg.eta * updates
-        if not np.isfinite(history[-1][1]) or not np.all(np.isfinite(synthetic.images)):
-            raise DistillError(f"non-finite state at iteration {t}")
-        synthetic.iteration = t + 1
-        if checkpoint_dir is not None and cfg.checkpoint_every > 0 \
-                and synthetic.iteration % cfg.checkpoint_every == 0:
-            checkpoint(synthetic, f"{checkpoint_dir}/checkpoint_{synthetic.iteration:06d}.dgck")
+    # Iteration t + 1's weights are drawn on a lane while iteration t runs.
+    start = synthetic.iteration
+    ahead = None
+    try:
+        if start < cfg.iterations:
+            ahead = _draw_featurizer(source, cfg, rng, start)
+        for t in range(start, cfg.iterations):
+            drawn = ahead.result()
+            ahead = (_draw_featurizer(source, cfg, rng, t + 1)
+                     if t + 1 < cfg.iterations else None)
+            psi, real_domains = _iteration_inputs(source, cfg, rng, t, domain_views, drawn)
+            rows, index, losses = matching_rows(synthetic, real_domains, psi,
+                                                per_domain=cfg.algorithm != "dm")
+            history.append((t, *losses.tolist()))
+            if cfg.algorithm == "dm":
+                updates = rows[0][index]
+            else:
+                updates = batch_surgery_updates(rows[1:], rows[0], synthetic.domains, weights,
+                                                rows=index)
+            synthetic.images = synthetic.images - cfg.eta * updates
+            if not np.isfinite(history[-1][1]) or not np.all(np.isfinite(synthetic.images)):
+                raise DistillError(f"non-finite state at iteration {t}")
+            synthetic.iteration = t + 1
+            if checkpoint_dir is not None and cfg.checkpoint_every > 0 \
+                    and synthetic.iteration % cfg.checkpoint_every == 0:
+                checkpoint(synthetic,
+                           f"{checkpoint_dir}/checkpoint_{synthetic.iteration:06d}.dgck")
+    finally:
+        if ahead is not None:   # no draw outlives the call
+            concurrent.futures.wait([ahead])
     return RunResult(synthetic=synthetic, history=history, domain_count=s_count)
 
 
@@ -263,8 +297,9 @@ def surgery_snapshot(source: MultiDomainDataset, cfg: DistillConfig,
     if source.domain_count < 2:
         raise TooFewDomains("surgery snapshot needs at least two domains")
     domain_views = [source.train_view(domain=s) for s in range(source.domain_count)]
-    psi, real_domains = _iteration_inputs(source, cfg, SeededRng(cfg.seed),
-                                          synthetic.iteration, domain_views)
+    rng, t = SeededRng(cfg.seed), synthetic.iteration
+    psi, real_domains = _iteration_inputs(source, cfg, rng, t, domain_views,
+                                          _draw_featurizer(source, cfg, rng, t).result())
     rows, index, _ = matching_rows(synthetic, real_domains, psi)
     return batch_consensus_maps(rows[1:], cfg.epsilon, rows=index)
 

@@ -283,12 +283,15 @@ class _InlinePool:
     (2, "0,1,2", 4, 2),      # as asked
     (1, "0,1,2", 4, None),   # serial
     (4, "0", 4, None),       # one cell runs serially
+    (2, "0,1,2", 1, None),   # one CPU in the affinity mask runs serially
 ])
 def test_sweep_pool_size(monkeypatch, tmp_path, jobs, values, cpus, pool):
     _InlinePool.sizes = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(cli, "_sweep_cell", lambda resolved, param, value, data: (value, 0.0))
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    # The pool counts the CPUs in the affinity mask, not the machine's.
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(featurizers, "_usable_cpus", lambda: cpus)
     out = tmp_path / "sw"
     assert run(["sweep", "--out", str(out), "--param", "lambda-c", "--values", values,
                 "--jobs", str(jobs)]) == 0

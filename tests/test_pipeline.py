@@ -1,12 +1,17 @@
+import functools
+import threading
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from sgsdistill.datasets import TRAIN, DataView
 from sgsdistill.dm import dm_gradient, dm_loss
 from sgsdistill.errors import DistillError, EmptyClass, InvalidConfig, IoError, TooFewDomains
 from sgsdistill.evaluation import assert_protocol_isolation
-from sgsdistill import pipeline, storage
+from sgsdistill.featurizers import ConvFeaturizer, LinearFeaturizer
+from sgsdistill import featurizers, pipeline, storage
 from sgsdistill.pipeline import (
     _STREAM_BATCH,
     _STREAM_FEATURIZER,
@@ -18,6 +23,7 @@ from sgsdistill.pipeline import (
     restore,
     run_distillation,
     surgery_snapshot,
+    _draw_featurizer,
     _iteration_inputs,
     _subsample_view,
 )
@@ -41,7 +47,9 @@ def toy():
 def first_inputs(source, cfg, t=0):
     """Iteration t's featurizer and real views, as the loop draws them."""
     views = [source.train_view(domain=s) for s in range(source.domain_count)]
-    return _iteration_inputs(source, cfg, SeededRng(cfg.seed), t, views)
+    rng = SeededRng(cfg.seed)
+    return _iteration_inputs(source, cfg, rng, t, views,
+                             _draw_featurizer(source, cfg, rng, t).result())
 
 
 def test_uniform_pattern_with_remainder(toy):
@@ -286,9 +294,9 @@ def test_fixed_featurizer_is_the_first_draw_and_featurizes_each_view_once(monkey
     cfg = DistillConfig(ipc=3, iterations=4, seed=19, featurizer=spec)
     # Iteration t's featurizer is the stream's draw keyed by t.
     psi, views = first_inputs(toy, cfg)
-    drawn = spec.build(toy.image_shape, SeededRng(cfg.seed).substream(_STREAM_FEATURIZER, 0))
-    weights = (lambda f: f.weight) if kind == "linear" else (lambda f: f.kernels)
-    assert weights(psi).tobytes() == weights(drawn).tobytes()
+    drawn = spec.draw(toy.image_shape, SeededRng(cfg.seed).substream(_STREAM_FEATURIZER, 0))
+    weights = psi.weight if kind == "linear" else psi.kernels
+    assert weights.tobytes() == drawn.tobytes()
     first = run_distillation(toy, replace(cfg, iterations=1))
     assert first.history[0][1] == pytest.approx(
         dm_loss(initialize(toy, cfg), toy.train_view(), psi), rel=1e-12)
@@ -425,3 +433,135 @@ def test_failed_checkpoint_write_leaves_no_files(monkeypatch, tmp_path, toy):
     with pytest.raises(IoError):
         checkpoint(synthetic, tmp_path / "state.dgck")
     assert list(tmp_path.iterdir()) == []
+
+
+def spy_draws(monkeypatch, record):
+    """Wrap FeaturizerSpec.draw: record(weights, rng) after every draw, on the
+    thread that drew."""
+    draw = FeaturizerSpec.draw
+
+    def spy(spec, image_shape, rng):
+        weights = draw(spec, image_shape, rng)
+        record(weights, rng)
+        return weights
+
+    monkeypatch.setattr(FeaturizerSpec, "draw", spy)
+    return draw
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("batch_per_class", [0, 4])
+def test_outputs_do_not_depend_on_the_lane_count(monkeypatch, tmp_path, toy, kind,
+                                                 batch_per_class):
+    # Iteration t + 1's featurizer is drawn on a lane with two, inline with one.
+    cfg = DistillConfig(ipc=3, iterations=5, seed=20, featurizer=KINDS[kind],
+                        batch_per_class=batch_per_class, checkpoint_every=2)
+    outputs = []
+    for lanes in (1, 2):
+        monkeypatch.setattr(featurizers, "_usable_cpus", lambda: lanes)
+        fresh_dir, resumed_dir = tmp_path / f"fresh{lanes}", tmp_path / f"resumed{lanes}"
+        fresh_dir.mkdir()
+        resumed_dir.mkdir()
+        fresh = run_distillation(toy, cfg, checkpoint_dir=str(fresh_dir))
+        resumed = run_distillation(toy, cfg, initial=restore(fresh_dir / "checkpoint_000002.dgck"),
+                                   checkpoint_dir=str(resumed_dir))
+        outputs.append([(res.synthetic.images.tobytes(), repr(res.history),
+                         {p.name: p.read_bytes() for p in folder.iterdir()})
+                        for res, folder in ((fresh, fresh_dir), (resumed, resumed_dir))])
+    assert sorted(outputs[0][0][2]) == ["checkpoint_000002.dgck", "checkpoint_000004.dgck"]
+    assert sorted(outputs[0][1][2]) == ["checkpoint_000004.dgck"]
+    assert outputs[0] == outputs[1]
+
+
+def test_a_run_draws_each_of_its_iterations_once(monkeypatch, toy):
+    monkeypatch.setattr(featurizers, "_usable_cpus", lambda: 2)
+    drawn = []
+    draw = spy_draws(monkeypatch, lambda weights, rng: drawn.append(weights.tobytes()))
+    cfg = DistillConfig(ipc=3, iterations=6, seed=21, **FAST)
+    stream = SeededRng(cfg.seed)
+
+    def expected(iterations):
+        return sorted(draw(cfg.featurizer, toy.image_shape,
+                           stream.substream(_STREAM_FEATURIZER, t).generator).tobytes()
+                      for t in iterations)
+
+    half = run_distillation(toy, replace(cfg, iterations=3)).synthetic
+    assert sorted(drawn) == expected(range(3))
+    drawn.clear()
+    done = run_distillation(toy, cfg, initial=half).synthetic
+    assert sorted(drawn) == expected(range(3, 6))
+    drawn.clear()
+    assert run_distillation(toy, cfg, initial=done).history == []
+    assert drawn == []
+
+
+def test_a_failed_run_leaves_no_draw_running_or_queued(monkeypatch, toy):
+    monkeypatch.setattr(featurizers, "_usable_cpus", lambda: 2)
+    events = []
+    spy_draws(monkeypatch, lambda weights, rng: (time.sleep(0.05), events.append("drawn")))
+    matching = pipeline.matching_rows
+
+    def failing(synthetic, *args, **kwargs):
+        if synthetic.iteration == 3:
+            raise RuntimeError("matching failed")
+        return matching(synthetic, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "matching_rows", failing)
+    with pytest.raises(RuntimeError, match="matching failed"):
+        run_distillation(toy, DistillConfig(ipc=3, iterations=8, seed=22, **FAST))
+    # Iterations 0-3 and the one drawn ahead, 4, have all finished drawing.
+    assert len(events) == 5
+    time.sleep(0.2)
+    assert len(events) == 5
+
+
+@pytest.mark.parametrize("single", ["one usable cpu", "one_lane"])
+def test_a_single_lane_run_starts_no_thread(monkeypatch, toy, single):
+    monkeypatch.setattr(featurizers, "_pool", None)
+    monkeypatch.setattr(featurizers, "_lane_cap", None)
+    monkeypatch.setattr(featurizers, "_usable_cpus", lambda: 1 if single == "one usable cpu" else 4)
+    if single == "one_lane":
+        featurizers.one_lane()
+    sources = []
+    spy_draws(monkeypatch, lambda weights, rng: sources.append(type(rng)))
+    threads = threading.active_count()
+    res = run_distillation(toy, DistillConfig(ipc=3, iterations=4, seed=23, **FAST))
+    assert res.synthetic.iteration == 4
+    assert featurizers._pool is None
+    assert threading.active_count() == threads
+    # Inline draws go through SeededRng.normal, as perfbench/tracer.py sees them.
+    assert sources == [SeededRng] * 4
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_lanes_call_no_rng_or_featurizer_method(monkeypatch, toy, kind):
+    # perfbench/tracer.py wraps these names, and its span stack belongs to
+    # one thread: lanes may call numpy only.
+    monkeypatch.setattr(featurizers, "_usable_cpus", lambda: 2)
+    callers = set()
+
+    def recording(fn):
+        @functools.wraps(fn)
+        def recorded(*args, **kwargs):
+            callers.add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return recorded
+
+    for cls in (SeededRng, LinearFeaturizer, ConvFeaturizer):
+        for name, attr in list(vars(cls).items()):
+            if cls is not SeededRng and name.startswith("_") and name != "__init__":
+                continue
+            if isinstance(attr, classmethod):
+                monkeypatch.setattr(cls, name, classmethod(recording(attr.__func__)))
+            elif isinstance(attr, property):
+                monkeypatch.setattr(cls, name, property(recording(attr.fget)))
+            elif callable(attr):
+                monkeypatch.setattr(cls, name, recording(attr))
+    drawn_on = []
+    spy_draws(monkeypatch, lambda weights, rng: drawn_on.append(threading.get_ident()))
+    res = run_distillation(toy, DistillConfig(ipc=3, iterations=4, seed=24,
+                                              featurizer=KINDS[kind]))
+    assert res.synthetic.iteration == 4
+    assert callers == {threading.get_ident()}
+    # Every iteration's featurizer is drawn on a lane.
+    assert len(drawn_on) == 4 and threading.get_ident() not in drawn_on
