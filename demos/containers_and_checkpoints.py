@@ -55,7 +55,7 @@ with tempfile.TemporaryDirectory() as td:
         fh.write(struct.pack(">4i", 0x803, 12, 28, 28) + pixels.tobytes())
     with open(lpath, "wb") as fh:
         fh.write(struct.pack(">2i", 0x801, 12) + labels.tobytes())
-    digits = import_idx(ipath, lpath, domain_id=0)
+    digits = import_idx(ipath, lpath)
     print(f"\nIDX import: {digits.images.shape[0]} images at "
           f"{digits.images.shape[2]}x{digits.images.shape[3]}, "
           f"pixel range [{digits.images.min():.2f}, {digits.images.max():.2f}]")

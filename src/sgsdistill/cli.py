@@ -30,6 +30,7 @@ from .errors import (
     InvalidConfig,
     InvalidSpec,
     IoError,
+    TooFewDomains,
     UnknownDomain,
 )
 from .evaluation import (
@@ -57,7 +58,8 @@ class _Parser(argparse.ArgumentParser):
 
 # Options an earlier version had. Their defaults are what the loop does now,
 # so a resolved config an earlier version wrote still reproduces its outputs.
-_REMOVED_OPTIONS = {"momentum": 0.0, "clamp": False, "resample_featurizer": True}
+_REMOVED_OPTIONS = {"momentum": 0.0, "clamp": False, "resample_featurizer": True,
+                    "algorithm": "sgs"}
 
 # The distill fields a flag of the same name overrides (--iters sets iterations).
 _DISTILL_FLAGS = ("lambda_c", "lambda_d", "ipc", "iterations", "eta", "epsilon", "init")
@@ -78,8 +80,8 @@ class OracleConfig:
         if len(s) < 3 or s[0] < 2 or any(b <= a for a, b in zip(s, s[1:])):
             raise InvalidConfig("s_list needs at least three strictly increasing "
                                 f"domain counts of at least 2, got {list(s)}")
-        if self.trials < 1 or self.sweep_trials < 1:
-            raise InvalidConfig("trials and sweep_trials must be at least 1")
+        if self.trials < 2 or self.sweep_trials < 2:
+            raise InvalidConfig("trials and sweep_trials must be at least 2")
         if self.sweep_domains < 2:
             raise InvalidConfig("sweep_domains must be at least 2")
         if not self.halfwidths or not all(0 <= a <= 1 for a in self.halfwidths):
@@ -252,9 +254,11 @@ def _cmd_gen_data(args):
 
 def _cmd_distill(args):
     settings = _resolve(args)
+    source = _dataset_for(args.data, settings)
+    if (settings.distill.surgery or args.dump_rmaps) and source.domain_count < 2:
+        raise TooFewDomains(f"surgery needs 2 domains, the data has {source.domain_count}")
     out = args.out
     _write_resolved(settings, out)
-    source = _dataset_for(args.data, settings)
     result = run_distillation(source, settings.distill, checkpoint_dir=out)
     final_path = os.path.join(out, "distilled.dgck")
     checkpoint(result.synthetic, final_path)
@@ -275,6 +279,9 @@ def _cmd_eval(args):
     ds = _dataset_for(args.data, settings)
     if k is not None and not 0 <= args.source_domain < ds.domain_count:
         raise UnknownDomain(f"source domain {args.source_domain} does not exist")
+    if k is None and ds.domain_count < 3:
+        raise TooFewDomains(f"leave-one-domain-out needs 3 domains, "
+                            f"the data has {ds.domain_count}")
     out = args.out
     config_hash = _write_resolved(settings, out)
     distiller = config_distiller(settings.distill)
@@ -303,7 +310,7 @@ def _cmd_oracle(args):
     out = args.out
     config_hash = _write_resolved(settings, out)
     seed, oracle = settings.seed, settings.oracle
-    uniform = SpectralModel(shared=1.0 + 0.0j, phase_halfwidth=np.pi, trials=oracle.trials)
+    uniform = SpectralModel(shared=1.0 + 0.0j, phase_halfwidth=np.pi)
     decay = attenuation_curve(uniform, oracle.s_list, SeededRng(seed, (1,)),
                               trials=oracle.trials)
     storage.export_metrics_csv(decay, os.path.join(out, "decay_curve.csv"))

@@ -82,8 +82,6 @@ class MultiDomainDataset:
     splits: np.ndarray
     class_count: int
     domain_count: int
-    name: str = ""
-    seed: int | None = None
     uids: np.ndarray | None = None
     extras: dict = field(default_factory=dict)  # per-sample annotations, not serialized
 

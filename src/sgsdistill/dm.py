@@ -13,8 +13,9 @@ synthetic class means come from one forward, and one `pullback` of the
 (S + 1, classes) covectors returns distinct gradient rows plus each image's
 row (one row per class under the linear featurizer). Every covector row is
 pulled back on its own, so the pooled row is bitwise the same whether or not
-the domain rows ride along. `dm_gradient` gathers the pooled rows to the
-images; `dm_loss` stops before the pullback.
+the domain rows ride along (the loop asks for them only at a positive surgery
+strength). `dm_gradient` gathers the pooled rows to the images; `dm_loss`
+stops before the pullback.
 """
 
 from dataclasses import dataclass

@@ -33,7 +33,6 @@ def derive_seed(base, *keys):
 class SoftmaxClassifier:
     weight: np.ndarray  # (classes, pixels)
     bias: np.ndarray    # (classes,)
-    trained: bool = False
     loss_history: list = field(default_factory=list)
 
     def logits(self, images):
@@ -82,7 +81,6 @@ def train_classifier(view, epochs, lr):
         clf.loss_history.append(loss)
         clf.weight -= lr * grad_w
         clf.bias -= lr * grad_b
-    clf.trained = epochs > 0
     return clf
 
 
@@ -189,7 +187,7 @@ def config_distiller(cfg: DistillConfig):
 
 def real_subsample_distiller(ipc):
     """Identity baseline: uniform per-domain real images, no optimization."""
-    cfg = DistillConfig(ipc=ipc, iterations=0, init="uniform", algorithm="dm")
+    cfg = DistillConfig(ipc=ipc, iterations=0, init="uniform", lambda_c=0.0, lambda_d=0.0)
     return config_distiller(cfg)
 
 
@@ -228,7 +226,7 @@ def mdg_protocol(all_domains: MultiDomainDataset, distill_fn, eval_cfg: EvalConf
 
 
 def sdg_protocol(all_domains: MultiDomainDataset, source_domain, k, distill_fn,
-                 eval_cfg: EvalConfig, style_featurizer=None):
+                 eval_cfg: EvalConfig):
     """Single-source: cluster the source into k pseudo-domains, distill, then
     score every other domain as an unseen target. Returns the report plus the
     pseudo-domain assignment of the source's train split (for purity checks).
@@ -237,9 +235,8 @@ def sdg_protocol(all_domains: MultiDomainDataset, source_domain, k, distill_fn,
     if not 0 <= source_domain < all_domains.domain_count:
         raise UnknownDomain(f"source domain {source_domain} does not exist")
     single = all_domains.only_domain(source_domain)
-    if style_featurizer is None:
-        style_featurizer = default_style_featurizer(
-            all_domains.image_shape[0], SeededRng(derive_seed(eval_cfg.base_seed, 91)))
+    style_featurizer = default_style_featurizer(
+        all_domains.image_shape[0], SeededRng(derive_seed(eval_cfg.base_seed, 91)))
     pseudo_rng = SeededRng(derive_seed(eval_cfg.base_seed, 92, source_domain))
     pseudo_ds, cluster_model = assign_pseudo_domains(single, style_featurizer, k, pseudo_rng)
     targets = [d for d in range(all_domains.domain_count) if d != source_domain]

@@ -83,9 +83,3 @@ def naive_dft2(grid):
 def frequency_negation(spectrum):
     """Reindex a spectrum (or any grid-shaped array) from k to -k mod size."""
     return np.roll(spectrum[..., ::-1, ::-1], shift=(1, 1), axis=(-2, -1))
-
-
-def hermitian_defect(spectrum):
-    """Peak |G(-k) - conj(G(k))|; zero (to rounding) for spectra of real grids."""
-    s = np.asarray(spectrum)
-    return float(np.abs(frequency_negation(s) - np.conj(s)).max())

@@ -13,9 +13,10 @@ per real view, one synthetic forward and one pullback, see
 index go straight to the surgery kernel, which transforms each distinct
 per-domain stack once (under the linear featurizer, once per class, see
 `surgery.batch_surgery_updates`) and applies the three-signal step with each
-sample's assigned domain. Plain matching (`algorithm="dm"`) pulls back only
-the pooled covectors (bitwise the gradient surgery starts from) and lets a
-domain missing a class through with a NaN loss. The synthetic set (images,
+sample's assigned domain. At lambda_c = lambda_d = 0 (plain matching) the
+pass pulls back only the pooled covectors (bitwise the gradient surgery
+starts from), the step is base_scale times them, and one source domain or a
+domain missing a class (NaN loss) is let through. The synthetic set (images,
 labels, domain assignments, init provenance and iteration counter) is the
 whole loop state, and a checkpoint is one container holding all of it;
 keying the streams by iteration makes a restored checkpoint continue
@@ -39,7 +40,6 @@ from .rng import SeededRng
 from .surgery import SurgeryWeights, batch_consensus_maps, batch_surgery_updates
 
 INIT_STRATEGIES = ("noise", "random", "uniform")
-ALGORITHMS = ("sgs", "dm")
 
 # Substream labels inside a distillation run.
 _STREAM_INIT = 1
@@ -86,7 +86,6 @@ class DistillConfig:
     seed: int = 0
     featurizer: FeaturizerSpec = field(default_factory=FeaturizerSpec)
     checkpoint_every: int = 0
-    algorithm: str = "sgs"
     use_base: bool = True        # drop the pooled gradient for ablation modes
     # 0 = full-set means; >0 draws up to this many samples per (domain, class)
     # each iteration, and the pooled batch is the union of the domain batches.
@@ -105,10 +104,15 @@ class DistillConfig:
             raise InvalidConfig("epsilon must be positive")
         if self.init not in INIT_STRATEGIES:
             raise InvalidConfig(f"init must be one of {INIT_STRATEGIES}")
-        if self.algorithm not in ALGORITHMS:
-            raise InvalidConfig(f"algorithm must be one of {ALGORITHMS}")
+        if self.checkpoint_every < 0:
+            raise InvalidConfig("checkpoint_every must be non-negative")
         if self.batch_per_class < 0:
             raise InvalidConfig("batch_per_class must be non-negative")
+
+    @property
+    def surgery(self):
+        """Whether a strength is positive; at zero strengths the step is plain DM."""
+        return self.lambda_c > 0 or self.lambda_d > 0
 
     def weights(self):
         return SurgeryWeights(
@@ -243,7 +247,7 @@ def run_distillation(source: MultiDomainDataset, cfg: DistillConfig, initial=Non
     bit-identical to an uninterrupted run.
     """
     s_count = source.domain_count
-    if cfg.algorithm == "sgs" and s_count < 2:
+    if cfg.surgery and s_count < 2:
         raise TooFewDomains(
             "spectral surgery needs at least two source domains; "
             "derive pseudo-domains first for single-source data"
@@ -266,13 +270,13 @@ def run_distillation(source: MultiDomainDataset, cfg: DistillConfig, initial=Non
                      if t + 1 < cfg.iterations else None)
             psi, real_domains = _iteration_inputs(source, cfg, rng, t, domain_views, drawn)
             rows, index, losses = matching_rows(synthetic, real_domains, psi,
-                                                per_domain=cfg.algorithm != "dm")
+                                                per_domain=cfg.surgery)
             history.append((t, *losses.tolist()))
-            if cfg.algorithm == "dm":
-                updates = rows[0][index]
-            else:
+            if cfg.surgery:
                 updates = batch_surgery_updates(rows[1:], rows[0], synthetic.domains, weights,
                                                 rows=index)
+            else:
+                updates = weights.base_scale * rows[0][index]
             synthetic.images = synthetic.images - cfg.eta * updates
             if not np.isfinite(history[-1][1]) or not np.all(np.isfinite(synthetic.images)):
                 raise DistillError(f"non-finite state at iteration {t}")
@@ -292,10 +296,8 @@ def surgery_snapshot(source: MultiDomainDataset, cfg: DistillConfig,
     """Per-sample resultant maps and class signals at the synthetic set's
     current state, from the inputs its next iteration would draw and the
     spectral split the training kernel runs. Feeds the optional
-    offline-inspection dump.
+    offline-inspection dump. Needs at least two domains (TooFewDomains).
     """
-    if source.domain_count < 2:
-        raise TooFewDomains("surgery snapshot needs at least two domains")
     domain_views = [source.train_view(domain=s) for s in range(source.domain_count)]
     rng, t = SeededRng(cfg.seed), synthetic.iteration
     psi, real_domains = _iteration_inputs(source, cfg, rng, t, domain_views,

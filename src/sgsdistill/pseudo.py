@@ -75,25 +75,26 @@ def _plus_plus_init(z, k, rng: SeededRng):
     return centroids
 
 
-def kmeans(vectors, k, rng: SeededRng, max_iters=100, normalize=True, restarts=1):
+KMEANS_MAX_ITERS = 100
+
+
+def kmeans(vectors, k, rng: SeededRng, normalize=True, restarts=1):
     """Lloyd's algorithm with k-means++ seeding and empty-cluster repair.
 
     Inputs are z-normalized per dimension by default (means and stds live on
-    different scales). Runs until the assignment fixpoint or max_iters; the
-    recorded inertia never increases between iterations. With restarts > 1 the
-    seeding is redrawn from derived streams and the lowest-inertia fit wins,
-    which sidesteps the usual local minima.
+    different scales). Runs until the assignment fixpoint or KMEANS_MAX_ITERS
+    iterations; the recorded inertia never increases between iterations. With
+    restarts > 1 the seeding is redrawn from derived streams and the
+    lowest-inertia fit wins, which sidesteps the usual local minima.
     """
     if restarts > 1:
-        fits = [kmeans(vectors, k, rng.substream(r), max_iters=max_iters,
-                       normalize=normalize) for r in range(restarts)]
+        fits = [kmeans(vectors, k, rng.substream(r), normalize=normalize)
+                for r in range(restarts)]
         return min(fits, key=lambda m: m.inertia)
     vectors = np.asarray(vectors, dtype=np.float64)
     k = int(k)
     if k < 2:
         raise ValueError("k must be at least 2")
-    if max_iters < 1:
-        raise ValueError("max_iters must be positive")
     if vectors.shape[0] < k:
         raise TooFewSamples(f"{vectors.shape[0]} samples cannot form {k} clusters")
 
@@ -109,7 +110,7 @@ def kmeans(vectors, k, rng: SeededRng, max_iters=100, normalize=True, restarts=1
     centroids = _plus_plus_init(z, k, rng)
     assignments = None
     history = []
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         d2 = ((z[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_assign = np.argmin(d2, axis=1)
         # Repair: an empty cluster reseeds at the point farthest from its own centroid.
@@ -147,8 +148,7 @@ def default_style_featurizer(in_channels, rng: SeededRng):
     return ConvFeaturizer.create(in_channels, DEFAULT_STYLE_CHANNELS, 3, rng)
 
 
-def assign_pseudo_domains(data: MultiDomainDataset, psi, k, rng: SeededRng,
-                          max_iters=100, restarts=DEFAULT_RESTARTS):
+def assign_pseudo_domains(data: MultiDomainDataset, psi, k, rng: SeededRng):
     """Relabel a single-domain dataset with k style clusters as pseudo-domains.
 
     The clustering is fit on the train split; test samples are assigned to
@@ -160,7 +160,7 @@ def assign_pseudo_domains(data: MultiDomainDataset, psi, k, rng: SeededRng,
         raise ValueError("pseudo-domains substitute for missing labels; dataset already has domains")
     train_mask = data.splits == 0
     train_styles = style_stats_batch(data.images[train_mask], psi)
-    model = kmeans(train_styles, k, rng, max_iters=max_iters, restarts=restarts)
+    model = kmeans(train_styles, k, rng, restarts=DEFAULT_RESTARTS)
     domains = np.empty(len(data), dtype=np.int64)
     domains[train_mask] = model.assignments
     if np.any(~train_mask):

@@ -180,11 +180,11 @@ def load_grids(path):
     return records["pixels"].astype(np.float64)
 
 
-def import_idx(images_path, labels_path, domain_id=0, split=0):
+def import_idx(images_path, labels_path):
     """Parse the classic big-endian IDX image/label pair into a dataset.
 
-    Pixels are rescaled from u8 to [0, 1]; the single resulting domain gets
-    the given id and every sample the given split flag.
+    Pixels are rescaled from u8 to [0, 1]; every sample lands in domain 0 of
+    one, in the train split.
     """
     from .datasets import MultiDomainDataset
 
@@ -215,10 +215,10 @@ def import_idx(images_path, labels_path, domain_id=0, split=0):
     return MultiDomainDataset(
         images=images,
         labels=labels,
-        domains=np.full(count, int(domain_id), dtype=np.int64),
-        splits=np.full(count, int(split), dtype=np.uint8),
+        domains=np.zeros(count, dtype=np.int64),
+        splits=np.zeros(count, dtype=np.uint8),
         class_count=int(labels.max()) + 1 if count else 10,
-        domain_count=int(domain_id) + 1,
+        domain_count=1,
     )
 
 

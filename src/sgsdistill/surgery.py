@@ -58,7 +58,6 @@ class ConsensusResult:
 
     mean_spectrum: np.ndarray  # (channels, h, w) complex128
     resultant: np.ndarray      # (channels, h, w) float64
-    epsilon: float
 
 
 def consensus(stack: DomainGradientStack, epsilon):
@@ -70,15 +69,12 @@ def consensus(stack: DomainGradientStack, epsilon):
     epsilon = float(epsilon)
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    if stack.domain_count < 2:
-        raise TooFewDomains("agreement over fewer than two domains is undefined")
     total = stack.spectra.sum(axis=0)
     magnitude_sum = np.abs(stack.spectra).sum(axis=0)
     resultant = np.abs(total) / (magnitude_sum + epsilon)
     return ConsensusResult(
         mean_spectrum=total / stack.domain_count,
         resultant=resultant,
-        epsilon=epsilon,
     )
 
 

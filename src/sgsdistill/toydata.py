@@ -196,8 +196,6 @@ def generate_toy(spec: ToySpec, seed):
         splits=np.array(splits, dtype=np.uint8),
         class_count=spec.class_count,
         domain_count=spec.domain_count,
-        name=spec.name,
-        seed=int(seed),
         extras={
             "hidden_style": np.array(hidden, dtype=np.int64),
             "jitter": np.array(jitters, dtype=np.int64),
@@ -205,12 +203,12 @@ def generate_toy(spec: ToySpec, seed):
     )
 
 
-def sdg_toy_spec(variants=4, tint_strength=1.5, **kwargs):
+def sdg_toy_spec(**kwargs):
     """Default spec with the first domain replaced by a hidden-tint source.
 
     Single-source experiments distill from domain 0 (whose sub-styles are the
     recorded tint variants) and treat the remaining style domains as unseen.
     """
-    styles = (StyleSpec("tinted", variants=variants, tint_strength=tint_strength),
+    styles = (StyleSpec("tinted", variants=4, tint_strength=1.5),
               StyleSpec("invert"), StyleSpec("lowfreq"), StyleSpec("checker"))
     return ToySpec(styles=styles, **kwargs)

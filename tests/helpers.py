@@ -50,7 +50,6 @@ def make_dataset(rng, class_count=3, domain_count=2, train_per_cell=6,
         splits=np.array(splits, dtype=np.uint8),
         class_count=class_count,
         domain_count=domain_count,
-        name="random-test",
     )
 
 
@@ -130,6 +129,34 @@ def per_sample_consensus_maps(domain_gradients, epsilon, rows=None):
         resultants[i] = cons.resultant
         class_signals[i] = decompose(stack, cons).class_signal
     return resultants, class_signals
+
+
+def zero_strength_surgery_run(source, cfg):
+    """The distillation loop at zero strengths with every step through the
+    surgery kernel (per-domain rows and batch_surgery_updates), on the inputs
+    the loop draws: the oracle plain DM must match bit for bit. Returns the
+    synthetic set and the loss history."""
+    from dataclasses import replace
+
+    from sgsdistill.dm import matching_rows
+    from sgsdistill.pipeline import _draw_featurizer, _iteration_inputs, initialize
+    from sgsdistill.rng import SeededRng
+    from sgsdistill.surgery import batch_surgery_updates
+
+    cfg = replace(cfg, lambda_c=0.0, lambda_d=0.0)
+    synthetic = initialize(source, cfg)
+    views = [source.train_view(domain=s) for s in range(source.domain_count)]
+    rng = SeededRng(cfg.seed)
+    history = []
+    for t in range(cfg.iterations):
+        psi, real = _iteration_inputs(source, cfg, rng, t, views,
+                                      _draw_featurizer(source, cfg, rng, t).result())
+        rows, index, losses = matching_rows(synthetic, real, psi)
+        history.append((t, *losses.tolist()))
+        synthetic.images = synthetic.images - cfg.eta * batch_surgery_updates(
+            rows[1:], rows[0], synthetic.domains, cfg.weights(), rows=index)
+        synthetic.iteration = t + 1
+    return synthetic, history
 
 
 def naive_correlate(x, kernels):

@@ -39,7 +39,7 @@ from sgsdistill.storage import load_dataset, save_dataset
 from sgsdistill.surgery import DomainGradientStack, consensus, decompose
 from sgsdistill.toydata import ToySpec, generate_toy, sdg_toy_spec
 
-from helpers import central_fd_grid, make_dataset, make_synthetic
+from helpers import central_fd_grid, make_dataset, make_synthetic, zero_strength_surgery_run
 
 EVAL_CFG = EvalConfig(runs=5, epochs=400, lr=0.05, base_seed=11)
 
@@ -75,12 +75,12 @@ def mode_outcomes(toy):
 def test_criterion_01_dm_recovery(toy):
     start = time.time()
     cfg = toy_protocol_config(iterations=500, lambda_c=0.0, lambda_d=0.0)
-    surgery_path = run_distillation(toy, cfg)
-    plain_path = run_distillation(toy, replace(cfg, algorithm="dm"))
+    plain_path = run_distillation(toy, cfg).synthetic
+    surgery_path, _ = zero_strength_surgery_run(toy, cfg)
     same = (
-        surgery_path.synthetic.images.tobytes() == plain_path.synthetic.images.tobytes()
-        and np.array_equal(surgery_path.synthetic.labels, plain_path.synthetic.labels)
-        and np.array_equal(surgery_path.synthetic.domains, plain_path.synthetic.domains)
+        surgery_path.images.tobytes() == plain_path.images.tobytes()
+        and np.array_equal(surgery_path.labels, plain_path.labels)
+        and np.array_equal(surgery_path.domains, plain_path.domains)
     )
     report(1, "zero-strength surgery equals the plain update path", same,
            f"500 iterations bit-identical={same}, {time.time() - start:.0f}s")
@@ -221,7 +221,7 @@ S_GRID = [4, 16, 64, 256, 1024]
 def test_criterion_05_preservation():
     start = time.time()
     model = SpectralModel(shared=1.0 + 0.0j, phase_halfwidth=0.0, mag_low=1.0,
-                          mag_high=1.0, trials=2000)
+                          mag_high=1.0)
     curve = attenuation_curve(model, S_GRID, SeededRng(505), trials=2000)
     mag_err = float(np.abs(curve.class_magnitudes - 1.0).max())
     ok = mag_err < 0.01 and abs(curve.class_slope) <= 0.05
@@ -233,7 +233,7 @@ def test_criterion_05_preservation():
 def test_criterion_06_attenuation():
     start = time.time()
     model = SpectralModel(shared=1.0 + 0.0j, phase_halfwidth=np.pi, mag_low=1.0,
-                          mag_high=1.0, trials=2000)
+                          mag_high=1.0)
     curve = attenuation_curve(model, S_GRID, SeededRng(606), trials=2000)
     ok = abs(curve.class_slope + 1.0) <= 0.15 and abs(curve.consensus_slope + 0.5) <= 0.1
     report(6, "uniform phases suppress the filtered mean", ok,

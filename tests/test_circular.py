@@ -16,20 +16,20 @@ from sgsdistill.surgery import DomainGradientStack, consensus
 
 def test_zero_noise_shares_the_phase_exactly():
     model = SpectralModel(shared=np.exp(0.7j), phase_halfwidth=0.0, mag_low=0.5, mag_high=2.0)
-    draws = _sample_matrix(model, 1, 64, SeededRng(0))[0]
+    draws = _sample_matrix(model, 64, SeededRng(0))
     assert np.abs(np.angle(draws) - 0.7).max() < 1e-12
 
 
 def test_degenerate_magnitude_bounds():
     model = SpectralModel(shared=1.0, phase_halfwidth=np.pi, mag_low=1.3, mag_high=1.3)
-    draws = _sample_matrix(model, 1, 64, SeededRng(1))[0]
+    draws = _sample_matrix(model, 64, SeededRng(1))
     assert np.abs(np.abs(draws) - 1.3).max() < 1e-12
 
 
 def test_phase_resultant_matches_sinc_limit():
     # |mean exp(j*noise)| over 1e6 unit-magnitude draws vs sin(a)/a at a = pi/2.
     model = SpectralModel(shared=1.0, phase_halfwidth=np.pi / 2)
-    draws = _sample_matrix(model, 1, 1_000_000, SeededRng(2))[0]
+    draws = _sample_matrix(model, 1_000_000, SeededRng(2))
     resultant = np.abs(draws.mean())
     assert resultant == pytest.approx(2.0 / np.pi, abs=0.002)
 
@@ -81,6 +81,14 @@ def test_attenuation_curve_validation():
         attenuation_curve(model, [16, 8, 4], SeededRng(7))
     with pytest.raises(InsufficientRange):
         attenuation_curve(model, [1, 4, 16], SeededRng(7))
+
+
+def test_one_trial_has_no_standard_error():
+    model = SpectralModel(shared=1.0, phase_halfwidth=np.pi)
+    with pytest.raises(TooFewSamples, match="2 trials"):
+        attenuation_curve(model, [4, 8, 16], SeededRng(7), trials=1)
+    with pytest.raises(TooFewSamples, match="2 trials"):
+        resultant_sweep([0.0, np.pi], 64, SeededRng(7), trials=1)
 
 
 def test_uniform_phase_decay_slopes_smoke():

@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import os
+import re
 from dataclasses import asdict
 from pathlib import Path
 
@@ -40,17 +41,29 @@ def test_gen_data_outputs(tmp_path, cfg_path):
     assert meta["samples"] == 3 * 4 * 15
 
 
-def test_distill_zero_lambdas_matches_dm_reference(tmp_path, cfg_path):
-    a = tmp_path / "lam0"
-    assert run(["distill", "--config", cfg_path, "--out", str(a), "--seed", "3",
-                "--lambda-c", "0", "--lambda-d", "0"]) == 0
-    dm_cfg = dict(SMALL_CFG)
-    dm_cfg["distill"] = {**SMALL_CFG["distill"], "algorithm": "dm"}
-    dm_path = tmp_path / "dm.json"
-    dm_path.write_text(json.dumps(dm_cfg))
-    b = tmp_path / "dmref"
-    assert run(["distill", "--config", str(dm_path), "--out", str(b), "--seed", "3"]) == 0
-    assert (a / "distilled.dgck").read_bytes() == (b / "distilled.dgck").read_bytes()
+@pytest.mark.parametrize("flags", [[], ["--lambda-c", "0", "--lambda-d", "0"]],
+                         ids=["sgs", "dm"])
+def test_removed_algorithm_key_at_its_old_default_changes_no_output(tmp_path, cfg_path, flags):
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(json.dumps({**SMALL_CFG, "distill": {**SMALL_CFG["distill"],
+                                                           "algorithm": "sgs"}}))
+    outs = []
+    for name, path in (("plain", cfg_path), ("legacy", str(legacy))):
+        outs.append(tmp_path / name)
+        assert run(["distill", "--config", path, "--out", str(outs[-1]), "--seed", "3",
+                    *flags]) == 0
+    for name in ("resolved_config.json", "distilled.dgck", "loss_history.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_removed_algorithm_dm_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL_CFG, "distill": {**SMALL_CFG["distill"],
+                                                        "algorithm": "dm"}}))
+    out = tmp_path / "out"
+    assert run(["distill", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "distill option 'algorithm' was removed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # (flags resolved_config.json records, flags it does not, files to compare)
@@ -346,6 +359,44 @@ def test_unknown_sdg_source_domain_fails_before_any_output(tmp_path, capsys, cfg
     assert list(out.iterdir()) == []
 
 
+@pytest.fixture()
+def few_domain_data(tmp_path):
+    """DGDD files of the small toy data's first one and first two domains."""
+    from sgsdistill.storage import save_dataset
+    from sgsdistill.toydata import generate_toy
+
+    toy = generate_toy(ToySpec(**SMALL_CFG["toy"]), seed=0)
+    paths = {}
+    for count in (1, 2):
+        paths[count] = str(tmp_path / f"domains{count}.dgdd")
+        save_dataset(toy.subset(toy.domains < count).with_domain_labels(
+            toy.domains[toy.domains < count], count), paths[count])
+    return paths
+
+
+@pytest.mark.parametrize("argv, domains", [
+    (["distill"], 1),
+    (["distill", "--lambda-c", "0", "--lambda-d", "0", "--dump-rmaps"], 1),
+    (["eval", "--protocol", "mdg"], 1),
+    (["eval", "--protocol", "mdg"], 2),
+    (["eval", "--protocol", "id"], 2),
+])
+def test_too_few_domains_fail_before_any_output(tmp_path, capsys, cfg_path, few_domain_data,
+                                                argv, domains):
+    out = tmp_path / "out"
+    assert run([*argv, "--config", cfg_path, "--out", str(out),
+                "--data", few_domain_data[domains]]) == 2
+    assert f"the data has {domains}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_strength_distill_runs_on_one_domain(tmp_path, cfg_path, few_domain_data):
+    out = tmp_path / "out"
+    assert run(["distill", "--config", cfg_path, "--out", str(out), "--lambda-c", "0",
+                "--lambda-d", "0", "--data", few_domain_data[1]]) == 0
+    assert (out / "loss_history.csv").read_text().splitlines()[0].count(",") == 2
+
+
 def test_readme_sdg_example_runs_on_the_default_toy_data(tmp_path):
     # The README command, at reduced size: without --data or toy styles, the
     # SDG paths generate the latent-style source, so every pseudo-domain
@@ -400,6 +451,7 @@ def test_invalid_eval_settings_fail_before_any_output(tmp_path, argv, bad):
     ("distill", {"eta": float("nan")}),
     ("distill", {"featurizer": {"dim": 8.5}}),
     ("oracle", {"trials": "5"}),
+    ("distill", {"checkpoint_every": -5}),
 ], ids=lambda v: v if isinstance(v, str) or v is None else json.dumps(v))
 def test_malformed_config_values_fail_before_any_output(tmp_path, capsys, argv, section, bad):
     cfg = {**SMALL_CFG, **bad} if section is None else \
@@ -424,6 +476,7 @@ def test_malformed_config_values_fail_before_any_output(tmp_path, capsys, argv, 
     ["oracle", "--s-list", "1,4,8"],
     ["oracle", "--s-list", "4,8"],
     ["oracle", "--trials", "0"],
+    ["oracle", "--trials", "1", "--s-list", "4,8,16"],
 ])
 def test_malformed_flag_values_fail_before_any_output(tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -466,6 +519,8 @@ def test_loader_keeps_json_numbers_as_written():
     (cli.OracleConfig, {"s_list": [4, 8.0, 16]}),
     (cli.OracleConfig, {"s_list": [4, 4, 8]}),
     (cli.OracleConfig, {"sweep_trials": 0}),
+    (cli.OracleConfig, {"trials": 1}),
+    (cli.OracleConfig, {"sweep_trials": 1}),
     (cli.OracleConfig, {"sweep_domains": 1}),
     (cli.OracleConfig, {"halfwidths": [0.5, None]}),
     (cli.OracleConfig, {"halfwidths": [0.5, 1.5]}),
@@ -486,9 +541,11 @@ def _resolve(tmp_path, distill):
 
 def test_removed_options_load_only_at_their_old_defaults(tmp_path):
     plain = {"ipc": 7, "iterations": 3, "lambda_c": 0.5}
-    legacy = {**plain, "momentum": 0.0, "clamp": False, "resample_featurizer": True}
+    legacy = {**plain, "momentum": 0.0, "clamp": False, "resample_featurizer": True,
+              "algorithm": "sgs"}
     assert _resolve(tmp_path, legacy) == _resolve(tmp_path, plain)
-    for key, value in [("momentum", 0.5), ("clamp", True), ("resample_featurizer", False)]:
+    for key, value in [("momentum", 0.5), ("clamp", True), ("resample_featurizer", False),
+                       ("algorithm", "dm")]:
         with pytest.raises(InvalidConfig, match=key):
             _resolve(tmp_path, {**legacy, key: value})
 
@@ -512,3 +569,14 @@ def test_readme_cli_lines_parse():
     parser = cli.build_parser()
     for argv in commands:
         parser.parse_args(argv)   # a renamed or removed flag raises a usage error
+
+
+def test_readme_names_every_removed_option_at_its_old_default():
+    # A later removal cannot skip the README's migration note.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    note = " ".join(readme.split())
+    keys = note.split("Earlier versions wrote", 1)[1].split("keys,", 1)[1].split(";", 1)[0]
+    defaults = note.split("at their old defaults (", 1)[1].split(")", 1)[0]
+    assert re.findall(r"`(\w+)`", keys) == list(cli._REMOVED_OPTIONS)
+    assert re.findall(r"`([^`]+)`", defaults) == [json.dumps(v)
+                                                   for v in cli._REMOVED_OPTIONS.values()]

@@ -68,7 +68,7 @@ def test_linearly_separable_data_reaches_full_accuracy():
 def test_zero_epochs_is_zero_classifier():
     view = view_of(np.ones((2, 1, 2, 2)), [0, 1], 2)
     clf = train_classifier(view, epochs=0, lr=0.1)
-    assert not clf.trained
+    assert clf.loss_history == []
     assert not clf.weight.any() and not clf.bias.any()
 
 

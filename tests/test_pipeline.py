@@ -15,7 +15,6 @@ from sgsdistill import featurizers, pipeline, storage
 from sgsdistill.pipeline import (
     _STREAM_BATCH,
     _STREAM_FEATURIZER,
-    ALGORITHMS,
     DistillConfig,
     FeaturizerSpec,
     checkpoint,
@@ -31,12 +30,16 @@ from sgsdistill.rng import SeededRng
 from sgsdistill.storage import write_loss_history_csv
 from sgsdistill.toydata import ToySpec, generate_toy
 
-from helpers import assert_balanced, make_dataset, per_sample_consensus_maps, per_sample_surgery
+from helpers import (assert_balanced, make_dataset, per_sample_consensus_maps,
+                     per_sample_surgery, zero_strength_surgery_run)
 
 SMALL_TOY = ToySpec(train_per_cell=12, test_per_cell=4, class_count=3)
 FAST = dict(featurizer=FeaturizerSpec(kind="linear", dim=32))
 KINDS = {"linear": FeaturizerSpec(kind="linear", dim=32),
          "conv": FeaturizerSpec(kind="conv", channels=4)}
+# Surgery strengths (lambda_c, lambda_d): positive, and zero (plain DM).
+STRENGTHS = pytest.mark.parametrize("strengths", [(1.0, 1.0), (0.0, 0.0)], ids=["sgs", "dm"])
+ZERO = dict(lambda_c=0.0, lambda_d=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -126,23 +129,29 @@ def test_zero_iterations_returns_initialization(toy):
 def test_single_domain_requires_dm_or_pseudo(toy):
     single = toy.only_domain(0)
     cfg = DistillConfig(ipc=4, iterations=2, seed=4, **FAST)
-    with pytest.raises(TooFewDomains):
-        run_distillation(single, cfg)
-    run_distillation(single, replace(cfg, algorithm="dm"))  # no error
+    for strengths in (dict(lambda_c=1.0, lambda_d=0.0), dict(lambda_c=0.0, lambda_d=0.5)):
+        with pytest.raises(TooFewDomains):
+            run_distillation(single, replace(cfg, **strengths))
+    res = run_distillation(single, replace(cfg, **ZERO))  # plain DM: no error
+    assert res.synthetic.iteration == 2 and res.domain_count == 1
 
 
 def test_zero_lambda_run_matches_dm_path_bitwise(toy):
-    cfg = DistillConfig(ipc=4, iterations=12, seed=5, lambda_c=0.0, lambda_d=0.0, **FAST)
-    sgs = run_distillation(toy, cfg)
-    dm = run_distillation(toy, replace(cfg, algorithm="dm"))
-    assert sgs.synthetic.images.tobytes() == dm.synthetic.images.tobytes()
-    assert np.array_equal(sgs.synthetic.labels, dm.synthetic.labels)
-    assert sgs.history == dm.history
+    # The pooled-only pass at zero strengths equals stepping through the
+    # surgery kernel at zero strengths.
+    cfg = DistillConfig(ipc=4, iterations=12, seed=5, **ZERO, **FAST)
+    dm = run_distillation(toy, cfg)
+    synthetic, history = zero_strength_surgery_run(toy, cfg)
+    assert dm.synthetic.images.tobytes() == synthetic.images.tobytes()
+    assert np.array_equal(dm.synthetic.labels, synthetic.labels)
+    assert dm.history == history
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_loss_history_csv_rows_match_header_width(tmp_path, toy, algorithm):
-    cfg = DistillConfig(ipc=4, iterations=3, seed=12, algorithm=algorithm, **FAST)
+@STRENGTHS
+def test_loss_history_csv_rows_match_header_width(tmp_path, toy, strengths):
+    lambda_c, lambda_d = strengths
+    cfg = DistillConfig(ipc=4, iterations=3, seed=12, lambda_c=lambda_c, lambda_d=lambda_d,
+                        **FAST)
     res = run_distillation(toy, cfg)
     path = tmp_path / "loss_history.csv"
     write_loss_history_csv(res.history, res.domain_count, path)
@@ -157,8 +166,7 @@ def test_dm_run_survives_a_domain_missing_a_class(toy, kind):
     keep = ~((toy.domains == 1) & (toy.labels == 0) & (toy.splits == TRAIN))
     source = toy.subset(keep)
     spec = FeaturizerSpec(kind=kind, dim=32, channels=4)
-    cfg = DistillConfig(ipc=4, iterations=2, seed=18, init="random", algorithm="dm",
-                        featurizer=spec)
+    cfg = DistillConfig(ipc=4, iterations=2, seed=18, init="random", featurizer=spec, **ZERO)
     res = run_distillation(source, cfg)
     psi, _ = first_inputs(source, cfg)
     init = initialize(source, cfg)
@@ -166,8 +174,9 @@ def test_dm_run_survives_a_domain_missing_a_class(toy, kind):
     assert res.history[0][1] == pytest.approx(expected.loss, rel=1e-12)
     assert np.isnan(res.history[0][3])
     assert all(np.isfinite(res.history[0][s]) for s in (2, 4, 5))
-    with pytest.raises(EmptyClass, match="every class in every source"):
-        run_distillation(source, replace(cfg, algorithm="sgs"))
+    for strengths in (dict(lambda_c=1.0), dict(lambda_d=1.0)):
+        with pytest.raises(EmptyClass, match="every class in every source"):
+            run_distillation(source, replace(cfg, **strengths))
 
 
 def test_noise_init_loss_decreases_over_seeds(toy):
@@ -232,13 +241,14 @@ def test_checkpoint_truncation_never_partial(tmp_path, toy):
         restore(path)
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@STRENGTHS
 @pytest.mark.parametrize("kind", sorted(KINDS))
 @pytest.mark.parametrize("batch_per_class", [0, 4])
 def test_restore_and_continue_matches_uninterrupted(tmp_path, toy, batch_per_class, kind,
-                                                    algorithm):
-    short = DistillConfig(ipc=4, iterations=7, seed=10, featurizer=KINDS[kind],
-                          algorithm=algorithm, batch_per_class=batch_per_class)
+                                                    strengths):
+    lambda_c, lambda_d = strengths
+    short = DistillConfig(ipc=4, iterations=7, seed=10, featurizer=KINDS[kind], lambda_c=lambda_c,
+                          lambda_d=lambda_d, batch_per_class=batch_per_class)
     full = replace(short, iterations=15)
     half = run_distillation(toy, short)
     path = tmp_path / "half.dgck"
@@ -269,8 +279,7 @@ def test_pooled_batch_is_union_of_domain_batches(toy):
     keep = np.ones(len(toy), dtype=bool)
     keep[cell[:7]] = False
     source = toy.subset(keep)
-    cfg = DistillConfig(ipc=4, iterations=1, seed=16, algorithm="dm", batch_per_class=8,
-                        **FAST)
+    cfg = DistillConfig(ipc=4, iterations=1, seed=16, batch_per_class=8, **ZERO, **FAST)
     res = run_distillation(source, cfg)
     psi, drawn = first_inputs(source, cfg)
     rng = SeededRng(cfg.seed)
@@ -356,10 +365,8 @@ def test_config_validation():
         DistillConfig(ipc=0)
     with pytest.raises(InvalidConfig):
         DistillConfig(init="fancy")
-    with pytest.raises(InvalidConfig):
-        DistillConfig(algorithm="tm")
     for bad in [dict(lambda_c=-1.0), dict(lambda_d=-0.5), dict(epsilon=0.0),
-                dict(epsilon=-1e-8)]:
+                dict(epsilon=-1e-8), dict(checkpoint_every=-5)]:
         with pytest.raises(InvalidConfig):
             DistillConfig(**bad)
     with pytest.raises(InvalidConfig):

@@ -114,7 +114,7 @@ def write_idx_pair(tmp_path, count=7, rows=4, cols=5, image_magic=0x803, label_m
 
 def test_idx_import(tmp_path):
     ipath, lpath, pixels, labels = write_idx_pair(tmp_path)
-    ds = import_idx(ipath, lpath, domain_id=0)
+    ds = import_idx(ipath, lpath)
     assert ds.images.shape == (7, 1, 4, 5)
     assert ds.images.max() <= 1.0 and ds.images.min() >= 0.0
     assert np.array_equal(ds.labels, labels.astype(np.int64))
@@ -165,8 +165,6 @@ def test_decay_curve_csv(tmp_path):
         domain_counts=[4, 16, 64],
         class_magnitudes=np.array([0.25, 0.0625, 0.015625]),
         class_stderr=np.array([0.001, 0.0002, 0.00005]),
-        consensus_magnitudes=np.array([0.4, 0.2, 0.1]),
-        consensus_stderr=np.array([0.01, 0.01, 0.01]),
         class_slope=-1.0,
         consensus_slope=-0.5,
     )
