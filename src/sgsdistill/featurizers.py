@@ -28,6 +28,7 @@ calling thread wherever the loops run one lane.
 """
 
 import concurrent.futures
+import ctypes
 import itertools
 import os
 import threading
@@ -54,6 +55,13 @@ IMAGE_BLOCK = 32
 # block: with two lanes, adjoint blocks of 4, 8 and 16 images all left the
 # distill-conv benchmark's peak RSS at 118.1-118.3 MB.
 ADJOINT_BLOCK = 4
+
+# A block of MMAP_THRESHOLD bytes and up (a toy dataset's images, its container
+# bytes) that fits no free heap space is mapped on its own instead of growing
+# the heap; the heap keeps TRIM_THRESHOLD bytes of free top, so the loops'
+# smaller blocks (3 MB above) are reused without new page faults.
+MMAP_THRESHOLD = 4 << 20
+TRIM_THRESHOLD = 64 << 20
 
 # The lanes' thread pool, (workers, executor); made on first use.
 _pool = None
@@ -84,11 +92,25 @@ def _hold_cpu(made):
             pass   # a sandbox may forbid it; a free thread is slower, not wrong
 
 
+def _pin_heap_thresholds():
+    """Fix glibc's mmap and trim thresholds. By default glibc raises its mmap
+    threshold to each large block freed, so dataset-sized arrays move into the
+    heap; once the lanes run, whether the next one fits a hole there depends
+    on thread timing (the sdg-resume benchmark's peak RSS read 134, 140 or
+    148 MB from run to run). Other C libraries are left alone."""
+    if "CS_GNU_LIBC_VERSION" in getattr(os, "confstr_names", {}):
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-1, TRIM_THRESHOLD)   # M_TRIM_THRESHOLD in glibc's malloc.h
+        mallopt(-3, MMAP_THRESHOLD)   # M_MMAP_THRESHOLD
+
+
 def _executor(workers):
     """The lanes' pool, made (or remade larger) to hold `workers` threads."""
     global _pool
     with _pool_lock:
         if _pool is None or _pool[0] < workers:
+            _pin_heap_thresholds()
             if _pool is not None:
                 _pool[1].shutdown(wait=False)
             _pool = (workers, concurrent.futures.ThreadPoolExecutor(

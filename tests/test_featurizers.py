@@ -1,3 +1,4 @@
+import ctypes
 import os
 import signal
 import sys
@@ -362,6 +363,37 @@ def test_lane_threads_hold_one_cpu_each_where_allowed(monkeypatch, allowed):
     mask = os.sched_getaffinity(0)
     assert seen[0] == mask   # the calling thread stays free
     assert seen[1] == ({sorted(mask)[1 % len(mask)]} if allowed else mask)
+
+
+class _Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+
+def _mallinfo2():
+    mallinfo2 = ctypes.CDLL(None).mallinfo2
+    mallinfo2.argtypes = ()
+    mallinfo2.restype = _Mallinfo2
+    return mallinfo2()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or not hasattr(ctypes.CDLL(None), "mallinfo2"),
+                    reason="not glibc 2.33+")
+def test_making_the_lane_pool_stops_large_arrays_growing_the_heap(monkeypatch):
+    # By default, freeing a mapped block raises glibc's mmap threshold past it,
+    # and the next array of that size that fits no free heap space grows the heap.
+    monkeypatch.setattr(featurizers, "_pool", None)
+    monkeypatch.setattr(featurizers, "_usable_cpus", lambda: 2)
+    featurizers._in_lanes(2, lambda: None, lambda task, work: None)
+    featurizers._pool[1].shutdown()
+    size = _mallinfo2().fordblks + 2 * featurizers.MMAP_THRESHOLD   # fits no free space
+    freed = np.ones(size + featurizers.MMAP_THRESHOLD, dtype=np.uint8)
+    del freed
+    heap = _mallinfo2().arena
+    block = np.ones(size, dtype=np.uint8)
+    assert _mallinfo2().arena - heap < featurizers.MMAP_THRESHOLD
+    assert block.all()
 
 
 @pytest.mark.parametrize("single", ["one usable cpu", "one_lane"])
