@@ -6,17 +6,25 @@ only this module knows its format, and flags override its values. Every run
 writes resolved_config.json (the typed Settings record) next to its outputs,
 and re-feeding that file reproduces the outputs byte for byte.
 
+`run` alone decides when --out appears: it must not exist or be an empty
+directory. A command writes into a fresh `.<name>.staging-XXXX` directory
+beside it, renamed onto --out on success and removed on any exception, so a
+failed command leaves no --out and a killed one only its staging directory.
+
 Exit codes: 0 success, 1 usage or config error, 2 runtime data error,
 3 I/O error.
 """
 
 import argparse
 import concurrent.futures
+import contextlib
 import hashlib
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from typing import get_args, get_origin
 
@@ -31,7 +39,6 @@ from .errors import (
     InvalidSpec,
     IoError,
     TooFewDomains,
-    UnknownDomain,
 )
 from .evaluation import (
     EvalConfig,
@@ -207,9 +214,29 @@ def _resolve(args):
                                  "eval": {**evals, "base_seed": seed}, "oracle": oracle})
 
 
+@contextlib.contextmanager
+def _staged(out):
+    """A fresh staging directory beside `out`, renamed onto `out` on success and
+    removed, with nothing else touched, on any exception."""
+    out = os.path.normpath(out)
+    if os.path.lexists(out) and not (os.path.isdir(out) and not os.listdir(out)):
+        raise InvalidConfig(f"--out {out} must not exist or must be an empty directory")
+    parent, name = os.path.split(os.path.abspath(out))
+    os.makedirs(parent, exist_ok=True)
+    stage = tempfile.mkdtemp(prefix=f".{name}.staging-", dir=parent)
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(stage, 0o777 & ~umask)   # the mode os.mkdir would give --out
+        yield stage
+        os.replace(stage, out)
+    except BaseException:
+        shutil.rmtree(stage, ignore_errors=True)
+        raise
+
+
 def _write_resolved(settings, out):
     """Start the output directory with resolved_config.json; returns the config hash."""
-    os.makedirs(out, exist_ok=True)
     resolved = asdict(settings)
     del resolved["eval"]["base_seed"]   # the top-level seed
     storage.write_json(resolved, os.path.join(out, "resolved_config.json"))
@@ -219,7 +246,7 @@ def _write_resolved(settings, out):
 
 
 def _pseudo_domain_count(k):
-    """The pseudo-domain count, checked before any output is written."""
+    """The pseudo-domain count; a bad one is a config error, not kmeans' ValueError."""
     if not float(k).is_integer() or k < 2:
         raise InvalidConfig(f"pseudo-domain count k must be an integer of at least 2, got {k}")
     return int(k)
@@ -231,14 +258,10 @@ def _dataset_for(data_path, settings):
     return generate_toy(settings.toy, seed=settings.seed)
 
 
-def _cmd_gen_data(args):
-    settings = _resolve(args)
-    out = args.out
-    _write_resolved(settings, out)
+def _cmd_gen_data(args, settings, out, config_hash):
     ds = generate_toy(settings.toy, seed=settings.seed)
     name = settings.toy.name
-    data_path = os.path.join(out, f"{name}.dgdd")
-    storage.save_dataset(ds, data_path)
+    storage.save_dataset(ds, os.path.join(out, f"{name}.dgdd"))
     meta = {
         "name": name,
         "seed": settings.seed,
@@ -248,20 +271,16 @@ def _cmd_gen_data(args):
         "hidden_style": ds.extras["hidden_style"].tolist(),
     }
     storage.write_json(meta, os.path.join(out, f"{name}.meta.json"))
-    print(f"wrote {data_path} ({len(ds)} samples)")
-    return 0
+    return f"wrote {os.path.join(args.out, f'{name}.dgdd')} ({len(ds)} samples)"
 
 
-def _cmd_distill(args):
-    settings = _resolve(args)
+def _cmd_distill(args, settings, out, config_hash):
     source = _dataset_for(args.data, settings)
+    # --dump-rmaps needs two domains too: fail before the distillation, not after.
     if (settings.distill.surgery or args.dump_rmaps) and source.domain_count < 2:
         raise TooFewDomains(f"surgery needs 2 domains, the data has {source.domain_count}")
-    out = args.out
-    _write_resolved(settings, out)
     result = run_distillation(source, settings.distill, checkpoint_dir=out)
-    final_path = os.path.join(out, "distilled.dgck")
-    checkpoint(result.synthetic, final_path)
+    checkpoint(result.synthetic, os.path.join(out, "distilled.dgck"))
     storage.write_loss_history_csv(result.history, result.domain_count,
                                    os.path.join(out, "loss_history.csv"))
     if args.dump_rmaps:
@@ -269,21 +288,13 @@ def _cmd_distill(args):
                                                      result.synthetic)
         storage.save_grids(resultants, os.path.join(out, "resultant_maps.dggr"))
         storage.save_grids(class_signals, os.path.join(out, "class_signals.dggr"))
-    print(f"wrote {final_path} after {result.synthetic.iteration} iterations")
-    return 0
+    return (f"wrote {os.path.join(args.out, 'distilled.dgck')} "
+            f"after {result.synthetic.iteration} iterations")
 
 
-def _cmd_eval(args):
-    settings = _resolve(args)
+def _cmd_eval(args, settings, out, config_hash):
     k = _pseudo_domain_count(args.k) if args.protocol == "sdg" else None
     ds = _dataset_for(args.data, settings)
-    if k is not None and not 0 <= args.source_domain < ds.domain_count:
-        raise UnknownDomain(f"source domain {args.source_domain} does not exist")
-    if k is None and ds.domain_count < 3:
-        raise TooFewDomains(f"leave-one-domain-out needs 3 domains, "
-                            f"the data has {ds.domain_count}")
-    out = args.out
-    config_hash = _write_resolved(settings, out)
     distiller = config_distiller(settings.distill)
     summary = {"config_hash": config_hash, "protocol": args.protocol}
     if args.protocol in ("mdg", "id"):
@@ -301,14 +312,10 @@ def _cmd_eval(args):
         summary["k"] = k
         summary["source_domain"] = args.source_domain
     storage.write_json(summary, os.path.join(out, "summary.json"))
-    print(f"wrote evaluation summary to {out}/summary.json")
-    return 0
+    return f"wrote evaluation summary to {args.out}/summary.json"
 
 
-def _cmd_oracle(args):
-    settings = _resolve(args)
-    out = args.out
-    config_hash = _write_resolved(settings, out)
+def _cmd_oracle(args, settings, out, config_hash):
     seed, oracle = settings.seed, settings.oracle
     uniform = SpectralModel(shared=1.0 + 0.0j, phase_halfwidth=np.pi)
     decay = attenuation_curve(uniform, oracle.s_list, SeededRng(seed, (1,)),
@@ -325,23 +332,18 @@ def _cmd_oracle(args):
         "sweep_max_abs_error": float(np.abs(sweep.estimates - sweep.expected).max()),
     }
     storage.write_json(summary, os.path.join(out, "summary.json"))
-    print(f"class slope {decay.class_slope:.3f}, consensus slope {decay.consensus_slope:.3f}")
-    return 0
+    return f"class slope {decay.class_slope:.3f}, consensus slope {decay.consensus_slope:.3f}"
 
 
-def _cmd_cluster(args):
-    settings = _resolve(args)
+def _cmd_cluster(args, settings, out, config_hash):
     k = _pseudo_domain_count(args.k)
-    out = args.out
-    _write_resolved(settings, out)
     ds = _dataset_for(args.data, settings)
     flat, truth = ds.flatten_domains()
     seed = settings.seed
     psi = default_style_featurizer(ds.image_shape[0], SeededRng(seed, (11,)))
     relabeled, model = assign_pseudo_domains(flat, psi, k, SeededRng(seed, (12,)))
-    assign_path = os.path.join(out, "assignments.csv")
     storage.write_csv(["sample_index", "pseudo_domain"], enumerate(relabeled.domains),
-                      assign_path)
+                      os.path.join(out, "assignments.csv"))
     summary = {"k": k, "inertia": model.inertia}
     if ds.domain_count > 1:
         summary["purity_vs_domains"] = cluster_purity(relabeled.domains, truth)
@@ -349,8 +351,7 @@ def _cmd_cluster(args):
     if hidden is not None and (hidden >= 0).all():
         summary["purity_vs_hidden_styles"] = cluster_purity(relabeled.domains, hidden)
     storage.write_json(summary, os.path.join(out, "summary.json"))
-    print(f"wrote {assign_path}")
-    return 0
+    return f"wrote {os.path.join(args.out, 'assignments.csv')}"
 
 
 def _sweep_cell(settings, param, value, data_path):
@@ -365,23 +366,20 @@ def _sweep_cell(settings, param, value, data_path):
     return report.mean(), report.std()
 
 
-def _cmd_sweep(args):
+def _cmd_sweep(args, settings, out, config_hash):
     if args.jobs < 1:
         raise InvalidConfig("--jobs must be at least 1")
-    settings = _resolve(args)
     param = args.param.replace("-", "_")
     if param not in ("lambda_c", "lambda_d", "k"):
         raise InvalidConfig(f"cannot sweep parameter {args.param!r}")
     values = _numbers("--values", args.values, float)
     if len(values) > 64:
         raise GridTooLarge(f"{len(values)} cells exceed the sweep budget of 64")
-    for v in values:   # an invalid cell fails before any output is written
+    for v in values:   # an invalid cell fails before any cell runs
         if param == "k":
             _pseudo_domain_count(v)
         else:
             replace(settings.distill, **{param: _checked(float, v, "--values")})
-    out = args.out
-    _write_resolved(settings, out)
     cells = [(settings, param, v, args.data) for v in values]
     workers = min(args.jobs, len(cells), featurizers._usable_cpus())
     if workers > 1:
@@ -393,12 +391,10 @@ def _cmd_sweep(args):
             results = [f.result() for f in futures]
     else:
         results = [_sweep_cell(*cell) for cell in cells]
-    sweep_path = os.path.join(out, "sweep.csv")
     storage.write_csv(["param", "value", "mean_ood_accuracy", "std"],
                       [(param, v, mean, std) for v, (mean, std) in zip(values, results)],
-                      sweep_path)
-    print(f"wrote {sweep_path}")
-    return 0
+                      os.path.join(out, "sweep.csv"))
+    return f"wrote {os.path.join(args.out, 'sweep.csv')}"
 
 
 def build_parser():
@@ -470,7 +466,12 @@ def run(argv):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        settings = _resolve(args)
+        with _staged(args.out) as out:
+            config_hash = _write_resolved(settings, out)
+            line = _COMMANDS[args.command](args, settings, out, config_hash)
+        print(line)
+        return 0
     except (_UsageError, InvalidConfig, InvalidSpec, GridTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .datasets import MultiDomainDataset, SyntheticSet
-from .errors import DistillError, EmptyClass, EmptySet, InvalidConfig, UnknownDomain
+from .errors import (DistillError, EmptyClass, EmptySet, InvalidConfig, TooFewDomains,
+                     UnknownDomain)
 from .pipeline import DistillConfig, FeaturizerSpec, run_distillation
 from .pseudo import assign_pseudo_domains, default_style_featurizer
 from .rng import SeededRng
@@ -205,7 +206,8 @@ def mdg_protocol(all_domains: MultiDomainDataset, distill_fn, eval_cfg: EvalConf
     protocol runs that differ in distill_fn consume identical seed streams.
     """
     if all_domains.domain_count < 3:
-        raise DistillError("leave-one-domain-out needs at least three domains")
+        raise TooFewDomains("leave-one-domain-out needs at least three domains, "
+                            f"the data has {all_domains.domain_count}")
     ood_entries, id_entries = [], []
     for target in range(all_domains.domain_count):
         source = all_domains.without_domain(target)

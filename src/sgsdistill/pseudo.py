@@ -38,7 +38,7 @@ def style_stats_batch(images, psi):
 
 @dataclass
 class ClusterModel:
-    """K-means fit: centroids live in the (optionally z-normalized) input space."""
+    """K-means fit: centroids live in the z-normalized input space."""
 
     centroids: np.ndarray      # (k, dim)
     assignments: np.ndarray    # (n,)
@@ -78,18 +78,17 @@ def _plus_plus_init(z, k, rng: SeededRng):
 KMEANS_MAX_ITERS = 100
 
 
-def kmeans(vectors, k, rng: SeededRng, normalize=True, restarts=1):
+def kmeans(vectors, k, rng: SeededRng, restarts=1):
     """Lloyd's algorithm with k-means++ seeding and empty-cluster repair.
 
-    Inputs are z-normalized per dimension by default (means and stds live on
+    Inputs are z-normalized per dimension (means and stds live on
     different scales). Runs until the assignment fixpoint or KMEANS_MAX_ITERS
     iterations; the recorded inertia never increases between iterations. With
     restarts > 1 the seeding is redrawn from derived streams and the
     lowest-inertia fit wins, which sidesteps the usual local minima.
     """
     if restarts > 1:
-        fits = [kmeans(vectors, k, rng.substream(r), normalize=normalize)
-                for r in range(restarts)]
+        fits = [kmeans(vectors, k, rng.substream(r)) for r in range(restarts)]
         return min(fits, key=lambda m: m.inertia)
     vectors = np.asarray(vectors, dtype=np.float64)
     k = int(k)
@@ -98,13 +97,9 @@ def kmeans(vectors, k, rng: SeededRng, normalize=True, restarts=1):
     if vectors.shape[0] < k:
         raise TooFewSamples(f"{vectors.shape[0]} samples cannot form {k} clusters")
 
-    if normalize:
-        mean = vectors.mean(axis=0)
-        scale = vectors.std(axis=0)
-        scale[scale < 1e-12] = 1.0
-    else:
-        mean = np.zeros(vectors.shape[1])
-        scale = np.ones(vectors.shape[1])
+    mean = vectors.mean(axis=0)
+    scale = vectors.std(axis=0)
+    scale[scale < 1e-12] = 1.0
     z = (vectors - mean) / scale
 
     centroids = _plus_plus_init(z, k, rng)

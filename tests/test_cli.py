@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sgsdistill import cli, featurizers
+from sgsdistill import cli, featurizers, pipeline, storage
 from sgsdistill.cli import run
-from sgsdistill.errors import InvalidConfig
+from sgsdistill.errors import DistillError, InvalidConfig, IoError
 from sgsdistill.evaluation import EvalConfig
 from sgsdistill.featurizers import ConvFeaturizer
 from sgsdistill.pipeline import DistillConfig, FeaturizerSpec
@@ -24,11 +24,27 @@ SMALL_CFG = {
 }
 
 
+# 8x8 toy data and two iterations, each writing a periodic checkpoint.
+TINY_CFG = {
+    "toy": {"height": 8, "width": 8, "train_per_cell": 10, "test_per_cell": 3,
+            "class_count": 2},
+    "distill": {"ipc": 2, "iterations": 2, "checkpoint_every": 1},
+    "eval": {"runs": 1, "epochs": 5, "lr": 0.05},
+    "oracle": {"s_list": [4, 8, 16], "trials": 3, "halfwidths": [0, 1],
+               "sweep_domains": 50, "sweep_trials": 2},
+}
+
+
 @pytest.fixture()
 def cfg_path(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(SMALL_CFG))
     return str(path)
+
+
+def _nothing_left(out):
+    """Neither `out` nor a staging directory beside it exists."""
+    return not out.exists() and not list(out.parent.glob(f".{out.name}.staging-*"))
 
 
 def test_gen_data_outputs(tmp_path, cfg_path):
@@ -320,7 +336,7 @@ def test_sweep_rejects_bad_input_before_any_output(monkeypatch, tmp_path, flags)
     monkeypatch.setattr(cli, "_sweep_cell", lambda *cell: pytest.fail("a cell ran"))
     out = tmp_path / "sw"
     assert run(["sweep", "--out", str(out), "--param", "lambda-c", *flags]) == 1
-    assert not out.exists()
+    assert _nothing_left(out)
 
 
 @pytest.mark.parametrize("argv", [
@@ -333,7 +349,7 @@ def test_sweep_rejects_bad_input_before_any_output(monkeypatch, tmp_path, flags)
 def test_pseudo_domain_count_is_checked_before_any_output(tmp_path, argv):
     out = tmp_path / "out"
     assert run([*argv, "--out", str(out)]) == 1
-    assert not (out / "resolved_config.json").exists()
+    assert _nothing_left(out)
 
 
 @pytest.mark.parametrize("name", ["../escape", "", ".", "..", "a/b", "a\\b"])
@@ -360,40 +376,53 @@ def test_unknown_sdg_source_domain_fails_before_any_output(tmp_path, capsys, cfg
 
 
 @pytest.fixture()
-def few_domain_data(tmp_path):
-    """DGDD files of the small toy data's first one and first two domains."""
-    from sgsdistill.storage import save_dataset
+def data_files(tmp_path):
+    """DGDD files of the small toy data's first one and first two domains, of
+    all four with domain 1's class-0 samples removed ("gap"), and a path that
+    does not exist ("missing")."""
     from sgsdistill.toydata import generate_toy
 
     toy = generate_toy(ToySpec(**SMALL_CFG["toy"]), seed=0)
-    paths = {}
+    paths = {key: str(tmp_path / f"{key}.dgdd") for key in (1, 2, "gap", "missing")}
     for count in (1, 2):
-        paths[count] = str(tmp_path / f"domains{count}.dgdd")
-        save_dataset(toy.subset(toy.domains < count).with_domain_labels(
+        storage.save_dataset(toy.subset(toy.domains < count).with_domain_labels(
             toy.domains[toy.domains < count], count), paths[count])
+    storage.save_dataset(toy.subset((toy.domains != 1) | (toy.labels != 0)), paths["gap"])
     return paths
 
 
-@pytest.mark.parametrize("argv, domains", [
+# The exit code and error each data file gives.
+DATA_ERRORS = {1: (2, "the data has 1"), 2: (2, "the data has 2"),
+               "gap": (2, "class 0 has no samples in source domain 1"),
+               "missing": (3, "cannot read")}
+
+
+# Besides too few domains, the data errors a command meets only once it runs.
+@pytest.mark.parametrize("argv, data", [
     (["distill"], 1),
     (["distill", "--lambda-c", "0", "--lambda-d", "0", "--dump-rmaps"], 1),
     (["eval", "--protocol", "mdg"], 1),
     (["eval", "--protocol", "mdg"], 2),
     (["eval", "--protocol", "id"], 2),
+    (["sweep", "--param", "lambda-c", "--values", "0,1"], 2),
+    (["distill"], "gap"),
+    (["distill", "--lambda-c", "0", "--lambda-d", "0", "--dump-rmaps"], "gap"),
+    (["cluster"], "missing"),
 ])
-def test_too_few_domains_fail_before_any_output(tmp_path, capsys, cfg_path, few_domain_data,
-                                                argv, domains):
+def test_too_few_domains_fail_before_any_output(tmp_path, capsys, cfg_path, data_files,
+                                                argv, data):
+    code, message = DATA_ERRORS[data]
     out = tmp_path / "out"
     assert run([*argv, "--config", cfg_path, "--out", str(out),
-                "--data", few_domain_data[domains]]) == 2
-    assert f"the data has {domains}" in capsys.readouterr().err
-    assert not out.exists()
+                "--data", data_files[data]]) == code
+    assert message in capsys.readouterr().err
+    assert _nothing_left(out)
 
 
-def test_zero_strength_distill_runs_on_one_domain(tmp_path, cfg_path, few_domain_data):
+def test_zero_strength_distill_runs_on_one_domain(tmp_path, cfg_path, data_files):
     out = tmp_path / "out"
     assert run(["distill", "--config", cfg_path, "--out", str(out), "--lambda-c", "0",
-                "--lambda-d", "0", "--data", few_domain_data[1]]) == 0
+                "--lambda-d", "0", "--data", data_files[1]]) == 0
     assert (out / "loss_history.csv").read_text().splitlines()[0].count(",") == 2
 
 
@@ -427,6 +456,85 @@ SUBCOMMANDS = [
     ["cluster"],
     ["sweep", "--param", "lambda-c", "--values", "0,1"],
 ]
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: "-".join(argv[:3:2]))
+def test_every_failed_write_leaves_no_output(monkeypatch, tmp_path, capsys, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TINY_CFG))
+    write, calls, fail_at = storage._atomic_write, [], None
+
+    def faulty(path, *chunks):
+        calls.append(path)
+        if len(calls) == fail_at:
+            raise IoError(f"injected fault writing {path}")
+        write(path, *chunks)
+
+    monkeypatch.setattr(storage, "_atomic_write", faulty)
+    assert run([*argv, "--config", str(cfg), "--out", str(tmp_path / "ok")]) == 0
+    reached = len(calls)
+    assert reached >= 2
+    parent = tmp_path / "faults"
+    parent.mkdir()
+    for fail_at in range(1, reached + 1):
+        calls.clear()
+        assert run([*argv, "--config", str(cfg), "--out", str(parent / "out")]) == 3
+        assert "injected fault" in capsys.readouterr().err
+        assert list(parent.iterdir()) == []
+
+
+@pytest.mark.parametrize("fault, code", [(DistillError, 2), (KeyboardInterrupt, None)],
+                         ids=["error", "interrupt"])
+def test_a_loop_failing_after_a_checkpoint_leaves_no_output(monkeypatch, tmp_path, fault,
+                                                            code):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TINY_CFG))
+    parent = tmp_path / "runs"
+    parent.mkdir()
+    matching_rows, calls = pipeline.matching_rows, []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            # Iteration 1's checkpoint went to the staging directory, not --out.
+            assert list(parent.glob(".out.staging-*/checkpoint_000001.dgck"))
+            raise fault("injected mid-run fault")
+        return matching_rows(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "matching_rows", failing)
+    argv = ["distill", "--config", str(cfg), "--out", str(parent / "out")]
+    if code is None:
+        with pytest.raises(fault):
+            run(argv)
+    else:
+        assert run(argv) == code
+    assert len(calls) == 2
+    assert list(parent.iterdir()) == []
+
+
+def test_out_must_be_missing_or_an_empty_directory(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TINY_CFG))
+    argv = ["gen-data", "--config", str(cfg), "--out"]
+    full = tmp_path / "full"
+    full.mkdir()
+    mine = {"notes.txt": b"keep me\n", "resolved_config.json": b"{}\n"}
+    for name, data in mine.items():
+        (full / name).write_bytes(data)
+    assert run([*argv, str(full)]) == 1
+    assert "must not exist or must be an empty directory" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in full.iterdir()} == mine
+    a_file = tmp_path / "a_file"
+    a_file.write_bytes(b"data\n")
+    assert run([*argv, str(a_file)]) == 1
+    assert a_file.read_bytes() == b"data\n"
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert run([*argv, str(empty)]) == 0
+    assert sorted(p.name for p in empty.iterdir()) == ["resolved_config.json", "toy.dgdd",
+                                                       "toy.meta.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file", "cfg.json", "empty",
+                                                          "full"]
 
 
 @pytest.mark.parametrize("argv", SUBCOMMANDS)

@@ -102,15 +102,6 @@ def test_identical_vectors_collapse_to_one_cluster():
     assert len(np.unique(model.assignments[model.assignments >= 0])) >= 1
 
 
-def test_rectangle_splits_along_long_axis():
-    # Normalization off: the raw geometry decides, so the 10-wide axis splits.
-    pts = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
-    model = kmeans(pts, 2, SeededRng(4), normalize=False)
-    assert model.assignments[0] == model.assignments[1]
-    assert model.assignments[2] == model.assignments[3]
-    assert model.assignments[0] != model.assignments[2]
-
-
 def test_lloyd_inertia_monotone():
     rng = SeededRng(5)
     vectors = rng.substream(0).normal(size=(200, 6))
