@@ -8,9 +8,9 @@ the per-domain signals absorb the disagreements.
 import numpy as np
 
 from sgsdistill import (
+    DistillConfig,
     DomainGradientStack,
     SeededRng,
-    SurgeryWeights,
     consensus,
     decompose,
 )
@@ -54,10 +54,8 @@ print(f"agreement filtering shrinks energy: |class| = {norm_class:.2f} "
 
 x = rng.substream(99).normal(size=(1, h, w))
 eta = 0.5
-w0 = SurgeryWeights(lambda_c=0.0, lambda_d=0.0)
-w1 = SurgeryWeights(lambda_c=1.0, lambda_d=1.0)
-plain = x - eta * combined_update(bundle, assigned_domain=0, w=w0)
-full = x - eta * combined_update(bundle, assigned_domain=0, w=w1)
+plain = x - eta * combined_update(bundle, 0, DistillConfig(lambda_c=0.0, lambda_d=0.0))
+full = x - eta * combined_update(bundle, 0, DistillConfig(lambda_c=1.0, lambda_d=1.0))
 print(f"\nzero-strength step equals the plain update: "
       f"{np.array_equal(plain, x - eta * bundle.base)}")
 print(f"full step moves further along the consensus: "

@@ -63,7 +63,6 @@ from .surgery import (
     ConsensusResult,
     DomainGradientStack,
     GradientBundle,
-    SurgeryWeights,
     batch_surgery_updates,
     consensus,
     decompose,
@@ -96,7 +95,6 @@ __all__ = [
     "SoftmaxClassifier",
     "SpectralModel",
     "StyleSpec",
-    "SurgeryWeights",
     "SyntheticSet",
     "ToySpec",
     "accuracy",

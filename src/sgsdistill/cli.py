@@ -32,14 +32,7 @@ import numpy as np
 
 from . import storage
 from .circular import SpectralModel, attenuation_curve, resultant_sweep
-from .errors import (
-    DistillError,
-    GridTooLarge,
-    InvalidConfig,
-    InvalidSpec,
-    IoError,
-    TooFewDomains,
-)
+from .errors import DistillError, InvalidConfig, InvalidSpec, IoError, TooFewDomains
 from .evaluation import (
     EvalConfig,
     config_distiller,
@@ -48,7 +41,8 @@ from .evaluation import (
     toy_protocol_config,
 )
 from . import featurizers
-from .pipeline import DistillConfig, checkpoint, run_distillation, surgery_snapshot
+from .pipeline import (INIT_STRATEGIES, DistillConfig, checkpoint, run_distillation,
+                       surgery_snapshot)
 from .pseudo import assign_pseudo_domains, cluster_purity, default_style_featurizer
 from .rng import SeededRng
 from .toydata import ToySpec, generate_toy, sdg_toy_spec
@@ -374,7 +368,7 @@ def _cmd_sweep(args, settings, out, config_hash):
         raise InvalidConfig(f"cannot sweep parameter {args.param!r}")
     values = _numbers("--values", args.values, float)
     if len(values) > 64:
-        raise GridTooLarge(f"{len(values)} cells exceed the sweep budget of 64")
+        raise InvalidConfig(f"{len(values)} cells exceed the sweep budget of 64")
     for v in values:   # an invalid cell fails before any cell runs
         if param == "k":
             _pseudo_domain_count(v)
@@ -417,7 +411,7 @@ def build_parser():
         p.add_argument("--iters", type=int, dest="iterations")
         p.add_argument("--eta", type=float)
         p.add_argument("--epsilon", type=float)
-        p.add_argument("--init", choices=["noise", "random", "uniform"])
+        p.add_argument("--init", choices=INIT_STRATEGIES)
 
     p = sub.add_parser("gen-data", help="generate the procedural toy dataset")
     common(p, data_flag=False)
@@ -472,7 +466,7 @@ def run(argv):
             line = _COMMANDS[args.command](args, settings, out, config_hash)
         print(line)
         return 0
-    except (_UsageError, InvalidConfig, InvalidSpec, GridTooLarge) as exc:
+    except (_UsageError, InvalidConfig, InvalidSpec) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (IoError, OSError) as exc:

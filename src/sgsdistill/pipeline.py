@@ -15,12 +15,13 @@ per-domain stack once (under the linear featurizer, once per class, see
 `surgery.batch_surgery_updates`) and applies the three-signal step with each
 sample's assigned domain. At lambda_c = lambda_d = 0 (plain matching) the
 pass pulls back only the pooled covectors (bitwise the gradient surgery
-starts from), the step is base_scale times them, and one source domain or a
-domain missing a class (NaN loss) is let through. The synthetic set (images,
-labels, domain assignments, init provenance and iteration counter) is the
-whole loop state, and a checkpoint is one container holding all of it;
-keying the streams by iteration makes a restored checkpoint continue
-bit-identically to a run that never stopped.
+starts from), the step is `DistillConfig.base_scale` (1, or 0 without
+use_base) times them, and one source domain or a domain missing a class (NaN
+loss) is let through. The synthetic set (images, labels, domain assignments,
+init provenance and iteration counter) is the whole loop state, and a
+checkpoint is one container holding all of it; keying the streams by
+iteration makes a restored checkpoint continue bit-identically to a run that
+never stopped.
 """
 
 import concurrent.futures
@@ -37,7 +38,7 @@ from .errors import DistillError, EmptyClass, InvalidConfig, TooFewDomains
 from .featurizers import (ConvFeaturizer, LinearFeaturizer, conv_weights, draw_ahead,
                           linear_weights)
 from .rng import SeededRng
-from .surgery import SurgeryWeights, batch_consensus_maps, batch_surgery_updates
+from .surgery import batch_consensus_maps, batch_surgery_updates
 
 INIT_STRATEGIES = ("noise", "random", "uniform")
 
@@ -114,13 +115,10 @@ class DistillConfig:
         """Whether a strength is positive; at zero strengths the step is plain DM."""
         return self.lambda_c > 0 or self.lambda_d > 0
 
-    def weights(self):
-        return SurgeryWeights(
-            lambda_c=self.lambda_c,
-            lambda_d=self.lambda_d,
-            epsilon=self.epsilon,
-            base_scale=1.0 if self.use_base else 0.0,
-        )
+    @property
+    def base_scale(self):
+        """The pooled gradient's weight in the step: 1, or 0 without use_base."""
+        return 1.0 if self.use_base else 0.0
 
 
 def _domain_pattern(ipc, domain_count):
@@ -255,7 +253,6 @@ def run_distillation(source: MultiDomainDataset, cfg: DistillConfig, initial=Non
     rng = SeededRng(cfg.seed)
     synthetic = initial.copy() if initial is not None else initialize(source, cfg)
     domain_views = [source.train_view(domain=s) for s in range(s_count)]
-    weights = cfg.weights()
     history = []
 
     # Iteration t + 1's weights are drawn on a lane while iteration t runs.
@@ -273,10 +270,10 @@ def run_distillation(source: MultiDomainDataset, cfg: DistillConfig, initial=Non
                                                 per_domain=cfg.surgery)
             history.append((t, *losses.tolist()))
             if cfg.surgery:
-                updates = batch_surgery_updates(rows[1:], rows[0], synthetic.domains, weights,
+                updates = batch_surgery_updates(rows[1:], rows[0], synthetic.domains, cfg,
                                                 rows=index)
             else:
-                updates = weights.base_scale * rows[0][index]
+                updates = cfg.base_scale * rows[0][index]
             synthetic.images = synthetic.images - cfg.eta * updates
             if not np.isfinite(history[-1][1]) or not np.all(np.isfinite(synthetic.images)):
                 raise DistillError(f"non-finite state at iteration {t}")

@@ -2,7 +2,7 @@
 
 Dataset container ("DGDD", version 1, little-endian):
     magic[4] | version u16 | N,H,W,channels,C,S u32 each
-    per sample: class u16 | domain u16 | split u8 | pixels f32 row-major
+    per sample: class u16 | domain u16 | split u8 (0 train, 1 test) | pixels f32
     crc32 u32 over everything between the version field and the checksum
 Pixels are stored at f32: a documented lossy step for float64 pipelines.
 
@@ -139,10 +139,15 @@ def save_dataset(dataset, path):
 
 
 def load_dataset(path):
-    """Read a DGDD container back into a MultiDomainDataset (pixels as f64)."""
+    """Read a DGDD container back into a MultiDomainDataset (pixels as f64);
+    ids at or above the header's class or domain count, and split bytes other
+    than 0 (train) or 1 (test), are DimensionMismatch."""
     from .datasets import MultiDomainDataset
 
     dims, records = _read_container(path, DATASET_MAGIC, 6, _dataset_record)
+    for name, count in (("label", dims[4]), ("domain", dims[5]), ("split", 2)):
+        if len(records) and (top := records[name].max()) >= count:
+            raise DimensionMismatch(f"{name} {top} outside 0..{count - 1}")
     return MultiDomainDataset(
         images=records["pixels"].astype(np.float64),
         labels=records["label"].astype(np.int64),

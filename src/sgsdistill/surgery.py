@@ -8,6 +8,8 @@ domains agree on), and each domain's deviation from the mean spectrum inverts
 to that domain's specific signal, which by linearity of the DFT is g^s -
 mean_s g^s and is taken in pixel space. The update subtracts the base gradient
 plus the weighted class and (assigned-domain) specific signals from the image.
+The strengths come from the run's `pipeline.DistillConfig`, read by attribute
+(lambda_c, lambda_d, epsilon, base_scale); that record checks them.
 
 Training calls the batch kernel `batch_surgery_updates`, and `--dump-rmaps`
 reads `batch_consensus_maps`; both take distinct per-domain gradient rows
@@ -100,38 +102,18 @@ def decompose(stack: DomainGradientStack, cons: ConsensusResult, base=None):
                           base=base)
 
 
-@dataclass(frozen=True)
-class SurgeryWeights:
-    """Signal-strength knobs for the three-signal update.
-
-    base_scale exists so ablations (class-only, domain-only, class+domain) are
-    pure configuration; the default 1.0 keeps the standard update.
-    """
-
-    lambda_c: float = 1.0
-    lambda_d: float = 1.0
-    epsilon: float = 1e-8
-    base_scale: float = 1.0
-
-    def __post_init__(self):
-        if self.lambda_c < 0 or self.lambda_d < 0:
-            raise ValueError("signal strengths must be non-negative")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-
-
-def combined_update(bundle: GradientBundle, assigned_domain, w: SurgeryWeights):
-    """base_scale*g + lambda_c*g_class + lambda_d*g_domain[s] for one sample;
-    exactly g when lambda_c = lambda_d = 0 and base_scale = 1."""
+def combined_update(bundle: GradientBundle, assigned_domain, cfg):
+    """base_scale*g + lambda_c*g_class + lambda_d*g_domain[s] for one sample,
+    read from cfg; exactly g when lambda_c = lambda_d = 0 and base_scale = 1."""
     if bundle.base is None:
         raise ValueError("bundle has no base gradient")
     s = int(assigned_domain)
     if not 0 <= s < bundle.domain_signals.shape[0]:
         raise UnknownDomain(f"assigned domain {s} outside 0..{bundle.domain_signals.shape[0] - 1}")
     return (
-        w.base_scale * bundle.base
-        + w.lambda_c * bundle.class_signal
-        + w.lambda_d * bundle.domain_signals[s]
+        cfg.base_scale * bundle.base
+        + cfg.lambda_c * bundle.class_signal
+        + cfg.lambda_d * bundle.domain_signals[s]
     )
 
 
@@ -165,20 +147,20 @@ def _class_split(stack, epsilon):
     return resultant, out.real
 
 
-def batch_surgery_updates(domain_gradients, base_gradients, assigned_domains,
-                          w: SurgeryWeights, rows=None):
+def batch_surgery_updates(domain_gradients, base_gradients, assigned_domains, cfg, rows=None):
     """Three-signal updates for every sample at once.
 
     domain_gradients is an (S, m, channels, h, w) stack of distinct gradient
     rows and base_gradients (m, channels, h, w) their pooled-loss rows;
     sample i takes row rows[i] and domain assigned_domains[i] (rows defaults
-    to one row per sample). Each row's stack gets one forward transform, one
-    resultant and one class-signal inverse; the domain signal is the
-    assigned domain's gradient minus the mean gradient, in pixel space. The
-    FFT backend transforms each 2D plane independently and the domain-axis
-    reductions run in the same order as the per-sample path, so the result
-    is bit-identical to looping consensus / decompose / combined_update over
-    the gathered samples (asserted by the test suite).
+    to one row per sample), and cfg gives the strengths. Each row's stack
+    gets one forward transform, one resultant and one class-signal inverse;
+    the domain signal is the assigned domain's gradient minus the mean
+    gradient, in pixel space. The FFT backend transforms each 2D plane
+    independently and the domain-axis reductions run in the same order as
+    the per-sample path, so the result is bit-identical to looping
+    consensus / decompose / combined_update over the gathered samples
+    (asserted by the test suite).
     """
     stack, rows = _domain_stack(domain_gradients, rows)
     base = np.asarray(base_gradients, dtype=np.float64)
@@ -188,10 +170,10 @@ def batch_surgery_updates(domain_gradients, base_gradients, assigned_domains,
                             f"{rows.shape} do not match the stack's rows {stack.shape[1:]}")
     if assigned.size and (assigned.min() < 0 or assigned.max() >= len(stack)):
         raise UnknownDomain("assigned domain outside the stack")
-    class_real = _class_split(stack, w.epsilon)[1]
+    class_real = _class_split(stack, cfg.epsilon)[1]
     domain_real = stack[assigned, rows] - (stack.sum(axis=0) / len(stack))[rows]
-    return (w.base_scale * base[rows] + w.lambda_c * class_real[rows]
-            + w.lambda_d * domain_real)
+    return (cfg.base_scale * base[rows] + cfg.lambda_c * class_real[rows]
+            + cfg.lambda_d * domain_real)
 
 
 def batch_consensus_maps(domain_gradients, epsilon, rows=None):

@@ -94,10 +94,11 @@ def naive_matvec(mat, vec):
     return out
 
 
-def per_sample_surgery(domain_gradients, base, assigned, w, rows=None):
+def per_sample_surgery(domain_gradients, base, assigned, cfg, rows=None):
     """Three-signal updates one sample at a time through the per-sample path
-    (stack, consensus, decompose, combined_update): the batch kernel's oracle.
-    With rows, sample i's stack and base are row rows[i], gathered first."""
+    (stack, consensus, decompose, combined_update) with cfg's strengths: the
+    batch kernel's oracle. With rows, sample i's stack and base are row
+    rows[i], gathered first."""
     from sgsdistill.surgery import (DomainGradientStack, combined_update, consensus,
                                     decompose)
 
@@ -107,9 +108,9 @@ def per_sample_surgery(domain_gradients, base, assigned, w, rows=None):
     out = np.empty(domain_gradients.shape[1:])
     for i in range(domain_gradients.shape[1]):
         stack = DomainGradientStack.from_gradients(i, domain_gradients[:, i])
-        bundle = decompose(stack, consensus(stack, w.epsilon),
+        bundle = decompose(stack, consensus(stack, cfg.epsilon),
                            base=np.asarray(base[i], dtype=np.float64))
-        out[i] = combined_update(bundle, assigned[i], w)
+        out[i] = combined_update(bundle, assigned[i], cfg)
     return out
 
 
@@ -154,7 +155,7 @@ def zero_strength_surgery_run(source, cfg):
         rows, index, losses = matching_rows(synthetic, real, psi)
         history.append((t, *losses.tolist()))
         synthetic.images = synthetic.images - cfg.eta * batch_surgery_updates(
-            rows[1:], rows[0], synthetic.domains, cfg.weights(), rows=index)
+            rows[1:], rows[0], synthetic.domains, cfg, rows=index)
         synthetic.iteration = t + 1
     return synthetic, history
 

@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import os
 import re
+import zlib
 from dataclasses import asdict
 from pathlib import Path
 
@@ -329,13 +330,19 @@ def test_sweep_pool_size(monkeypatch, tmp_path, jobs, values, cpus, pool):
     assert [float(row.split(",")[2]) for row in rows] == [float(v) for v in values.split(",")]
 
 
-@pytest.mark.parametrize("flags", [["--values", "0,1", "--jobs", "0"],
-                                   ["--values", "0,1", "--jobs", "-3"],
-                                   ["--values", "abc"], ["--values", "1,-1"]])
-def test_sweep_rejects_bad_input_before_any_output(monkeypatch, tmp_path, flags):
+@pytest.mark.parametrize("flags, message", [
+    (["--values", "0,1", "--jobs", "0"], "--jobs must be at least 1"),
+    (["--values", "0,1", "--jobs", "-3"], "--jobs must be at least 1"),
+    (["--values", "abc"], "--values"),
+    (["--values", "1,-1"], "must be non-negative"),
+    (["--values", ",".join(str(v) for v in range(65))], "65 cells exceed the sweep budget of 64"),
+])
+def test_sweep_rejects_bad_input_before_any_output(monkeypatch, tmp_path, capsys, flags,
+                                                   message):
     monkeypatch.setattr(cli, "_sweep_cell", lambda *cell: pytest.fail("a cell ran"))
     out = tmp_path / "sw"
     assert run(["sweep", "--out", str(out), "--param", "lambda-c", *flags]) == 1
+    assert message in capsys.readouterr().err
     assert _nothing_left(out)
 
 
@@ -378,22 +385,29 @@ def test_unknown_sdg_source_domain_fails_before_any_output(tmp_path, capsys, cfg
 @pytest.fixture()
 def data_files(tmp_path):
     """DGDD files of the small toy data's first one and first two domains, of
-    all four with domain 1's class-0 samples removed ("gap"), and a path that
-    does not exist ("missing")."""
+    all four with domain 1's class-0 samples removed ("gap"), of all of it
+    with a header claiming two of its three classes and a valid checksum
+    ("header"), and a path that does not exist ("missing")."""
     from sgsdistill.toydata import generate_toy
 
     toy = generate_toy(ToySpec(**SMALL_CFG["toy"]), seed=0)
-    paths = {key: str(tmp_path / f"{key}.dgdd") for key in (1, 2, "gap", "missing")}
+    paths = {key: str(tmp_path / f"{key}.dgdd") for key in (1, 2, "gap", "header", "missing")}
     for count in (1, 2):
         storage.save_dataset(toy.subset(toy.domains < count).with_domain_labels(
             toy.domains[toy.domains < count], count), paths[count])
     storage.save_dataset(toy.subset((toy.domains != 1) | (toy.labels != 0)), paths["gap"])
+    storage.save_dataset(toy, paths["header"])
+    data = bytearray(Path(paths["header"]).read_bytes())
+    data[22:26] = (2).to_bytes(4, "little")   # the class count, after N, H, W, channels
+    data[-4:] = zlib.crc32(data[6:-4]).to_bytes(4, "little")
+    Path(paths["header"]).write_bytes(data)
     return paths
 
 
 # The exit code and error each data file gives.
 DATA_ERRORS = {1: (2, "the data has 1"), 2: (2, "the data has 2"),
                "gap": (2, "class 0 has no samples in source domain 1"),
+               "header": (3, "label 2 outside 0..1"),
                "missing": (3, "cannot read")}
 
 
@@ -408,6 +422,7 @@ DATA_ERRORS = {1: (2, "the data has 1"), 2: (2, "the data has 2"),
     (["distill"], "gap"),
     (["distill", "--lambda-c", "0", "--lambda-d", "0", "--dump-rmaps"], "gap"),
     (["cluster"], "missing"),
+    (["distill"], "header"),
 ])
 def test_too_few_domains_fail_before_any_output(tmp_path, capsys, cfg_path, data_files,
                                                 argv, data):

@@ -279,6 +279,26 @@ def test_record_count_must_match_header(tmp_path, delta):
             loader(path)
 
 
+@pytest.mark.parametrize("counts", [(2, 5), (3, 4)], ids=["class", "domain"])
+def test_ids_beyond_the_header_counts_rejected(tmp_path, counts):
+    # The golden records hold label 2 and domain 4; the CRC is valid.
+    _, dims, records = golden_dataset()
+    path = tmp_path / "bad.dgdd"
+    path.write_bytes(container(b"DGDD", dims[:4] + counts, records))
+    with pytest.raises(DimensionMismatch):
+        load_dataset(path)
+
+
+def test_split_byte_other_than_train_or_test_rejected(tmp_path):
+    _, dims, records = golden_dataset()
+    bad = bytearray(records)
+    bad[4] = 2   # the first record's split byte, after class u16 and domain u16
+    path = tmp_path / "bad.dgdd"
+    path.write_bytes(container(b"DGDD", dims, bytes(bad)))
+    with pytest.raises(DimensionMismatch):
+        load_dataset(path)
+
+
 # -- ids that do not fit their u16 field ---------------------------------------
 
 def test_label_beyond_u16_refused_and_no_file(tmp_path):

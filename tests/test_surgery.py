@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from sgsdistill.errors import NonHermitianInput, ShapeMismatch, TooFewDomains, UnknownDomain
 from sgsdistill.fourier import fft2, frequency_negation, ifft2, ifft2_with_residue
+from sgsdistill.pipeline import DistillConfig
 from sgsdistill.rng import SeededRng
 from sgsdistill.surgery import (
     ConsensusResult,
     DomainGradientStack,
-    SurgeryWeights,
     batch_consensus_maps,
     batch_surgery_updates,
     combined_update,
@@ -142,8 +142,8 @@ def test_step_with_zero_lambdas_is_plain_update():
     stack = random_stack(8, domains=2, shape=(1, 8, 8))
     bundle = decompose(stack, consensus(stack, EPS), base=g)
     eta = 0.7
-    w = SurgeryWeights(lambda_c=0.0, lambda_d=0.0, epsilon=EPS)
-    stepped = x - eta * combined_update(bundle, 0, w)
+    cfg = DistillConfig(lambda_c=0.0, lambda_d=0.0, epsilon=EPS)
+    stepped = x - eta * combined_update(bundle, 0, cfg)
     assert stepped.tobytes() == (x - eta * g).tobytes()
 
 
@@ -152,8 +152,8 @@ def test_consensus_case_doubles_the_step():
     x = SeededRng(12).normal(size=(1, 8, 8))
     stack = DomainGradientStack.from_gradients(0, np.stack([g, g, g]))
     bundle = decompose(stack, consensus(stack, EPS), base=g)
-    w = SurgeryWeights(lambda_c=1.0, lambda_d=1.0, epsilon=EPS)
-    stepped = x - 0.5 * combined_update(bundle, 0, w)
+    cfg = DistillConfig(lambda_c=1.0, lambda_d=1.0, epsilon=EPS)
+    stepped = x - 0.5 * combined_update(bundle, 0, cfg)
     expected = x - 0.5 * 2.0 * g  # domain deviations vanish; class approximates g
     assert np.abs(stepped - expected).max() < 1e-8
 
@@ -162,17 +162,10 @@ def test_step_rejects_unknown_domain_and_missing_base():
     stack = random_stack(13, domains=2, shape=(1, 4, 4))
     bundle = decompose(stack, consensus(stack, EPS))
     with pytest.raises(ValueError):
-        combined_update(bundle, 0, SurgeryWeights())
+        combined_update(bundle, 0, DistillConfig())
     bundle.base = np.zeros((1, 4, 4))
     with pytest.raises(UnknownDomain):
-        combined_update(bundle, 5, SurgeryWeights())
-
-
-def test_weight_validation():
-    with pytest.raises(ValueError):
-        SurgeryWeights(lambda_c=-1.0)
-    with pytest.raises(ValueError):
-        SurgeryWeights(epsilon=0.0)
+        combined_update(bundle, 5, DistillConfig())
 
 
 @settings(max_examples=25, deadline=None)
@@ -191,7 +184,7 @@ def test_decomposition_invariants_property(seed, domains):
     assert np.linalg.norm(bundle.class_signal) <= np.linalg.norm(ifft2(cons.mean_spectrum)) + 1e-12
 
 
-KERNEL_WEIGHTS = SurgeryWeights(lambda_c=0.7, lambda_d=1.3, epsilon=EPS, base_scale=0.9)
+KERNEL_CFG = DistillConfig(lambda_c=0.7, lambda_d=1.3, epsilon=EPS, use_base=True)
 
 
 def kernel_inputs(seed, domains=3, rows=6, shape=(2, 8, 8)):
@@ -203,10 +196,10 @@ def kernel_inputs(seed, domains=3, rows=6, shape=(2, 8, 8)):
 
 
 def assert_kernel_matches_oracle(grads, base, assigned, rows=None):
-    got = batch_surgery_updates(grads, base, assigned, KERNEL_WEIGHTS, rows=rows)
+    got = batch_surgery_updates(grads, base, assigned, KERNEL_CFG, rows=rows)
     if rows is not None:
         grads, base = grads[:, rows], base[rows]
-    want = per_sample_surgery(grads, base, assigned, KERNEL_WEIGHTS)
+    want = per_sample_surgery(grads, base, assigned, KERNEL_CFG)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -240,10 +233,10 @@ def test_kernel_transforms_each_class_stack_once_in_the_linear_layout(monkeypatc
             seen.append(a.size // (a.shape[-2] * a.shape[-1]))
             return real(a, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counting)
-    got = batch_surgery_updates(grads, base, assigned, KERNEL_WEIGHTS, rows=rows)
+    got = batch_surgery_updates(grads, base, assigned, KERNEL_CFG, rows=rows)
     assert planes == {"fft2": [45], "ifft2": [15]}
     monkeypatch.undo()
-    want = per_sample_surgery(grads[:, rows], base[rows], assigned, KERNEL_WEIGHTS)
+    want = per_sample_surgery(grads[:, rows], base[rows], assigned, KERNEL_CFG)
     assert got.tobytes() == want.tobytes()
 
 
@@ -267,7 +260,7 @@ def test_kernel_keeps_apart_adjacent_rows_that_differ_in_one_input(differs):
     else:
         rows, assigned = np.zeros(3, dtype=np.int64), np.array([0, 1, 0])
     assert_kernel_matches_oracle(g, b, assigned, rows)
-    out = batch_surgery_updates(g, b, assigned, KERNEL_WEIGHTS, rows=rows)
+    out = batch_surgery_updates(g, b, assigned, KERNEL_CFG, rows=rows)
     assert not np.array_equal(out[0], out[1])
     assert out[0].tobytes() == out[2].tobytes()
 
@@ -281,32 +274,32 @@ def test_kernel_matches_oracle_on_two_domain_stacks():
 def test_kernel_rejects_rows_that_do_not_match_the_stack():
     grads, base, assigned = kernel_inputs(27, rows=4)
     with pytest.raises(ShapeMismatch):
-        batch_surgery_updates(grads[:, :2], base, assigned[:2], KERNEL_WEIGHTS)
+        batch_surgery_updates(grads[:, :2], base, assigned[:2], KERNEL_CFG)
     with pytest.raises(ShapeMismatch):
-        batch_surgery_updates(grads[:, :2], base[:2], assigned, KERNEL_WEIGHTS)
+        batch_surgery_updates(grads[:, :2], base[:2], assigned, KERNEL_CFG)
     with pytest.raises(UnknownDomain):
-        batch_surgery_updates(grads, base, assigned + 3, KERNEL_WEIGHTS)
+        batch_surgery_updates(grads, base, assigned + 3, KERNEL_CFG)
 
 
 def test_kernel_rejects_a_bad_row_index():
     grads, base, _ = kernel_inputs(28, rows=3)
     assigned = np.array([0, 1, 2, 0, 1])
     rows = np.array([0, 2, 1, 1, 0])
-    batch_surgery_updates(grads, base, assigned, KERNEL_WEIGHTS, rows=rows)
+    batch_surgery_updates(grads, base, assigned, KERNEL_CFG, rows=rows)
     for bad in (rows + 1, rows - 1, rows.astype(np.float64), rows[None]):
         with pytest.raises(ShapeMismatch):
-            batch_surgery_updates(grads, base, assigned, KERNEL_WEIGHTS, rows=bad)
+            batch_surgery_updates(grads, base, assigned, KERNEL_CFG, rows=bad)
         with pytest.raises(ShapeMismatch):
             batch_consensus_maps(grads, EPS, rows=bad)
     # rows and assigned of different lengths
     with pytest.raises(ShapeMismatch):
-        batch_surgery_updates(grads, base, assigned, KERNEL_WEIGHTS, rows=rows[:-1])
+        batch_surgery_updates(grads, base, assigned, KERNEL_CFG, rows=rows[:-1])
     with pytest.raises(ShapeMismatch):
-        batch_surgery_updates(grads, base, assigned[:-1], KERNEL_WEIGHTS, rows=rows)
+        batch_surgery_updates(grads, base, assigned[:-1], KERNEL_CFG, rows=rows)
     with pytest.raises(UnknownDomain):
-        batch_surgery_updates(grads, base, assigned + 1, KERNEL_WEIGHTS, rows=rows)
+        batch_surgery_updates(grads, base, assigned + 1, KERNEL_CFG, rows=rows)
     with pytest.raises(UnknownDomain):
-        batch_surgery_updates(grads, base, assigned - 1, KERNEL_WEIGHTS, rows=rows)
+        batch_surgery_updates(grads, base, assigned - 1, KERNEL_CFG, rows=rows)
 
 
 def test_kernel_rejects_a_duplicated_non_hermitian_row(monkeypatch):
@@ -324,16 +317,16 @@ def test_kernel_rejects_a_duplicated_non_hermitian_row(monkeypatch):
 
     monkeypatch.setattr(np.fft, "fft2", corrupting_fft2)
     shared = np.zeros(2, dtype=np.int64)
-    batch_surgery_updates(grads[:, 1:], base[1:], assigned[:2], KERNEL_WEIGHTS, rows=shared)
+    batch_surgery_updates(grads[:, 1:], base[1:], assigned[:2], KERNEL_CFG, rows=shared)
     rows = np.array([1, 0, 0, 0])
     with pytest.raises(NonHermitianInput):
-        batch_surgery_updates(grads, base, assigned[rows], KERNEL_WEIGHTS, rows=rows)
+        batch_surgery_updates(grads, base, assigned[rows], KERNEL_CFG, rows=rows)
 
 
 def kernel_domain_signal(grads, assigned):
     """The kernel's domain signal alone: no base, no class signal."""
-    w = SurgeryWeights(lambda_c=0.0, lambda_d=1.0, epsilon=EPS, base_scale=0.0)
-    return batch_surgery_updates(grads, np.zeros(grads.shape[1:]), assigned, w)
+    cfg = DistillConfig(lambda_c=0.0, lambda_d=1.0, epsilon=EPS, use_base=False)
+    return batch_surgery_updates(grads, np.zeros(grads.shape[1:]), assigned, cfg)
 
 
 def assert_domain_signal_is_spectral_deviation(grads, assigned):
