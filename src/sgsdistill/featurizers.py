@@ -22,9 +22,10 @@ lanes start, and writes disjoint slices of the caller's output. Each image's
 window matrix is its own gemm, so results are bitwise the same for any
 lane count and any block size. With one usable CPU no thread is started.
 
-`draw_ahead` starts one weight draw on that pool while the caller goes on,
-as the distillation loop draws its next featurizer; it too runs on the
-calling thread wherever the loops run one lane.
+`draw_ahead` queues one weight draw on that pool while the caller goes on,
+as the distillation loop queues its next featurizers where it has more than
+one lane. A draw reads only the stream it is given, so its bytes do not
+depend on whether a lane or the caller draws it.
 """
 
 import concurrent.futures
@@ -142,7 +143,7 @@ def _in_lanes(tasks, workspace, run):
     workspace(), made here on the calling thread before any lane starts.
     Lane 0 runs on the calling thread, the others on the module pool; returns
     when every lane is done, raising the first error."""
-    lanes = min(_lane_cap or _usable_cpus(), tasks)
+    lanes = min(lane_count(), tasks)
     if lanes < 1:
         return
     works = [workspace() for _ in range(lanes)]
@@ -164,19 +165,21 @@ def _in_lanes(tasks, workspace, run):
         future.result()
 
 
+def lane_count():
+    """Lanes a laned loop may spread over: one per usable CPU, or 1 under
+    one_lane."""
+    return _lane_cap or _usable_cpus()
+
+
 def draw_ahead(draw, rng: SeededRng):
-    """Start draw(rng.generator) on a lane of the module pool and return its
+    """Queue draw(rng.generator) on a lane of the module pool and return its
     Future, so the caller's next work overlaps it. The lane calls numpy only:
     rng was derived on the calling thread, and draw must call only `normal`
-    on its argument. Wherever the laned loops run one lane (one usable CPU,
-    or under one_lane) draw(rng) runs here instead, through SeededRng.normal,
-    which is the generator's normal; no thread is started. The caller waits
-    for the Future before it returns."""
-    if (_lane_cap or _usable_cpus()) > 1:
-        return _executor(1).submit(draw, rng.generator)
-    future = concurrent.futures.Future()
-    future.set_result(draw(rng))
-    return future
+    on its argument. For callers that run more than one lane
+    (`lane_count() > 1`); a caller may instead cancel the Future before a
+    lane starts it and call draw(rng) itself, through SeededRng.normal. The
+    caller cancels or waits for every Future before it returns."""
+    return _executor(1).submit(draw, rng.generator)
 
 
 def linear_weights(input_shape, feature_dim, rng):

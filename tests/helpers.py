@@ -140,7 +140,7 @@ def zero_strength_surgery_run(source, cfg):
     from dataclasses import replace
 
     from sgsdistill.dm import matching_rows
-    from sgsdistill.pipeline import _draw_featurizer, _iteration_inputs, initialize
+    from sgsdistill.pipeline import _featurizer_weights, _iteration_inputs, initialize
     from sgsdistill.rng import SeededRng
     from sgsdistill.surgery import batch_surgery_updates
 
@@ -151,7 +151,7 @@ def zero_strength_surgery_run(source, cfg):
     history = []
     for t in range(cfg.iterations):
         psi, real = _iteration_inputs(source, cfg, rng, t, views,
-                                      _draw_featurizer(source, cfg, rng, t).result())
+                                      _featurizer_weights(source, cfg, rng, t))
         rows, index, losses = matching_rows(synthetic, real, psi)
         history.append((t, *losses.tolist()))
         synthetic.images = synthetic.images - cfg.eta * batch_surgery_updates(

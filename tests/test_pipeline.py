@@ -22,7 +22,7 @@ from sgsdistill.pipeline import (
     restore,
     run_distillation,
     surgery_snapshot,
-    _draw_featurizer,
+    _featurizer_weights,
     _iteration_inputs,
     _subsample_view,
 )
@@ -52,7 +52,7 @@ def first_inputs(source, cfg, t=0):
     views = [source.train_view(domain=s) for s in range(source.domain_count)]
     rng = SeededRng(cfg.seed)
     return _iteration_inputs(source, cfg, rng, t, views,
-                             _draw_featurizer(source, cfg, rng, t).result())
+                             _featurizer_weights(source, cfg, rng, t))
 
 
 def test_uniform_pattern_with_remainder(toy):
@@ -505,6 +505,9 @@ def test_a_run_draws_each_of_its_iterations_once(monkeypatch, toy):
 def test_a_failed_run_leaves_no_draw_running_or_queued(monkeypatch, toy):
     monkeypatch.setattr(featurizers, "_usable_cpus", lambda: 2)
     events = []
+    linear_weights = pipeline.linear_weights
+    monkeypatch.setattr(pipeline, "linear_weights",
+                        lambda *args: (events.append("started"), linear_weights(*args))[1])
     spy_draws(monkeypatch, lambda weights, rng: (time.sleep(0.05), events.append("drawn")))
     matching = pipeline.matching_rows
 
@@ -516,10 +519,14 @@ def test_a_failed_run_leaves_no_draw_running_or_queued(monkeypatch, toy):
     monkeypatch.setattr(pipeline, "matching_rows", failing)
     with pytest.raises(RuntimeError, match="matching failed"):
         run_distillation(toy, DistillConfig(ipc=3, iterations=8, seed=22, **FAST))
-    # Iterations 0-3 and the one drawn ahead, 4, have all finished drawing.
-    assert len(events) == 5
+    # Iterations 0-3 have been drawn. Of the DRAW_DEPTH - 1 draws queued
+    # behind them, those a lane had started have finished and the rest were
+    # cancelled: no draw is running when the call raises, and none starts later.
+    drawn = events.count("drawn")
+    assert 4 <= drawn <= 3 + pipeline.DRAW_DEPTH
+    assert events.count("started") == drawn
     time.sleep(0.2)
-    assert len(events) == 5
+    assert len(events) == 2 * drawn
 
 
 @pytest.mark.parametrize("single", ["one usable cpu", "one_lane"])
@@ -564,11 +571,72 @@ def test_lanes_call_no_rng_or_featurizer_method(monkeypatch, toy, kind):
                 monkeypatch.setattr(cls, name, property(recording(attr.fget)))
             elif callable(attr):
                 monkeypatch.setattr(cls, name, recording(attr))
-    drawn_on = []
-    spy_draws(monkeypatch, lambda weights, rng: drawn_on.append(threading.get_ident()))
-    res = run_distillation(toy, DistillConfig(ipc=3, iterations=4, seed=24,
-                                              featurizer=KINDS[kind]))
+    drawn = []
+    draw = spy_draws(monkeypatch, lambda weights, rng: drawn.append(
+        (weights.tobytes(), threading.get_ident(), type(rng))))
+    cfg = DistillConfig(ipc=3, iterations=4, seed=24, featurizer=KINDS[kind])
+    res = run_distillation(toy, cfg)
     assert res.synthetic.iteration == 4
     assert callers == {threading.get_ident()}
-    # Every iteration's featurizer is drawn on a lane.
-    assert len(drawn_on) == 4 and threading.get_ident() not in drawn_on
+    # Each iteration's weights are drawn exactly once: on a lane from the
+    # numpy generator, or, when the loop thread took the draw back, there
+    # through SeededRng, where the tracer sees it.
+    stream = SeededRng(cfg.seed)
+    assert sorted(weights for weights, _, _ in drawn) == sorted(
+        draw(cfg.featurizer, toy.image_shape,
+             stream.substream(_STREAM_FEATURIZER, t).generator).tobytes() for t in range(4))
+    for _, thread, source in drawn:
+        assert (thread, source) == (threading.get_ident(), SeededRng) or (
+            thread != threading.get_ident() and source is np.random.Generator)
+
+
+def test_outputs_do_not_depend_on_which_thread_draws(monkeypatch, tmp_path, toy):
+    # With one lane every draw runs on the loop thread. With a slowed lane
+    # the loop thread takes back every queued draw the lane has not started
+    # (all of iteration 0's queue but its own draw, at least). With a slowed
+    # matching pass the lane keeps ahead, and only the start's draws can be
+    # taken back. A restore continues with a fresh queue.
+    monkeypatch.setattr(featurizers, "_pool", None)   # one lane thread, as on two CPUs
+    cfg = DistillConfig(ipc=3, iterations=8, seed=25, checkpoint_every=3, **FAST)
+    stream, loop = SeededRng(cfg.seed), threading.get_ident()
+    iteration_of = {FeaturizerSpec.draw(cfg.featurizer, toy.image_shape,
+                                        stream.substream(_STREAM_FEATURIZER, t)).tobytes(): t
+                    for t in range(cfg.iterations)}
+    slow = {"lane": 0.0, "matching": 0.0}
+    on_loop = []
+
+    def record(weights, rng):
+        if threading.get_ident() == loop:
+            on_loop.append(iteration_of[weights.tobytes()])
+        else:
+            time.sleep(slow["lane"])
+
+    spy_draws(monkeypatch, record)
+    matching = pipeline.matching_rows
+    monkeypatch.setattr(pipeline, "matching_rows", lambda *args, **kwargs: (
+        time.sleep(slow["matching"]), matching(*args, **kwargs))[1])
+
+    def run(lanes, initial=None, **slowed):
+        monkeypatch.setattr(featurizers, "_usable_cpus", lambda: lanes)
+        slow.update({"lane": 0.0, "matching": 0.0, **slowed})
+        on_loop.clear()
+        folder = tmp_path / f"run{len(outputs)}"
+        folder.mkdir()
+        res = run_distillation(toy, cfg, initial=initial, checkpoint_dir=str(folder))
+        outputs.append((res.synthetic.images.tobytes(), res.history))
+        return folder, sorted(on_loop)
+
+    outputs = []
+    one_lane, drawn = run(1)
+    assert drawn == list(range(cfg.iterations))
+    _, drawn = run(2, lane=0.05)
+    assert len(drawn) >= pipeline.DRAW_DEPTH - 1
+    _, drawn = run(2, matching=0.02)
+    assert all(t < pipeline.DRAW_DEPTH for t in drawn)
+    resumed = run(2, initial=restore(one_lane / "checkpoint_000003.dgck"))[0]
+    images, history = outputs[0]
+    outputs[3] = (outputs[3][0], history[:3] + outputs[3][1])
+    assert [(got, repr(losses)) for got, losses in outputs] == [(images, repr(history))] * 4
+    assert ((resumed / "checkpoint_000006.dgck").read_bytes()
+            == (one_lane / "checkpoint_000006.dgck").read_bytes())
+    featurizers._pool[1].shutdown()

@@ -265,6 +265,22 @@ def test_kernel_keeps_apart_adjacent_rows_that_differ_in_one_input(differs):
     assert out[0].tobytes() == out[2].tobytes()
 
 
+def test_kernel_gathers_one_update_per_row_and_domain_pair():
+    # The linear layout shuffled: 3 rows x 6 samples over S = 3 domains, so
+    # 9 (row, domain) pairs, each shared by two samples that are not adjacent.
+    grads, base, _ = kernel_inputs(25, rows=3)
+    order = SeededRng(26).permutation(18)
+    rows = np.repeat(np.arange(3), 6)[order]
+    assigned = np.tile(np.repeat(np.arange(3), 2), 3)[order]
+    assert_kernel_matches_oracle(grads, base, assigned, rows)
+    out = batch_surgery_updates(grads, base, assigned, KERNEL_CFG, rows=rows)
+    for i in range(18):
+        for j in range(18):
+            if rows[i] == rows[j]:
+                same = out[i].tobytes() == out[j].tobytes()
+                assert same == (assigned[i] == assigned[j])
+
+
 def test_kernel_matches_oracle_on_two_domain_stacks():
     grads, base, assigned = kernel_inputs(24, domains=2, rows=3)
     rows = np.array([0, 0, 1, 2, 2])
