@@ -3,7 +3,7 @@
 Both featurizers are frozen at construction (no training), so every gradient
 that flows through them is analytically checkable against finite differences.
 Weights are zero-mean Gaussian with variance 1/fan-in, drawn by
-`linear_weights` and `conv_weights` from a SeededRng or its numpy generator.
+`gaussian_weights` from a SeededRng or its numpy generator.
 
 The conv featurizer's forward pass, adjoint and style maps share one
 channels-last im2col, `_correlate`: pad the (N, H, W, C) input once, copy
@@ -14,9 +14,9 @@ moves contiguous runs instead of single pixels.
 
 Batches are correlated a block of images at a time, and the blocks run in
 lanes, one per CPU in the process's affinity mask: lane 0 on the calling
-thread, the others on a module thread pool made on first use, whose threads
-each hold one CPU (numpy drops the interpreter lock in the window copy and
-the gemm, which dominate).
+thread, the others on a module thread pool made once, on first use, with a
+thread for every lane but one; each thread holds one CPU (numpy drops the
+interpreter lock in the window copy and the gemm, which dominate).
 Each lane correlates in buffers the caller allocated for it before the
 lanes start, and writes disjoint slices of the caller's output. Each image's
 window matrix is its own gemm, so results are bitwise the same for any
@@ -64,7 +64,7 @@ ADJOINT_BLOCK = 4
 MMAP_THRESHOLD = 4 << 20
 TRIM_THRESHOLD = 64 << 20
 
-# The lanes' thread pool, (workers, executor); made on first use.
+# The lanes' thread pool; made on first use.
 _pool = None
 _pool_lock = threading.Lock()
 # At most this many lanes per loop; None is one per usable CPU. A process-pool
@@ -106,18 +106,16 @@ def _pin_heap_thresholds():
         mallopt(-3, MMAP_THRESHOLD)   # M_MMAP_THRESHOLD
 
 
-def _executor(workers):
-    """The lanes' pool, made (or remade larger) to hold `workers` threads."""
+def _executor():
+    """The lanes' pool, one thread per lane but the caller's, made once."""
     global _pool
     with _pool_lock:
-        if _pool is None or _pool[0] < workers:
+        if _pool is None:
             _pin_heap_thresholds()
-            if _pool is not None:
-                _pool[1].shutdown(wait=False)
-            _pool = (workers, concurrent.futures.ThreadPoolExecutor(
-                workers, "featurizer-lane", initializer=_hold_cpu,
-                initargs=(itertools.count(1),)))
-        return _pool[1]
+            _pool = concurrent.futures.ThreadPoolExecutor(
+                max(lane_count() - 1, 1), "featurizer-lane", initializer=_hold_cpu,
+                initargs=(itertools.count(1),))
+        return _pool
 
 
 def _drop_pool():
@@ -155,7 +153,7 @@ def _in_lanes(tasks, workspace, run):
     if lanes == 1:
         lane(0)
         return
-    pool = _executor(lanes - 1)
+    pool = _executor()
     futures = [pool.submit(lane, index) for index in range(1, lanes)]
     try:
         lane(0)
@@ -179,21 +177,15 @@ def draw_ahead(draw, rng: SeededRng):
     (`lane_count() > 1`); a caller may instead cancel the Future before a
     lane starts it and call draw(rng) itself, through SeededRng.normal. The
     caller cancels or waits for every Future before it returns."""
-    return _executor(1).submit(draw, rng.generator)
+    return _executor().submit(draw, rng.generator)
 
 
-def linear_weights(input_shape, feature_dim, rng):
-    """A (feature_dim, pixels) LinearFeaturizer weight; rng is a SeededRng or
-    anything else with its `normal(loc, scale, size)`."""
-    d = int(np.prod(input_shape))
-    return rng.normal(0.0, 1.0 / np.sqrt(d), size=(feature_dim, d))
-
-
-def conv_weights(in_channels, out_channels, kernel_size, rng):
-    """(out, in, k, k) ConvFeaturizer kernels, drawn as linear_weights is."""
-    fan_in = in_channels * kernel_size * kernel_size
-    shape = (out_channels, in_channels, kernel_size, kernel_size)
-    return rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape)
+def gaussian_weights(shape, rng):
+    """Featurizer weights of shape (outputs, *fan-in axes): a (features,
+    pixels) LinearFeaturizer weight or (out, in, k, k) ConvFeaturizer
+    kernels, zero-mean with variance 1/fan-in; rng is a SeededRng or anything
+    else with its `normal(loc, scale, size)`."""
+    return rng.normal(0.0, 1.0 / np.sqrt(int(np.prod(shape[1:]))), size=shape)
 
 
 class LinearFeaturizer:
@@ -209,7 +201,7 @@ class LinearFeaturizer:
 
     @classmethod
     def create(cls, input_shape, feature_dim, rng: SeededRng):
-        return cls(linear_weights(input_shape, feature_dim, rng))
+        return cls(gaussian_weights((feature_dim, int(np.prod(input_shape))), rng))
 
     @property
     def feature_dim(self):
@@ -278,7 +270,7 @@ class ConvFeaturizer:
 
     @classmethod
     def create(cls, in_channels, out_channels, kernel_size, rng: SeededRng):
-        return cls(conv_weights(in_channels, out_channels, kernel_size, rng))
+        return cls(gaussian_weights((out_channels, in_channels, kernel_size, kernel_size), rng))
 
     @property
     def feature_dim(self):

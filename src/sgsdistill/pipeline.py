@@ -39,8 +39,8 @@ from .datasets import DataView, MultiDomainDataset, SyntheticSet
 # dm_gradient is not called here; perfbench/tracer.py wraps this name.
 from .dm import dm_gradient, matching_rows
 from .errors import DistillError, EmptyClass, InvalidConfig, TooFewDomains
-from .featurizers import (ConvFeaturizer, LinearFeaturizer, conv_weights, draw_ahead,
-                          lane_count, linear_weights)
+from .featurizers import (ConvFeaturizer, LinearFeaturizer, draw_ahead, gaussian_weights,
+                          lane_count)
 from .rng import SeededRng
 from .surgery import batch_consensus_maps, batch_surgery_updates
 
@@ -75,10 +75,10 @@ class FeaturizerSpec:
 
     def draw(self, image_shape, rng):
         """Weights for images of image_shape, from a SeededRng or its numpy
-        generator (`featurizers.linear_weights` and `conv_weights`)."""
+        generator (`featurizers.gaussian_weights`)."""
         if self.kind == "linear":
-            return linear_weights(image_shape, self.dim, rng)
-        return conv_weights(image_shape[0], self.channels, self.kernel, rng)
+            return gaussian_weights((self.dim, int(np.prod(image_shape))), rng)
+        return gaussian_weights((self.channels, image_shape[0], self.kernel, self.kernel), rng)
 
     def holding(self, weights):
         """The featurizer of this kind with weights that `draw` returned."""
@@ -143,58 +143,39 @@ def initialize(source: MultiDomainDataset, cfg: DistillConfig):
 
     Real-image strategies sample without replacement within each class (per
     domain for uniform init); random init recycles its pool only when a class
-    holds fewer than ipc samples.
+    holds fewer than ipc samples. Noise images have init uid -1.
     """
-    rng = SeededRng(cfg.seed)
-    shape = source.image_shape
-    pattern = _domain_pattern(cfg.ipc, source.domain_count)
-    # Views copy their images: build only the ones the strategy reads.
-    pooled = source.train_view() if cfg.init == "random" else None
-    domain_views = [source.train_view(domain=d) for d in range(source.domain_count)
-                    if cfg.init == "uniform"]
-    images, labels, domains, init_uids = [], [], [], []
-    for c in range(source.class_count):
-        picks, views = [None] * cfg.ipc, [None] * cfg.ipc
-        if cfg.init == "random":
+    rng, ipc, classes = SeededRng(cfg.seed), cfg.ipc, range(source.class_count)
+    pattern = _domain_pattern(ipc, source.domain_count)
+    labels = np.repeat(np.arange(len(classes), dtype=np.int64), ipc)
+    domains = np.tile(pattern, len(classes))
+    if cfg.init == "noise":
+        images = [rng.substream(_STREAM_INIT, c, j).normal(size=source.image_shape)
+                  for c in classes for j in range(ipc)]
+        return SyntheticSet(images=np.stack(images), labels=labels, domains=domains)
+    # (view, index) of each seed image. Views copy their images, so each
+    # strategy builds only the ones it reads.
+    picks = []
+    if cfg.init == "random":
+        pooled = source.train_view()
+        for c in classes:
             idx = pooled.class_indices(c)
             order = rng.substream(_STREAM_INIT, c).permutation(idx.size)
-            take = min(cfg.ipc, idx.size)
-            picks = [idx[order[j % take]] for j in range(cfg.ipc)]
-            views = [pooled] * cfg.ipc
-        elif cfg.init == "uniform":
-            picks, views = [], []
-            for d in range(source.domain_count):
-                count = int(np.sum(pattern == d))
-                if count == 0:
-                    continue
-                dview = domain_views[d]
-                idx = dview.class_indices(c)
-                if idx.size < count:
-                    raise EmptyClass(
-                        f"domain {d} has only {idx.size} class-{c} samples, "
-                        f"uniform init needs {count}"
-                    )
+            picks += [(pooled, idx[order[j % min(ipc, idx.size)]]) for j in range(ipc)]
+    else:
+        views = [source.train_view(domain=d) for d in range(source.domain_count)]
+        counts = np.bincount(pattern, minlength=source.domain_count)
+        for c in classes:
+            for d in np.flatnonzero(counts):
+                idx = views[d].class_indices(c)
+                if idx.size < counts[d]:
+                    raise EmptyClass(f"domain {d} has only {idx.size} class-{c} samples, "
+                                     f"uniform init needs {counts[d]}")
                 order = rng.substream(_STREAM_INIT, c, d).permutation(idx.size)
-                picks.extend(idx[order[:count]])
-                views.extend([dview] * count)
-        for j, d in enumerate(pattern):
-            if cfg.init == "noise":
-                r = rng.substream(_STREAM_INIT, c, j)
-                images.append(r.normal(size=shape))
-                init_uids.append(-1)
-            else:
-                v, pick = views[j], picks[j]
-                images.append(v.images[pick].copy())
-                init_uids.append(int(v.uids[pick]))
-            labels.append(c)
-            domains.append(int(d))
-    return SyntheticSet(
-        images=np.stack(images),
-        labels=np.array(labels, dtype=np.int64),
-        domains=np.array(domains, dtype=np.int64),
-        iteration=0,
-        init_uids=np.array(init_uids, dtype=np.int64),
-    )
+                picks += [(views[d], i) for i in idx[order[:counts[d]]]]
+    return SyntheticSet(images=np.stack([view.images[i] for view, i in picks]),
+                        labels=labels, domains=domains,
+                        init_uids=np.array([view.uids[i] for view, i in picks], dtype=np.int64))
 
 
 @dataclass

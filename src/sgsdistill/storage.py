@@ -26,6 +26,7 @@ import zlib
 
 import numpy as np
 
+from .datasets import MultiDomainDataset
 from .errors import (
     BadMagic,
     ChecksumMismatch,
@@ -142,8 +143,6 @@ def load_dataset(path):
     """Read a DGDD container back into a MultiDomainDataset (pixels as f64);
     ids at or above the header's class or domain count, and split bytes other
     than 0 (train) or 1 (test), are DimensionMismatch."""
-    from .datasets import MultiDomainDataset
-
     dims, records = _read_container(path, DATASET_MAGIC, 6, _dataset_record)
     for name, count in (("label", dims[4]), ("domain", dims[5]), ("split", 2)):
         if len(records) and (top := records[name].max()) >= count:
@@ -191,12 +190,10 @@ def import_idx(images_path, labels_path):
     Pixels are rescaled from u8 to [0, 1]; every sample lands in domain 0 of
     one, in the train split.
     """
-    from .datasets import MultiDomainDataset
-
     img_data = _read_file(images_path)
     if len(img_data) < 16:
         raise BadMagic("image file too short for an IDX header")
-    magic, count, rows, cols = struct.unpack(">4i", img_data[:16])
+    magic, count, rows, cols = struct.unpack(">4I", img_data[:16])
     if magic != IDX_IMAGES_MAGIC:
         raise BadMagic(f"image magic {magic:#010x}, expected {IDX_IMAGES_MAGIC:#010x}")
     expected = 16 + count * rows * cols
@@ -207,7 +204,7 @@ def import_idx(images_path, labels_path):
     lbl_data = _read_file(labels_path)
     if len(lbl_data) < 8:
         raise BadMagic("label file too short for an IDX header")
-    lmagic, lcount = struct.unpack(">2i", lbl_data[:8])
+    lmagic, lcount = struct.unpack(">2I", lbl_data[:8])
     if lmagic != IDX_LABELS_MAGIC:
         raise BadMagic(f"label magic {lmagic:#010x}, expected {IDX_LABELS_MAGIC:#010x}")
     if lcount != count:

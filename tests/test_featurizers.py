@@ -350,7 +350,6 @@ def test_lanes_run_every_task_once_in_their_own_workspace(monkeypatch):
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
 @pytest.mark.parametrize("allowed", [True, False])
 def test_lane_threads_hold_one_cpu_each_where_allowed(monkeypatch, allowed):
-    monkeypatch.setattr(featurizers, "_pool", None)   # a fresh pool runs its initializer
     monkeypatch.setattr(featurizers, "_usable_cpus", lambda: 2)
     if not allowed:
         def refuse(pid, cpus):
@@ -359,7 +358,6 @@ def test_lane_threads_hold_one_cpu_each_where_allowed(monkeypatch, allowed):
     seen = {}
     featurizers._in_lanes(2, lambda: None,
                           lambda task, work: seen.setdefault(task, os.sched_getaffinity(0)))
-    featurizers._pool[1].shutdown()
     mask = os.sched_getaffinity(0)
     assert seen[0] == mask   # the calling thread stays free
     assert seen[1] == ({sorted(mask)[1 % len(mask)]} if allowed else mask)
@@ -383,10 +381,8 @@ def _mallinfo2():
 def test_making_the_lane_pool_stops_large_arrays_growing_the_heap(monkeypatch):
     # By default, freeing a mapped block raises glibc's mmap threshold past it,
     # and the next array of that size that fits no free heap space grows the heap.
-    monkeypatch.setattr(featurizers, "_pool", None)
     monkeypatch.setattr(featurizers, "_usable_cpus", lambda: 2)
     featurizers._in_lanes(2, lambda: None, lambda task, work: None)
-    featurizers._pool[1].shutdown()
     size = _mallinfo2().fordblks + 2 * featurizers.MMAP_THRESHOLD   # fits no free space
     freed = np.ones(size + featurizers.MMAP_THRESHOLD, dtype=np.uint8)
     del freed
@@ -398,8 +394,6 @@ def test_making_the_lane_pool_stops_large_arrays_growing_the_heap(monkeypatch):
 
 @pytest.mark.parametrize("single", ["one usable cpu", "one_lane"])
 def test_a_single_lane_starts_no_thread(monkeypatch, single):
-    monkeypatch.setattr(featurizers, "_pool", None)
-    monkeypatch.setattr(featurizers, "_lane_cap", None)
     monkeypatch.setattr(featurizers, "_usable_cpus", lambda: 1 if single == "one usable cpu" else 4)
     if single == "one_lane":
         featurizers.one_lane()

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import threading
 import time
 from dataclasses import replace
@@ -116,6 +117,36 @@ def test_uniform_init_needs_enough_samples_per_domain():
     cfg = DistillConfig(ipc=12, iterations=1, seed=0, **FAST)
     with pytest.raises(EmptyClass):
         initialize(tiny, cfg)
+
+
+# sha256 of each strategy's images, labels, domains and init uids (with their
+# dtypes and shapes), as the code before initialize's one-pass rewrite made them.
+INIT_DIGESTS = {
+    ("noise", 3, 5): "f3e2b800e9c6bb6bf998f01bfb1e568248826e3f0877aef4b6ac69b84c607b72",
+    ("random", 4, 6): "b4fc60aa874ee611a70ab280ce3a611f91ffe8802262efa4d34c7932ec99ecc1",
+    ("uniform", 6, 7): "6f99a460cbd6805180a5cf20b5913ba4f8f0b4de81c7b7ff295060c99179948a",
+    # 50 above a class's 48 train samples: random init recycles its pool.
+    ("random", 50, 8): "44fca396b55c7c1b78ba1df47b1929fee1c229621690f3c2ec20849838bf58ac",
+    # 2 below the 4 domains: uniform init skips domains 2 and 3.
+    ("uniform", 2, 9): "5d7de714c7b1eed11a1a3e0690acfbe3e560b4694abf106e1e5d9561f65429ca",
+}
+
+
+@pytest.mark.parametrize("init, ipc, seed", sorted(INIT_DIGESTS))
+def test_initialize_keeps_its_bytes(toy, init, ipc, seed):
+    syn = initialize(toy, DistillConfig(ipc=ipc, iterations=1, seed=seed, init=init))
+    digest = hashlib.sha256()
+    for array in (syn.images, syn.labels, syn.domains, syn.init_uids):
+        digest.update(f"{array.dtype.str}{array.shape}".encode())
+        digest.update(array.tobytes())
+    assert digest.hexdigest() == INIT_DIGESTS[init, ipc, seed]
+
+
+def test_uniform_init_names_the_short_domain(toy):
+    # 13 of each class from every domain, which holds 12.
+    with pytest.raises(EmptyClass, match="^domain 0 has only 12 class-0 samples, "
+                                         "uniform init needs 13$"):
+        initialize(toy, DistillConfig(ipc=50, iterations=1, seed=10, init="uniform"))
 
 
 def test_zero_iterations_returns_initialization(toy):
@@ -505,9 +536,9 @@ def test_a_run_draws_each_of_its_iterations_once(monkeypatch, toy):
 def test_a_failed_run_leaves_no_draw_running_or_queued(monkeypatch, toy):
     monkeypatch.setattr(featurizers, "_usable_cpus", lambda: 2)
     events = []
-    linear_weights = pipeline.linear_weights
-    monkeypatch.setattr(pipeline, "linear_weights",
-                        lambda *args: (events.append("started"), linear_weights(*args))[1])
+    gaussian_weights = pipeline.gaussian_weights
+    monkeypatch.setattr(pipeline, "gaussian_weights",
+                        lambda *args: (events.append("started"), gaussian_weights(*args))[1])
     spy_draws(monkeypatch, lambda weights, rng: (time.sleep(0.05), events.append("drawn")))
     matching = pipeline.matching_rows
 
@@ -531,8 +562,6 @@ def test_a_failed_run_leaves_no_draw_running_or_queued(monkeypatch, toy):
 
 @pytest.mark.parametrize("single", ["one usable cpu", "one_lane"])
 def test_a_single_lane_run_starts_no_thread(monkeypatch, toy, single):
-    monkeypatch.setattr(featurizers, "_pool", None)
-    monkeypatch.setattr(featurizers, "_lane_cap", None)
     monkeypatch.setattr(featurizers, "_usable_cpus", lambda: 1 if single == "one usable cpu" else 4)
     if single == "one_lane":
         featurizers.one_lane()
@@ -596,7 +625,6 @@ def test_outputs_do_not_depend_on_which_thread_draws(monkeypatch, tmp_path, toy)
     # (all of iteration 0's queue but its own draw, at least). With a slowed
     # matching pass the lane keeps ahead, and only the start's draws can be
     # taken back. A restore continues with a fresh queue.
-    monkeypatch.setattr(featurizers, "_pool", None)   # one lane thread, as on two CPUs
     cfg = DistillConfig(ipc=3, iterations=8, seed=25, checkpoint_every=3, **FAST)
     stream, loop = SeededRng(cfg.seed), threading.get_ident()
     iteration_of = {FeaturizerSpec.draw(cfg.featurizer, toy.image_shape,
@@ -639,4 +667,3 @@ def test_outputs_do_not_depend_on_which_thread_draws(monkeypatch, tmp_path, toy)
     assert [(got, repr(losses)) for got, losses in outputs] == [(images, repr(history))] * 4
     assert ((resumed / "checkpoint_000006.dgck").read_bytes()
             == (one_lane / "checkpoint_000006.dgck").read_bytes())
-    featurizers._pool[1].shutdown()

@@ -136,6 +136,20 @@ def test_idx_count_mismatch(tmp_path):
         import_idx(ipath, lpath)
 
 
+@pytest.mark.parametrize("header", [(-1, 4, 5), (7, -4, -4)], ids=["count", "rows-cols"])
+def test_idx_negative_image_header_counts_are_short_payloads(tmp_path, header):
+    ipath, lpath, _, _ = write_idx_pair(tmp_path)
+    ipath.write_bytes(struct.pack(">4i", 0x803, *header) + ipath.read_bytes()[16:])
+    with pytest.raises(DimensionMismatch, match="image payload shorter"):
+        import_idx(ipath, lpath)
+
+
+def test_idx_negative_label_count_is_a_count_mismatch(tmp_path):
+    ipath, lpath, _, _ = write_idx_pair(tmp_path, label_count=-1)
+    with pytest.raises(DimensionMismatch, match="^7 images but 4294967295 labels$"):
+        import_idx(ipath, lpath)
+
+
 def test_idx_bad_magic_and_empty(tmp_path):
     ipath, lpath, _, _ = write_idx_pair(tmp_path, image_magic=0x123)
     with pytest.raises(BadMagic):
