@@ -3,11 +3,12 @@
 The loss for a view of real data is the sum over classes of the squared
 distance between synthetic and real per-class feature means. Means are taken
 over the whole view passed in; the loop minibatches by passing class-balanced
-subsets of the views (`pipeline._iteration_inputs`).
+subsets of the views (`pipeline._Inputs`).
 
 `matching_rows` yields the pooled gradient and every per-domain gradient
 of every class from one pass: each view's class-mean matrix comes from one
-featurization (`class_feature_mean`, cached on the view per featurizer), the
+featurization (`class_feature_mean`, cached on the view per featurizer, or
+`real_class_means`, which the loop computes ahead on a featurizer lane), the
 pooled real class means are the count-weighted mix of the domain means, the
 synthetic class means come from one forward, and one `pullback` of the
 (S + 1, classes) covectors returns distinct gradient rows plus each image's
@@ -18,13 +19,29 @@ strength). `dm_gradient` gathers the pooled rows to the images; `dm_loss`
 stops before the pullback.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .datasets import SyntheticSet
 from .errors import EmptyClass, ShapeMismatch
-from .featurizers import mean_features
+from .featurizers import _conv_class_means, mean_features
+
+
+def class_groups(view):
+    """(class_count, the classes the view holds, their index arrays)."""
+    held = [c for c, idx in view.by_class().items() if idx.size]
+    return view.class_count, held, [view.by_class()[c] for c in held]
+
+
+def _class_matrix(feature_dim, class_count, held, groups, mean_rows):
+    """(class_count, F): row c of a held class from mean_rows(groups), one
+    row per group; NaN rows for the classes the view lacks."""
+    means = np.full((class_count, feature_dim), np.nan)
+    if held:
+        means[held] = mean_rows(groups)
+    return means
 
 
 def class_feature_mean(view, psi):
@@ -33,14 +50,20 @@ def class_feature_mean(view, psi):
     map featurizes the view once and averages each class's rows. Classes the
     view lacks get NaN rows. Cached on the view for psi."""
     def compute():
-        held = [c for c, idx in view.by_class().items() if idx.size]
-        means = np.full((view.class_count, psi.feature_dim), np.nan)
-        if held:
-            means[held] = mean_features(
-                psi, view.images, [view.by_class()[c] for c in held],
-                pixel_mean=lambda: np.stack([view.class_pixel_mean(c) for c in held]))
-        return means
+        count, held, groups = class_groups(view)
+        return _class_matrix(psi.feature_dim, count, held, groups, functools.partial(
+            mean_features, psi, view.images,
+            pixel_mean=lambda: np.stack([view.class_pixel_mean(c) for c in held])))
     return view.cached_feature_mean(psi, compute)
+
+
+def real_class_means(kernels, views):
+    """class_feature_mean of each view under the ConvFeaturizer holding
+    kernels (float64), from (images, class_groups) pairs read on the calling
+    thread. Calls numpy only, so a featurizer pool thread may run it."""
+    return [_class_matrix(len(kernels), *grouped,
+                          functools.partial(_conv_class_means, kernels, images))
+            for images, grouped in views]
 
 
 @dataclass
@@ -51,13 +74,14 @@ class DmGradient:
     loss: float
 
 
-def _class_deltas(synthetic: SyntheticSet, domain_views, psi, per_domain):
+def _class_deltas(synthetic: SyntheticSet, domain_views, psi, per_domain, real_means=None):
     """Deltas (S + 1, K, F), their losses (S + 1,) and the synthetic class
     sizes (K,). deltas[0, c] is mean psi(synthetic_c) minus the pooled real
     class mean (the count-weighted mix of the views holding class c),
     deltas[1 + s, c] the same against view s. A view without class c raises
     EmptyClass when per_domain is set (surgery needs every class in every
     domain); otherwise it gets weight 0 and a NaN row, so its loss is NaN.
+    real_means, when given, holds each view's class_feature_mean under psi.
     """
     shape = synthetic.images.shape[1:]
     if any(view.images.shape[1:] != shape for view in domain_views):
@@ -77,7 +101,8 @@ def _class_deltas(synthetic: SyntheticSet, domain_views, psi, per_domain):
     mu_real = np.full((len(domain_views),) + mu_syn.shape, np.nan)
     for s, view in enumerate(domain_views):
         if held[s].any():
-            means = class_feature_mean(view, psi)[:k]
+            means = (class_feature_mean(view, psi) if real_means is None
+                     else real_means[s])[:k]
             mu_real[s, :len(means)] = means
     weights = (counts / counts.sum(axis=0))[..., None]
     pooled = (weights * np.where(held[..., None], mu_real, 0.0)).sum(axis=0)
@@ -85,7 +110,8 @@ def _class_deltas(synthetic: SyntheticSet, domain_views, psi, per_domain):
     return deltas, np.einsum("rkf,rkf->r", deltas, deltas), sizes
 
 
-def matching_rows(synthetic: SyntheticSet, domain_views, psi, per_domain=True):
+def matching_rows(synthetic: SyntheticSet, domain_views, psi, per_domain=True,
+                  real_means=None):
     """Gradient rows of dm_loss against the union of the views and each view.
 
     Returns (rows, index, losses): sample i's gradient of the pooled loss is
@@ -93,9 +119,10 @@ def matching_rows(synthetic: SyntheticSet, domain_views, psi, per_domain=True):
     (S + 1,) are the pooled loss then each view's. Each member of class c
     receives the covector (2 / ipc_c) * delta_c pulled back at its own
     pixels. With per_domain=False only rows[0] is pulled back, and a view
-    missing a class gets a NaN loss.
+    missing a class gets a NaN loss. real_means, when given, holds each
+    view's class_feature_mean under psi, which is then not computed again.
     """
-    deltas, losses, sizes = _class_deltas(synthetic, domain_views, psi, per_domain)
+    deltas, losses, sizes = _class_deltas(synthetic, domain_views, psi, per_domain, real_means)
     rows = len(domain_views) + 1 if per_domain else 1
     pulled, index = psi.pullback(synthetic.images, (2.0 / sizes)[:, None] * deltas[:rows],
                                  groups=synthetic.labels)

@@ -16,16 +16,16 @@ Batches are correlated a block of images at a time, and the blocks run in
 lanes, one per CPU in the process's affinity mask: lane 0 on the calling
 thread, the others on a module thread pool made once, on first use, with a
 thread for every lane but one; each thread holds one CPU (numpy drops the
-interpreter lock in the window copy and the gemm, which dominate).
-Each lane correlates in buffers the caller allocated for it before the
-lanes start, and writes disjoint slices of the caller's output. Each image's
-window matrix is its own gemm, so results are bitwise the same for any
-lane count and any block size. With one usable CPU no thread is started.
-
-`draw_ahead` queues one weight draw on that pool while the caller goes on,
-as the distillation loop queues its next featurizers where it has more than
-one lane. A draw reads only the stream it is given, so its bytes do not
-depend on whether a lane or the caller draws it.
+interpreter lock in the window copy and the gemm, which dominate). Once
+lane 0 is done, the calling thread runs every lane the pool has not started
+yet, so a pool busy with other work does not hold it up. Each lane
+correlates in its own buffers, and writes disjoint slices of the caller's
+output. A laned call made on a pool thread runs as one lane, on that
+thread: the distillation loop queues whole iterations' inputs on the pool
+(`_conv_class_means` is its real-side pass), and those call the laned
+passes. Each image's window matrix is its own gemm, so results are bitwise
+the same for any lane count, any block size and any thread. With one usable
+CPU no thread is started.
 """
 
 import concurrent.futures
@@ -64,9 +64,10 @@ ADJOINT_BLOCK = 4
 MMAP_THRESHOLD = 4 << 20
 TRIM_THRESHOLD = 64 << 20
 
-# The lanes' thread pool; made on first use.
+# The lanes' thread pool; made on first use. Its threads set _on_pool.lane.
 _pool = None
 _pool_lock = threading.Lock()
+_on_pool = threading.local()
 # At most this many lanes per loop; None is one per usable CPU. A process-pool
 # worker sets 1 through one_lane(), so pools never nest.
 _lane_cap = None
@@ -80,11 +81,13 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _hold_cpu(made):
-    """Thread-pool initializer: hold the new lane thread to one CPU of the
-    affinity mask, the k-th thread made to the k-th CPU after the first.
-    Threads left free that keep handing the interpreter lock to each other
-    are woken onto one CPU by the scheduler, and run no faster than one."""
+def _start_lane(made):
+    """Thread-pool initializer: mark the new thread as the pool's, so laned
+    calls made on it run as one lane, and hold it to one CPU of the affinity
+    mask, the k-th thread made to the k-th CPU after the first. Threads left
+    free that keep handing the interpreter lock to each other are woken onto
+    one CPU by the scheduler, and run no faster than one."""
+    _on_pool.lane = True
     if hasattr(os, "sched_setaffinity"):
         cpus = sorted(os.sched_getaffinity(0))
         try:
@@ -98,12 +101,15 @@ def _pin_heap_thresholds():
     threshold to each large block freed, so dataset-sized arrays move into the
     heap; once the lanes run, whether the next one fits a hole there depends
     on thread timing (the sdg-resume benchmark's peak RSS read 134, 140 or
-    148 MB from run to run). Other C libraries are left alone."""
+    148 MB from run to run). Keep one arena too: buffers a pool thread
+    allocates would otherwise land in an arena of its own, beside the main
+    heap's free space. Other C libraries are left alone."""
     if "CS_GNU_LIBC_VERSION" in getattr(os, "confstr_names", {}):
         mallopt = ctypes.CDLL(None).mallopt
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
         mallopt(-1, TRIM_THRESHOLD)   # M_TRIM_THRESHOLD in glibc's malloc.h
         mallopt(-3, MMAP_THRESHOLD)   # M_MMAP_THRESHOLD
+        mallopt(-8, 1)                # M_ARENA_MAX
 
 
 def _executor():
@@ -113,7 +119,7 @@ def _executor():
         if _pool is None:
             _pin_heap_thresholds()
             _pool = concurrent.futures.ThreadPoolExecutor(
-                max(lane_count() - 1, 1), "featurizer-lane", initializer=_hold_cpu,
+                max(lane_count() - 1, 1), "featurizer-lane", initializer=_start_lane,
                 initargs=(itertools.count(1),))
         return _pool
 
@@ -136,11 +142,13 @@ def one_lane():
 
 
 def _in_lanes(tasks, workspace, run):
-    """run(task, work) for each task in range(tasks), over min(usable CPUs,
+    """run(task, work) for each task in range(tasks), over min(lane_count(),
     tasks) lanes. Lane l takes tasks l, l + lanes, ... with its own work =
     workspace(), made here on the calling thread before any lane starts.
-    Lane 0 runs on the calling thread, the others on the module pool; returns
-    when every lane is done, raising the first error."""
+    Lane 0 runs on the calling thread, the others on the module pool; once
+    lane 0 is done, the calling thread takes back every lane the pool has not
+    started (Future.cancel succeeds only then) and runs it. Returns when every
+    lane is done, raising the first error."""
     lanes = min(lane_count(), tasks)
     if lanes < 1:
         return
@@ -157,27 +165,37 @@ def _in_lanes(tasks, workspace, run):
     futures = [pool.submit(lane, index) for index in range(1, lanes)]
     try:
         lane(0)
+        for index, future in enumerate(futures, 1):
+            if future.cancel():
+                lane(index)
     finally:
-        concurrent.futures.wait(futures)
-    for future in futures:
+        # `wait` counts a cancelled lane done only once a pool thread has
+        # popped it, so wait for the started ones alone. The cancelled ones
+        # stay queued until then, and must not hold the buffers.
+        started = [future for future in futures if not future.cancel()]
+        concurrent.futures.wait(started)
+        works = run = None
+    for future in started:
         future.result()
 
 
 def lane_count():
     """Lanes a laned loop may spread over: one per usable CPU, or 1 under
-    one_lane."""
+    one_lane and on the pool's own threads."""
+    if getattr(_on_pool, "lane", False):
+        return 1
     return _lane_cap or _usable_cpus()
 
 
-def draw_ahead(draw, rng: SeededRng):
-    """Queue draw(rng.generator) on a lane of the module pool and return its
-    Future, so the caller's next work overlaps it. The lane calls numpy only:
-    rng was derived on the calling thread, and draw must call only `normal`
-    on its argument. For callers that run more than one lane
-    (`lane_count() > 1`); a caller may instead cancel the Future before a
-    lane starts it and call draw(rng) itself, through SeededRng.normal. The
-    caller cancels or waits for every Future before it returns."""
-    return _executor().submit(draw, rng.generator)
+def run_ahead(fn, *args):
+    """Queue fn(*args) on a thread of the lane pool and return its Future, so
+    the caller's next work overlaps it. fn must call numpy only: perfbench's
+    tracer wraps the library's public names, and its span stack belongs to
+    one thread. Its laned calls run as one lane, on that thread. For callers
+    that run more than one lane (`lane_count() > 1`); a caller may cancel the
+    Future before a thread starts it and run fn itself. The caller cancels
+    or waits for every Future before it returns."""
+    return _executor().submit(fn, *args)
 
 
 def gaussian_weights(shape, rng):
@@ -190,6 +208,10 @@ def gaussian_weights(shape, rng):
 
 class LinearFeaturizer:
     """Random linear projection of flattened grids: features = W @ x.ravel()."""
+
+    # A class's mean features are the features of its pixel mean, so the
+    # real images themselves are never featurized (`mean_features`).
+    reads_pixel_means = True
 
     def __init__(self, weight):
         self.weight = np.asarray(weight, dtype=np.float64)
@@ -257,6 +279,8 @@ class ConvFeaturizer:
     channels-last (N, H*W, O), as the im2col matmul yields them.
     """
 
+    reads_pixel_means = False
+
     def __init__(self, kernels):
         self.kernels = np.asarray(kernels, dtype=np.float64)
         if self.kernels.ndim != 4:
@@ -290,19 +314,11 @@ class ConvFeaturizer:
             raise ShapeMismatch(f"batch shape {images.shape} incompatible with kernels")
         return images
 
-    def _forward(self, images, work=None):
-        """Pre-rectifier maps of a checked batch (N, C, H, W), channels-last
-        (N, H*W, O), in work's buffers (fresh ones by default)."""
-        n, c, h, w = images.shape
-        if work is None:
-            work = _Workspace(n, h, w, self.kernels)
-        work.interior[:n] = images.transpose(0, 2, 3, 1)
-        return _correlate(work, n)
-
     def preactivations(self, x):
         """Pre-rectifier maps (out_channels, H, W); exposed for kink-margin checks."""
         x = self._check(x)
-        return self._forward(x[None])[0].T.reshape((-1,) + x.shape[1:])
+        work = _Workspace(1, *x.shape[1:], self.kernels)
+        return _forward(x[None], work)[0].T.reshape((-1,) + x.shape[1:])
 
     def hidden_activations(self, x):
         """Post-rectifier feature maps before pooling, one plane per output channel."""
@@ -315,28 +331,13 @@ class ConvFeaturizer:
         """write(block, maps) for every IMAGE_BLOCK slice of a batch (N, C, H, W)
         and its pre-rectifier maps (b, H*W, O), the blocks spread over the
         lanes. write stores into the caller's arrays and may overwrite maps.
-        It runs on a lane's thread, so it must call no laned method (lanes do
-        not nest) and no public featurizer method (perfbench's tracer wraps
-        those, and its span stack belongs to one thread)."""
-        images = self._check_batch(images)
-        n, _, h, w = images.shape
-
-        def run(task, work):
-            block = slice(task * IMAGE_BLOCK, (task + 1) * IMAGE_BLOCK)
-            write(block, self._forward(images[block], work))
-
-        _in_lanes(-(-n // IMAGE_BLOCK),
-                  lambda: _Workspace(min(n, IMAGE_BLOCK), h, w, self.kernels), run)
+        It runs on a lane's thread, so it must call no public featurizer
+        method (perfbench's tracer wraps those, and its span stack belongs to
+        one thread)."""
+        _map_blocks(self.kernels, self._check_batch(images), write)
 
     def features_batch(self, images):
-        images = self._check_batch(images)
-        out = np.empty((len(images), self.feature_dim))
-
-        def write(block, z):
-            out[block] = spatial_mean(np.maximum(z, 0.0, out=z))
-
-        self.map_blocks(images, write)
-        return out
+        return _pooled_features(self.kernels, self._check_batch(images))
 
     def vjp(self, x, upstream):
         x = self._check(x)
@@ -360,7 +361,7 @@ class ConvFeaturizer:
         n, c, h, w = images.shape
         o = self.feature_dim
         active = np.empty((n, h * w, o), dtype=bool)
-        self.map_blocks(images, lambda block, z: np.greater(z, 0.0, out=active[block]))
+        _map_blocks(self.kernels, images, lambda block, z: np.greater(z, 0.0, out=active[block]))
         # The adjoint of the padded correlation correlates the cotangent with
         # the spatially flipped kernels, in and out channels swapped.
         flipped = self.kernels[..., ::-1, ::-1].transpose(1, 0, 2, 3)
@@ -406,6 +407,37 @@ class _Workspace:
         self.window_rows = self.rows.reshape(self.windows.shape)
 
 
+def _forward(images, work):
+    """Pre-rectifier maps of a checked batch (n, C, H, W), channels-last
+    (n, H*W, O), in work's buffers."""
+    work.interior[:len(images)] = images.transpose(0, 2, 3, 1)
+    return _correlate(work, len(images))
+
+
+def _map_blocks(kernels, images, write):
+    """ConvFeaturizer.map_blocks of the featurizer holding kernels, on a
+    checked batch."""
+    n, _, h, w = images.shape
+
+    def run(task, work):
+        block = slice(task * IMAGE_BLOCK, (task + 1) * IMAGE_BLOCK)
+        write(block, _forward(images[block], work))
+
+    _in_lanes(-(-n // IMAGE_BLOCK), lambda: _Workspace(min(n, IMAGE_BLOCK), h, w, kernels), run)
+
+
+def _pooled_features(kernels, images):
+    """ConvFeaturizer.features_batch of the featurizer holding kernels, on a
+    checked batch: rectified maps, spatially pooled."""
+    out = np.empty((len(images), kernels.shape[0]))
+
+    def write(block, z):
+        out[block] = spatial_mean(np.maximum(z, 0.0, out=z))
+
+    _map_blocks(kernels, images, write)
+    return out
+
+
 def _correlate(work, n):
     """Zero-padded stride-1 cross-correlation of the first n maps in
     work.interior with work's kernels -> (n, H*W, O), a view of work.out;
@@ -440,10 +472,20 @@ def _covector_rows(upstream, feature_dim, groups, n):
 def mean_features(psi, images, groups, pixel_mean):
     """One mean feature row per group (index arrays into images), from one
     featurization. A linear map's feature mean is W applied to the pixel
-    mean, so a LinearFeaturizer featurizes the stack of the groups' pixel
-    means instead, which the zero-argument callable pixel_mean returns.
+    mean, so a featurizer that `reads_pixel_means` featurizes the stack of
+    the groups' pixel means instead, which the zero-argument callable
+    pixel_mean returns.
     """
-    if isinstance(psi, LinearFeaturizer):
+    if psi.reads_pixel_means:
         return psi.features_batch(pixel_mean())
-    rows = psi.features_batch(images)
+    return _group_means(psi.features_batch(images), groups)
+
+
+def _conv_class_means(kernels, images, groups):
+    """mean_features of the ConvFeaturizer holding kernels (float64), its
+    real-side pass: numpy only, so a pool thread may run it."""
+    return _group_means(_pooled_features(kernels, images), groups)
+
+
+def _group_means(rows, groups):
     return np.stack([rows[g].mean(axis=0) for g in groups])

@@ -1,20 +1,25 @@
 """The end-to-end distillation loop.
 
-Iteration t draws its featurizer and, when batch_per_class > 0, class-balanced
-minibatches of the real domain views from streams keyed by t
-(`_iteration_inputs`, shared with the surgery snapshot). Where the featurizer
-pool has more than one lane, the loop keeps the weight draws of iterations t
-... t + DRAW_DEPTH - 1 queued on it (`featurizers.draw_ahead`) while iteration
-t runs. When iteration t's draw has not finished, the loop thread does not
-wait: it takes back the furthest queued draw that no lane has started and
-draws it itself, until t's is done or none is left. With one lane, and in the
-snapshot, the calling thread draws each featurizer when it is needed. Every
-draw reads only its own stream, so the outputs are the same bytes whichever
-thread drew them, and no draw outlives the call. One matching pass gives the
-pooled and per-domain gradients of every class (one featurization per real
-view, one synthetic forward and one pullback, see `dm.matching_rows`), and the
-distinct gradient rows and each sample's row index go straight to the surgery
-kernel, which transforms each distinct per-domain stack once (under the linear
+Iteration t's inputs (`_Inputs`, shared with the surgery snapshot) depend on t
+and never on the synthetic set: the featurizer drawn from a stream keyed by t;
+the real views, which are the domain train views or, when batch_per_class > 0,
+class-balanced minibatches of them drawn from streams keyed by t; and, under a
+featurizer that featurizes the real images themselves (conv, not linear), each
+real view's class-mean features. Where the featurizer pool has more than one
+lane, the loop keeps the inputs of iterations t ... t + DRAW_DEPTH - 1 queued
+on it while iteration t runs: the loop thread draws an item's views when it
+queues it, and a lane draws its weights and computes its real means
+(`featurizers.run_ahead`). When iteration t's item has not finished, the loop
+thread does not wait: it takes back the furthest queued item that no lane has
+started and computes it itself, until t's is done or none is left. With one
+lane, and in the snapshot, the calling thread computes each item when it is
+needed. An item reads only its own streams and views, and each image's
+features are their own gemm, so the outputs are the same bytes whichever
+thread computed it, and no item outlives the call. One matching pass gives the
+pooled and per-domain gradients of every class (the real class means, one
+synthetic forward and one pullback, see `dm.matching_rows`), and the distinct
+gradient rows and each sample's row index go straight to the surgery kernel,
+which transforms each distinct per-domain stack once (under the linear
 featurizer, once per class, see `surgery.batch_surgery_updates`) and applies
 the three-signal step with each sample's assigned domain. At lambda_c =
 lambda_d = 0 (plain matching) the pass pulls back only the pooled covectors
@@ -37,10 +42,10 @@ import numpy as np
 from . import storage
 from .datasets import DataView, MultiDomainDataset, SyntheticSet
 # dm_gradient is not called here; perfbench/tracer.py wraps this name.
-from .dm import dm_gradient, matching_rows
+from .dm import class_groups, dm_gradient, matching_rows, real_class_means
 from .errors import DistillError, EmptyClass, InvalidConfig, TooFewDomains
-from .featurizers import (ConvFeaturizer, LinearFeaturizer, draw_ahead, gaussian_weights,
-                          lane_count)
+from .featurizers import (ConvFeaturizer, LinearFeaturizer, gaussian_weights, lane_count,
+                          run_ahead)
 from .rng import SeededRng
 from .surgery import batch_consensus_maps, batch_surgery_updates
 
@@ -51,11 +56,14 @@ _STREAM_INIT = 1
 _STREAM_FEATURIZER = 2
 _STREAM_BATCH = 3
 
-# Featurizer draws the loop keeps queued ahead of it where it has lanes to
-# draw on; each queued linear draw holds 786 KB. On the distill-linear
-# benchmark (2 CPUs, 8 s runs) depths 1, 2, 3, 4 and 6 read about 320, 425,
-# 570, 598 and 602 iterations/s.
+# Iterations whose inputs the loop keeps queued ahead of it where it has
+# lanes to compute them on: each item holds its featurizer weights (786 KB
+# for a linear draw) and, under conv, its real views' class means. When only
+# weight draws were queued, depths 1, 2, 3, 4 and 6 read about 320, 425, 570,
+# 598 and 602 iterations/s on the distill-linear benchmark (2 CPUs, 8 s runs).
 DRAW_DEPTH = 4
+
+_KINDS = {"linear": LinearFeaturizer, "conv": ConvFeaturizer}
 
 
 @dataclass(frozen=True)
@@ -68,7 +76,7 @@ class FeaturizerSpec:
     kernel: int = 3
 
     def __post_init__(self):
-        if self.kind not in ("linear", "conv"):
+        if self.kind not in _KINDS:
             raise InvalidConfig(f"unknown featurizer kind {self.kind!r}")
         if self.dim < 1 or self.channels < 1 or self.kernel < 1 or self.kernel % 2 == 0:
             raise InvalidConfig("featurizer dimensions must be positive (kernel odd)")
@@ -82,7 +90,7 @@ class FeaturizerSpec:
 
     def holding(self, weights):
         """The featurizer of this kind with weights that `draw` returned."""
-        return (LinearFeaturizer if self.kind == "linear" else ConvFeaturizer)(weights)
+        return _KINDS[self.kind](weights)
 
 
 @dataclass(frozen=True)
@@ -209,43 +217,58 @@ def _subsample_view(view, per_class, rng):
                     uids=None if view.uids is None else view.uids[keep])
 
 
-def _draw_featurizer(source, cfg, rng, t):
-    """Queue iteration t's featurizer weights on a lane (`featurizers.draw_ahead`)
-    and return the Future; the stream is derived here, on the calling thread."""
-    return draw_ahead(functools.partial(cfg.featurizer.draw, source.image_shape),
-                      rng.substream(_STREAM_FEATURIZER, t))
+class _Inputs:
+    """Iteration t's inputs, one item of the loop's queue. Made on the calling
+    thread, which draws the real views (through SeededRng) and reads their
+    class groups. `compute(rng)` then gives the featurizer weights drawn from
+    rng and, where the featurizer does not read class pixel means, each real
+    view's class-mean features under them (else None: dm reads them from the
+    pixel means on the loop thread). compute calls numpy only, so with ahead
+    a lane runs it on the stream's numpy generator; otherwise, or when taken
+    back, it runs here through SeededRng."""
+
+    def __init__(self, source, cfg, rng, t, domain_views, ahead=False):
+        self.spec, self.stream = cfg.featurizer, rng.substream(_STREAM_FEATURIZER, t)
+        self.views = domain_views if cfg.batch_per_class == 0 else [
+            _subsample_view(view, cfg.batch_per_class, rng.substream(_STREAM_BATCH, t, s))
+            for s, view in enumerate(domain_views)]
+        self.draw = functools.partial(self.spec.draw, source.image_shape)
+        self.real = None if _KINDS[self.spec.kind].reads_pixel_means else [
+            (view.images, class_groups(view)) for view in self.views]
+        if ahead:
+            self.future = run_ahead(self.compute, self.stream.generator)
+        else:
+            self._compute_here()
+
+    def compute(self, rng):
+        weights = self.draw(rng)
+        return weights, None if self.real is None else real_class_means(weights, self.real)
+
+    def _compute_here(self):
+        result = self.compute(self.stream)
+        self.future = concurrent.futures.Future()
+        self.future.set_result(result)
+
+    def take_back(self):
+        """Compute the item here, through SeededRng, unless a lane has started it."""
+        if self.future.cancel():
+            self._compute_here()
+
+    def inputs(self):
+        """(featurizer, real views, their class means or None), once computed."""
+        weights, means = self.future.result()
+        return self.spec.holding(weights), self.views, means
 
 
-def _featurizer_weights(source, cfg, rng, t):
-    """Iteration t's featurizer weights, drawn on the calling thread through
-    SeededRng: the bytes a lane draws from the same stream."""
-    return cfg.featurizer.draw(source.image_shape, rng.substream(_STREAM_FEATURIZER, t))
-
-
-def _take_weights(queue, draw):
-    """Pop the first queued draw's weights; draw(i) draws the i-th queued
-    one on the calling thread. Until the first has finished, take back the
-    furthest queued draw that no lane has started (Future.cancel succeeds
-    only then) and draw it here, the first one too; then wait. With nothing
-    queued, draw(0)."""
-    for i in reversed(range(len(queue))):
-        if queue[0].done():
+def _take(queue):
+    """The first queued item's inputs, popped. Until it has been computed,
+    take back the furthest queued item that no lane has started and compute
+    it here, the first one too; then wait."""
+    for item in reversed(queue):
+        if queue[0].future.done():
             break
-        if queue[i].cancel():
-            queue[i] = concurrent.futures.Future()
-            queue[i].set_result(draw(i))
-    return queue.popleft().result() if queue else draw(0)
-
-
-def _iteration_inputs(source, cfg, rng, t, domain_views, weights):
-    """Iteration t's featurizer, holding the weights drawn from its stream, and
-    real views: the domain train views, or their class-balanced minibatches
-    when batch_per_class > 0."""
-    psi = cfg.featurizer.holding(weights)
-    if cfg.batch_per_class == 0:
-        return psi, domain_views
-    return psi, [_subsample_view(view, cfg.batch_per_class, rng.substream(_STREAM_BATCH, t, s))
-                 for s, view in enumerate(domain_views)]
+        item.take_back()
+    return queue.popleft().inputs()
 
 
 def run_distillation(source: MultiDomainDataset, cfg: DistillConfig, initial=None,
@@ -267,18 +290,16 @@ def run_distillation(source: MultiDomainDataset, cfg: DistillConfig, initial=Non
     domain_views = [source.train_view(domain=s) for s in range(s_count)]
     history = []
 
-    # The Futures of iterations t, t + 1, ... drawn ahead on the lanes.
+    # The inputs of iterations t, t + 1, ..., computed ahead on the lanes.
     queue = collections.deque()
-    depth = DRAW_DEPTH if lane_count() > 1 else 0
+    ahead = lane_count() > 1
     try:
         for t in range(synthetic.iteration, cfg.iterations):
-            while len(queue) < depth and t + len(queue) < cfg.iterations:
-                queue.append(_draw_featurizer(source, cfg, rng, t + len(queue)))
-            drawn = _take_weights(
-                queue, lambda i: _featurizer_weights(source, cfg, rng, t + i))
-            psi, real_domains = _iteration_inputs(source, cfg, rng, t, domain_views, drawn)
+            while len(queue) < (DRAW_DEPTH if ahead else 1) and t + len(queue) < cfg.iterations:
+                queue.append(_Inputs(source, cfg, rng, t + len(queue), domain_views, ahead))
+            psi, real_domains, real_means = _take(queue)
             rows, index, losses = matching_rows(synthetic, real_domains, psi,
-                                                per_domain=cfg.surgery)
+                                                per_domain=cfg.surgery, real_means=real_means)
             history.append((t, *losses.tolist()))
             if cfg.surgery:
                 updates = batch_surgery_updates(rows[1:], rows[0], synthetic.domains, cfg,
@@ -293,10 +314,8 @@ def run_distillation(source: MultiDomainDataset, cfg: DistillConfig, initial=Non
                     and synthetic.iteration % cfg.checkpoint_every == 0:
                 checkpoint(synthetic,
                            f"{checkpoint_dir}/checkpoint_{synthetic.iteration:06d}.dgck")
-    finally:   # no draw outlives the call
-        for future in queue:
-            future.cancel()
-        concurrent.futures.wait(queue)
+    finally:   # no item outlives the call; a cancelled one never starts
+        concurrent.futures.wait([item.future for item in queue if not item.future.cancel()])
     return RunResult(synthetic=synthetic, history=history, domain_count=s_count)
 
 
@@ -308,10 +327,9 @@ def surgery_snapshot(source: MultiDomainDataset, cfg: DistillConfig,
     offline-inspection dump. Needs at least two domains (TooFewDomains).
     """
     domain_views = [source.train_view(domain=s) for s in range(source.domain_count)]
-    rng, t = SeededRng(cfg.seed), synthetic.iteration
-    psi, real_domains = _iteration_inputs(source, cfg, rng, t, domain_views,
-                                          _featurizer_weights(source, cfg, rng, t))
-    rows, index, _ = matching_rows(synthetic, real_domains, psi)
+    psi, real_domains, real_means = _Inputs(source, cfg, SeededRng(cfg.seed), synthetic.iteration,
+                                            domain_views).inputs()
+    rows, index, _ = matching_rows(synthetic, real_domains, psi, real_means=real_means)
     return batch_consensus_maps(rows[1:], cfg.epsilon, rows=index)
 
 

@@ -140,7 +140,7 @@ def zero_strength_surgery_run(source, cfg):
     from dataclasses import replace
 
     from sgsdistill.dm import matching_rows
-    from sgsdistill.pipeline import _featurizer_weights, _iteration_inputs, initialize
+    from sgsdistill.pipeline import _Inputs, initialize
     from sgsdistill.rng import SeededRng
     from sgsdistill.surgery import batch_surgery_updates
 
@@ -150,9 +150,8 @@ def zero_strength_surgery_run(source, cfg):
     rng = SeededRng(cfg.seed)
     history = []
     for t in range(cfg.iterations):
-        psi, real = _iteration_inputs(source, cfg, rng, t, views,
-                                      _featurizer_weights(source, cfg, rng, t))
-        rows, index, losses = matching_rows(synthetic, real, psi)
+        psi, real, real_means = _Inputs(source, cfg, rng, t, views).inputs()
+        rows, index, losses = matching_rows(synthetic, real, psi, real_means=real_means)
         history.append((t, *losses.tolist()))
         synthetic.images = synthetic.images - cfg.eta * batch_surgery_updates(
             rows[1:], rows[0], synthetic.domains, cfg, rows=index)

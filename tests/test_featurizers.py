@@ -1,3 +1,4 @@
+import contextlib
 import ctypes
 import os
 import signal
@@ -356,11 +357,90 @@ def test_lane_threads_hold_one_cpu_each_where_allowed(monkeypatch, allowed):
             raise PermissionError("affinity is not ours to set")
         monkeypatch.setattr(os, "sched_setaffinity", refuse)
     seen = {}
-    featurizers._in_lanes(2, lambda: None,
-                          lambda task, work: seen.setdefault(task, os.sched_getaffinity(0)))
+    started = threading.Event()
+
+    def record(task, work):
+        # Lane 0 waits until the pool has started lane 1, so that the
+        # calling thread cannot take lane 1 back.
+        if task == 1:
+            started.set()
+        else:
+            started.wait(60)
+        seen[task] = os.sched_getaffinity(0)
+
+    featurizers._in_lanes(2, lambda: None, record)
     mask = os.sched_getaffinity(0)
     assert seen[0] == mask   # the calling thread stays free
     assert seen[1] == ({sorted(mask)[1 % len(mask)]} if allowed else mask)
+
+
+@contextlib.contextmanager
+def busy_pool():
+    """Hold the lane pool's thread on an Event until the block ends."""
+    held, release = threading.Event(), threading.Event()
+    blocker = featurizers.run_ahead(lambda: (held.set(), release.wait(60)))
+    assert held.wait(60)
+    try:
+        yield
+    finally:
+        release.set()
+        blocker.result()
+
+
+def test_a_busy_pool_does_not_hold_up_a_laned_call(monkeypatch):
+    # The calling thread takes back every lane the held pool has not
+    # started, and the results keep their bytes.
+    rng = SeededRng(73)
+    psi = ConvFeaturizer.create(3, 4, 3, rng.substream(0))
+    images = rng.substream(1).normal(size=(3 * IMAGE_BLOCK + 5, 3, 5, 7))
+    stacked = rng.substream(2).normal(size=(3, 4))
+    monkeypatch.setattr(featurizers, "_usable_cpus", lambda: 1)
+    expected = [psi.features_batch(images), psi.vjp_batch(images, stacked)]
+    monkeypatch.setattr(featurizers, "_usable_cpus", lambda: 2)
+    threads = set()
+    correlate = featurizers._correlate
+    monkeypatch.setattr(featurizers, "_correlate", lambda work, n: (
+        threads.add(threading.get_ident()), correlate(work, n))[1])
+    with busy_pool():
+        got = [psi.features_batch(images), psi.vjp_batch(images, stacked)]
+    assert threads == {threading.get_ident()}
+    for one, other in zip(expected, got):
+        assert one.tobytes() == other.tobytes()
+
+
+def test_an_error_in_a_taken_back_lane_is_raised(monkeypatch):
+    monkeypatch.setattr(featurizers, "_usable_cpus", lambda: 2)
+
+    def fail(task, work):
+        if task == 1:
+            raise ValueError("taken-back lane error")
+
+    with busy_pool():
+        with pytest.raises(ValueError, match="taken-back lane error"):
+            featurizers._in_lanes(2, lambda: None, fail)
+    seen = []
+    featurizers._in_lanes(2, lambda: None, lambda task, work: seen.append(task))
+    assert sorted(seen) == [0, 1]
+
+
+def test_a_laned_call_on_a_pool_thread_runs_there(monkeypatch):
+    # With two pool threads, a laned call made on one of them does not
+    # spread to the other: it runs as one lane, on its own thread.
+    monkeypatch.setattr(featurizers, "_usable_cpus", lambda: 3)
+    rng = SeededRng(74)
+    psi = ConvFeaturizer.create(3, 4, 3, rng.substream(0))
+    images = rng.substream(1).normal(size=(3 * IMAGE_BLOCK + 5, 3, 5, 7))
+    seen = []
+
+    def nested():
+        featurizers._in_lanes(6, lambda: None,
+                              lambda task, work: seen.append(threading.get_ident()))
+        return threading.get_ident(), psi.features_batch(images)
+
+    thread, features = featurizers.run_ahead(nested).result(timeout=60)
+    assert thread != threading.get_ident()
+    assert seen == [thread] * 6
+    assert features.tobytes() == psi.features_batch(images).tobytes()
 
 
 class _Mallinfo2(ctypes.Structure):

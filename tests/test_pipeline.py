@@ -12,7 +12,7 @@ from sgsdistill.dm import dm_gradient, dm_loss
 from sgsdistill.errors import DistillError, EmptyClass, InvalidConfig, IoError, TooFewDomains
 from sgsdistill.evaluation import assert_protocol_isolation
 from sgsdistill.featurizers import ConvFeaturizer, LinearFeaturizer
-from sgsdistill import featurizers, pipeline, storage
+from sgsdistill import dm, featurizers, pipeline, storage
 from sgsdistill.pipeline import (
     _STREAM_BATCH,
     _STREAM_FEATURIZER,
@@ -23,8 +23,7 @@ from sgsdistill.pipeline import (
     restore,
     run_distillation,
     surgery_snapshot,
-    _featurizer_weights,
-    _iteration_inputs,
+    _Inputs,
     _subsample_view,
 )
 from sgsdistill.rng import SeededRng
@@ -51,9 +50,7 @@ def toy():
 def first_inputs(source, cfg, t=0):
     """Iteration t's featurizer and real views, as the loop draws them."""
     views = [source.train_view(domain=s) for s in range(source.domain_count)]
-    rng = SeededRng(cfg.seed)
-    return _iteration_inputs(source, cfg, rng, t, views,
-                             _featurizer_weights(source, cfg, rng, t))
+    return _Inputs(source, cfg, SeededRng(cfg.seed), t, views).inputs()[:2]
 
 
 def test_uniform_pattern_with_remainder(toy):
@@ -341,9 +338,13 @@ def test_fixed_featurizer_is_the_first_draw_and_featurizes_each_view_once(monkey
     assert first.history[0][1] == pytest.approx(
         dm_loss(initialize(toy, cfg), toy.train_view(), psi), rel=1e-12)
 
+    # Class means are computed through the view's cache, except the conv
+    # featurizer's real-side ones, which the loop's queued items compute
+    # with dm's pass (on a lane or, taken back, on the loop thread).
     computed, featurized = [], []
     cached = DataView.cached_feature_mean
     features_batch = type(psi).features_batch
+    conv_class_means = dm._conv_class_means
 
     def counting(view, psi, compute):
         def counted():
@@ -351,7 +352,13 @@ def test_fixed_featurizer_is_the_first_draw_and_featurizes_each_view_once(monkey
             return compute()
         return cached(view, psi, counted)
 
+    def counting_pass(kernels, images, groups):
+        computed.append((id(images), True))
+        featurized.append(1)
+        return conv_class_means(kernels, images, groups)
+
     monkeypatch.setattr(DataView, "cached_feature_mean", counting)
+    monkeypatch.setattr(dm, "_conv_class_means", counting_pass)
     monkeypatch.setattr(type(psi), "features_batch",
                         lambda self, images: featurized.append(1) or features_batch(self, images))
     for batch_per_class in (0, 4):
@@ -533,7 +540,9 @@ def test_a_run_draws_each_of_its_iterations_once(monkeypatch, toy):
     assert drawn == []
 
 
-def test_a_failed_run_leaves_no_draw_running_or_queued(monkeypatch, toy):
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_a_failed_run_leaves_no_draw_running_or_queued(monkeypatch, toy, kind):
+    # A queued item draws its featurizer, then (conv) featurizes the real views.
     monkeypatch.setattr(featurizers, "_usable_cpus", lambda: 2)
     events = []
     gaussian_weights = pipeline.gaussian_weights
@@ -549,7 +558,7 @@ def test_a_failed_run_leaves_no_draw_running_or_queued(monkeypatch, toy):
 
     monkeypatch.setattr(pipeline, "matching_rows", failing)
     with pytest.raises(RuntimeError, match="matching failed"):
-        run_distillation(toy, DistillConfig(ipc=3, iterations=8, seed=22, **FAST))
+        run_distillation(toy, DistillConfig(ipc=3, iterations=8, seed=22, featurizer=KINDS[kind]))
     # Iterations 0-3 have been drawn. Of the DRAW_DEPTH - 1 draws queued
     # behind them, those a lane had started have finished and the rest were
     # cancelled: no draw is running when the call raises, and none starts later.
@@ -577,9 +586,12 @@ def test_a_single_lane_run_starts_no_thread(monkeypatch, toy, single):
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
-def test_lanes_call_no_rng_or_featurizer_method(monkeypatch, toy, kind):
+@pytest.mark.parametrize("batch_per_class", [0, 4])
+def test_lanes_call_no_rng_or_featurizer_method(monkeypatch, toy, kind, batch_per_class):
     # perfbench/tracer.py wraps these names, and its span stack belongs to
-    # one thread: lanes may call numpy only.
+    # one thread: lanes may call numpy only. The loop thread draws each
+    # iteration's minibatch views and reads their classes; a lane then draws
+    # the featurizer and (conv) featurizes the views.
     monkeypatch.setattr(featurizers, "_usable_cpus", lambda: 2)
     callers = set()
 
@@ -590,7 +602,9 @@ def test_lanes_call_no_rng_or_featurizer_method(monkeypatch, toy, kind):
             return fn(*args, **kwargs)
         return recorded
 
-    for cls in (SeededRng, LinearFeaturizer, ConvFeaturizer):
+    for name in ("class_feature_mean", "mean_features"):
+        monkeypatch.setattr(dm, name, recording(getattr(dm, name)))
+    for cls in (SeededRng, LinearFeaturizer, ConvFeaturizer, DataView):
         for name, attr in list(vars(cls).items()):
             if cls is not SeededRng and name.startswith("_") and name != "__init__":
                 continue
@@ -603,7 +617,8 @@ def test_lanes_call_no_rng_or_featurizer_method(monkeypatch, toy, kind):
     drawn = []
     draw = spy_draws(monkeypatch, lambda weights, rng: drawn.append(
         (weights.tobytes(), threading.get_ident(), type(rng))))
-    cfg = DistillConfig(ipc=3, iterations=4, seed=24, featurizer=KINDS[kind])
+    cfg = DistillConfig(ipc=3, iterations=4, seed=24, featurizer=KINDS[kind],
+                        batch_per_class=batch_per_class)
     res = run_distillation(toy, cfg)
     assert res.synthetic.iteration == 4
     assert callers == {threading.get_ident()}
@@ -619,13 +634,16 @@ def test_lanes_call_no_rng_or_featurizer_method(monkeypatch, toy, kind):
             thread != threading.get_ident() and source is np.random.Generator)
 
 
-def test_outputs_do_not_depend_on_which_thread_draws(monkeypatch, tmp_path, toy):
-    # With one lane every draw runs on the loop thread. With a slowed lane
-    # the loop thread takes back every queued draw the lane has not started
-    # (all of iteration 0's queue but its own draw, at least). With a slowed
-    # matching pass the lane keeps ahead, and only the start's draws can be
-    # taken back. A restore continues with a fresh queue.
-    cfg = DistillConfig(ipc=3, iterations=8, seed=25, checkpoint_every=3, **FAST)
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_outputs_do_not_depend_on_which_thread_draws(monkeypatch, tmp_path, toy, kind):
+    # Each queued item draws its featurizer and, under conv, featurizes the
+    # real views under it. With one lane every item runs on the loop thread.
+    # With a slowed lane the loop thread takes back every queued item the
+    # lane has not started (all of iteration 0's queue but its own item, at
+    # least). With a slowed matching pass the lane keeps ahead, and only the
+    # start's items can be taken back. A restore continues with a fresh queue.
+    cfg = DistillConfig(ipc=3, iterations=8, seed=25, checkpoint_every=3,
+                        featurizer=KINDS[kind])
     stream, loop = SeededRng(cfg.seed), threading.get_ident()
     iteration_of = {FeaturizerSpec.draw(cfg.featurizer, toy.image_shape,
                                         stream.substream(_STREAM_FEATURIZER, t)).tobytes(): t
