@@ -377,8 +377,8 @@ def _cmd_sweep(args, settings, out, config_hash):
     cells = [(settings, param, v, args.data) for v in values]
     workers = min(args.jobs, len(cells), featurizers._usable_cpus())
     if workers > 1:
-        # Each worker process is one lane of this pool: its featurizer loops
-        # run on its own thread only, so pools never nest.
+        # Each worker process is one lane of this pool: it computes its
+        # distillation's queued items itself, so pools never nest.
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers, initializer=featurizers.one_lane) as pool:
             futures = [pool.submit(_sweep_cell, *cell) for cell in cells]

@@ -8,7 +8,7 @@ subsets of the views (`pipeline._Inputs`).
 `matching_rows` yields the pooled gradient and every per-domain gradient
 of every class from one pass: each view's class-mean matrix comes from one
 featurization (`class_feature_mean`, cached on the view per featurizer, or
-`real_class_means`, which the loop computes ahead on a featurizer lane), the
+`real_class_means`, which the loop computes ahead on a lane), the
 pooled real class means are the count-weighted mix of the domain means, the
 synthetic class means come from one forward, and one `pullback` of the
 (S + 1, classes) covectors returns distinct gradient rows plus each image's

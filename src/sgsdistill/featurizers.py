@@ -12,20 +12,14 @@ multiply by the kernels as a (k*k*C, O) matrix. In that order each of a
 window's k rows is k*C consecutive values of the padded input, so the copy
 moves contiguous runs instead of single pixels.
 
-Batches are correlated a block of images at a time, and the blocks run in
-lanes, one per CPU in the process's affinity mask: lane 0 on the calling
-thread, the others on a module thread pool made once, on first use, with a
-thread for every lane but one; each thread holds one CPU (numpy drops the
-interpreter lock in the window copy and the gemm, which dominate). Once
-lane 0 is done, the calling thread runs every lane the pool has not started
-yet, so a pool busy with other work does not hold it up. Each lane
-correlates in its own buffers, and writes disjoint slices of the caller's
-output. A laned call made on a pool thread runs as one lane, on that
-thread: the distillation loop queues whole iterations' inputs on the pool
-(`_conv_class_means` is its real-side pass), and those call the laned
-passes. Each image's window matrix is its own gemm, so results are bitwise
-the same for any lane count, any block size and any thread. With one usable
-CPU no thread is started.
+Batches are correlated a block of images at a time in one set of buffers, on
+the calling thread. Each image's window matrix is its own gemm, so results
+are bitwise the same for any block size and on any thread.
+
+The distillation loop queues whole iterations' inputs on a module thread
+pool (`run_ahead`), one thread, or lane, per usable CPU but the caller's, each
+held to one CPU; `_conv_class_means` is the conv real-side pass it runs
+there. With one usable CPU no thread is started.
 """
 
 import concurrent.futures
@@ -45,16 +39,17 @@ _TOKENS = itertools.count()
 
 # Images per correlation in ConvFeaturizer.features_batch, the rectifier mask
 # of vjp_batch and pseudo.style_stats_batch. One block's buffers take ~94 KB
-# per 16x16x3 image at 16 channels, 3 MB per block on one thread; each lane
-# holds one block's buffers for the whole call. Small blocks keep that in
-# cache whatever the batch size.
+# per 16x16x3 image at 16 channels, 3 MB per block; small blocks keep that in
+# cache whatever the batch size. One features_batch of 1,500 such images on
+# one thread of a 2-vCPU Xeon (BLAS pinned to one, median ms): blocks of 8,
+# 16, 32, 64 and 128 images took 30.1, 30.4, 32.4, 33.6 and 33.4. Whether
+# the smaller blocks' ~7% shows end to end is for the benchmark to decide.
 IMAGE_BLOCK = 32
 # Images per adjoint correlation in ConvFeaturizer.vjp_batch. Its buffers
 # take ~335 KB per 16x16 image at 16 channels (window rows of k*k*O
-# columns), 1.3 MB per block on one thread, so two lanes hold what one
-# 8-image block did. Lanes allocate their buffers once per call, not per
-# block: with two lanes, adjoint blocks of 4, 8 and 16 images all left the
-# distill-conv benchmark's peak RSS at 118.1-118.3 MB.
+# columns), 1.3 MB per block. One vjp_batch of 50 images x 4 covector rows
+# on the same thread: blocks of 4, 8, 16 and 50 images took 10.4, 12.3,
+# 12.6 and 17.1 ms.
 ADJOINT_BLOCK = 4
 
 # A block of MMAP_THRESHOLD bytes and up (a toy dataset's images, its container
@@ -64,12 +59,11 @@ ADJOINT_BLOCK = 4
 MMAP_THRESHOLD = 4 << 20
 TRIM_THRESHOLD = 64 << 20
 
-# The lanes' thread pool; made on first use. Its threads set _on_pool.lane.
+# The lanes' thread pool; made on first use.
 _pool = None
 _pool_lock = threading.Lock()
-_on_pool = threading.local()
-# At most this many lanes per loop; None is one per usable CPU. A process-pool
-# worker sets 1 through one_lane(), so pools never nest.
+# At most this many lanes; None is one per usable CPU. A process-pool worker
+# sets 1 through one_lane(), so pools never nest.
 _lane_cap = None
 
 
@@ -82,12 +76,10 @@ def _usable_cpus():
 
 
 def _start_lane(made):
-    """Thread-pool initializer: mark the new thread as the pool's, so laned
-    calls made on it run as one lane, and hold it to one CPU of the affinity
+    """Thread-pool initializer: hold the new lane to one CPU of the affinity
     mask, the k-th thread made to the k-th CPU after the first. Threads left
     free that keep handing the interpreter lock to each other are woken onto
     one CPU by the scheduler, and run no faster than one."""
-    _on_pool.lane = True
     if hasattr(os, "sched_setaffinity"):
         cpus = sorted(os.sched_getaffinity(0))
         try:
@@ -113,7 +105,7 @@ def _pin_heap_thresholds():
 
 
 def _executor():
-    """The lanes' pool, one thread per lane but the caller's, made once."""
+    """The lanes' pool, one thread per usable CPU but the caller's, made once."""
     global _pool
     with _pool_lock:
         if _pool is None:
@@ -135,55 +127,17 @@ if hasattr(os, "register_at_fork"):
 
 
 def one_lane():
-    """Run every laned loop of this process on the calling thread alone.
-    A process-pool initializer: each worker is already one lane of its pool."""
+    """Compute every queued item of this process on the calling thread, and
+    start no lane. A process-pool initializer: each worker is already one
+    lane of its pool."""
     global _lane_cap
     _lane_cap = 1
 
 
-def _in_lanes(tasks, workspace, run):
-    """run(task, work) for each task in range(tasks), over min(lane_count(),
-    tasks) lanes. Lane l takes tasks l, l + lanes, ... with its own work =
-    workspace(), made here on the calling thread before any lane starts.
-    Lane 0 runs on the calling thread, the others on the module pool; once
-    lane 0 is done, the calling thread takes back every lane the pool has not
-    started (Future.cancel succeeds only then) and runs it. Returns when every
-    lane is done, raising the first error."""
-    lanes = min(lane_count(), tasks)
-    if lanes < 1:
-        return
-    works = [workspace() for _ in range(lanes)]
-
-    def lane(index):
-        for task in range(index, tasks, lanes):
-            run(task, works[index])
-
-    if lanes == 1:
-        lane(0)
-        return
-    pool = _executor()
-    futures = [pool.submit(lane, index) for index in range(1, lanes)]
-    try:
-        lane(0)
-        for index, future in enumerate(futures, 1):
-            if future.cancel():
-                lane(index)
-    finally:
-        # `wait` counts a cancelled lane done only once a pool thread has
-        # popped it, so wait for the started ones alone. The cancelled ones
-        # stay queued until then, and must not hold the buffers.
-        started = [future for future in futures if not future.cancel()]
-        concurrent.futures.wait(started)
-        works = run = None
-    for future in started:
-        future.result()
-
-
 def lane_count():
-    """Lanes a laned loop may spread over: one per usable CPU, or 1 under
-    one_lane and on the pool's own threads."""
-    if getattr(_on_pool, "lane", False):
-        return 1
+    """The loop thread plus the pool's lanes: one per usable CPU, or 1 under
+    one_lane. With more than 1 the distillation loop queues items on the
+    lanes."""
     return _lane_cap or _usable_cpus()
 
 
@@ -191,10 +145,9 @@ def run_ahead(fn, *args):
     """Queue fn(*args) on a thread of the lane pool and return its Future, so
     the caller's next work overlaps it. fn must call numpy only: perfbench's
     tracer wraps the library's public names, and its span stack belongs to
-    one thread. Its laned calls run as one lane, on that thread. For callers
-    that run more than one lane (`lane_count() > 1`); a caller may cancel the
-    Future before a thread starts it and run fn itself. The caller cancels
-    or waits for every Future before it returns."""
+    one thread. For callers with `lane_count() > 1`. A caller may cancel the
+    Future before a thread starts it and run fn itself, and cancels or waits
+    for every Future before it returns."""
     return _executor().submit(fn, *args)
 
 
@@ -327,14 +280,11 @@ class ConvFeaturizer:
     def features(self, x):
         return self.features_batch(self._check(x)[None])[0]
 
-    def map_blocks(self, images, write):
-        """write(block, maps) for every IMAGE_BLOCK slice of a batch (N, C, H, W)
-        and its pre-rectifier maps (b, H*W, O), the blocks spread over the
-        lanes. write stores into the caller's arrays and may overwrite maps.
-        It runs on a lane's thread, so it must call no public featurizer
-        method (perfbench's tracer wraps those, and its span stack belongs to
-        one thread)."""
-        _map_blocks(self.kernels, self._check_batch(images), write)
+    def map_blocks(self, images):
+        """(block, maps) for every IMAGE_BLOCK slice of a batch (N, C, H, W) and
+        its pre-rectifier maps (b, H*W, O), which the caller may overwrite;
+        they are valid until the next block."""
+        return _map_blocks(self.kernels, self._check_batch(images))
 
     def features_batch(self, images):
         return _pooled_features(self.kernels, self._check_batch(images))
@@ -355,30 +305,26 @@ class ConvFeaturizer:
         The rectifier mask is computed once and shared by every row; each row
         is then pulled back on its own, ADJOINT_BLOCK images per correlation,
         so an image's result depends neither on the other rows nor on the
-        other images. The (row, block) tasks run in lanes."""
+        other images."""
         images = self._check_batch(images)
         rows, groups, lead = _covector_rows(upstream, self.feature_dim, groups, len(images))
         n, c, h, w = images.shape
         o = self.feature_dim
         active = np.empty((n, h * w, o), dtype=bool)
-        _map_blocks(self.kernels, images, lambda block, z: np.greater(z, 0.0, out=active[block]))
+        for block, z in _map_blocks(self.kernels, images):
+            np.greater(z, 0.0, out=active[block])
         # The adjoint of the padded correlation correlates the cotangent with
         # the spatially flipped kernels, in and out channels swapped.
         flipped = self.kernels[..., ::-1, ::-1].transpose(1, 0, 2, 3)
         per_image = rows[:, groups, None, None, :] / (h * w)
         grads = np.empty((len(rows),) + images.shape)
-        blocks = -(-n // ADJOINT_BLOCK)
-
-        def adjoint(task, work):
-            r, i = divmod(task, blocks)
-            block = slice(i * ADJOINT_BLOCK, (i + 1) * ADJOINT_BLOCK)
+        work = _Workspace(min(n, ADJOINT_BLOCK), h, w, flipped)
+        for r, start in itertools.product(range(len(rows)), range(0, n, ADJOINT_BLOCK)):
+            block = slice(start, start + ADJOINT_BLOCK)
             mask = active[block].reshape(-1, h, w, o)
             np.multiply(mask, per_image[r, block], out=work.interior[:len(mask)])
             grads[r, block] = (_correlate(work, len(mask))
                                .reshape(-1, h, w, c).transpose(0, 3, 1, 2))
-
-        _in_lanes(len(rows) * blocks,
-                  lambda: _Workspace(min(n, ADJOINT_BLOCK), h, w, flipped), adjoint)
         return grads.reshape(lead + images.shape)
 
     def pullback(self, images, upstream, groups=None):
@@ -401,9 +347,10 @@ class _Workspace:
         self.rows = np.empty((n, h * w, k * k * c))
         self.out = np.empty((n, h * w, o))
         self.matrix = kernels.transpose(2, 3, 1, 0).reshape(-1, o)
-        # Each pixel's k x k window, (n, h, w, k, k*C), and the rows as the same shape.
-        self.windows = sliding_window_view(
-            self.padded.reshape(n, h + 2 * p, -1), (k, k * c), axis=(1, 2))[:, :, ::c]
+        # Each pixel's k x k window, (n, h, w, k, k*C), and the rows as the same
+        # shape. The last axis is spelled out: -1 does not reshape an empty batch.
+        flat = self.padded.reshape(n, h + 2 * p, (w + 2 * p) * c)
+        self.windows = sliding_window_view(flat, (k, k * c), axis=(1, 2))[:, :, ::c]
         self.window_rows = self.rows.reshape(self.windows.shape)
 
 
@@ -414,27 +361,22 @@ def _forward(images, work):
     return _correlate(work, len(images))
 
 
-def _map_blocks(kernels, images, write):
+def _map_blocks(kernels, images):
     """ConvFeaturizer.map_blocks of the featurizer holding kernels, on a
     checked batch."""
     n, _, h, w = images.shape
-
-    def run(task, work):
-        block = slice(task * IMAGE_BLOCK, (task + 1) * IMAGE_BLOCK)
-        write(block, _forward(images[block], work))
-
-    _in_lanes(-(-n // IMAGE_BLOCK), lambda: _Workspace(min(n, IMAGE_BLOCK), h, w, kernels), run)
+    work = _Workspace(min(n, IMAGE_BLOCK), h, w, kernels)
+    for start in range(0, n, IMAGE_BLOCK):
+        block = slice(start, start + IMAGE_BLOCK)
+        yield block, _forward(images[block], work)
 
 
 def _pooled_features(kernels, images):
     """ConvFeaturizer.features_batch of the featurizer holding kernels, on a
     checked batch: rectified maps, spatially pooled."""
     out = np.empty((len(images), kernels.shape[0]))
-
-    def write(block, z):
+    for block, z in _map_blocks(kernels, images):
         out[block] = spatial_mean(np.maximum(z, 0.0, out=z))
-
-    _map_blocks(kernels, images, write)
     return out
 
 

@@ -5,19 +5,20 @@ and never on the synthetic set: the featurizer drawn from a stream keyed by t;
 the real views, which are the domain train views or, when batch_per_class > 0,
 class-balanced minibatches of them drawn from streams keyed by t; and, under a
 featurizer that featurizes the real images themselves (conv, not linear), each
-real view's class-mean features. Where the featurizer pool has more than one
-lane, the loop keeps the inputs of iterations t ... t + DRAW_DEPTH - 1 queued
-on it while iteration t runs: the loop thread draws an item's views when it
-queues it, and a lane draws its weights and computes its real means
-(`featurizers.run_ahead`). When iteration t's item has not finished, the loop
-thread does not wait: it takes back the furthest queued item that no lane has
-started and computes it itself, until t's is done or none is left. With one
-lane, and in the snapshot, the calling thread computes each item when it is
-needed. An item reads only its own streams and views, and each image's
-features are their own gemm, so the outputs are the same bytes whichever
-thread computed it, and no item outlives the call. One matching pass gives the
-pooled and per-domain gradients of every class (the real class means, one
-synthetic forward and one pullback, see `dm.matching_rows`), and the distinct
+real view's class-mean features. Where `featurizers.lane_count()` is above 1,
+the loop keeps the inputs of iterations t ... t + DRAW_DEPTH - 1 queued on
+the featurizer pool's lanes while iteration t runs: the loop thread draws an
+item's views when it queues it, and a lane draws its weights and computes
+its real means (`featurizers.run_ahead`). When iteration t's item has not
+finished, the loop thread does not wait: it takes back the furthest queued
+item that no lane has started and computes it itself, until t's is done or
+none is left. Otherwise, and in the snapshot, the calling thread computes
+each item when it is needed. An item reads only its own streams and views,
+and each image's features are their own gemm, so the outputs are the same
+bytes whichever thread computed it, and no item outlives the call. One
+matching pass gives the pooled and per-domain gradients of every class (the
+real class means, one synthetic forward and one pullback, see
+`dm.matching_rows`), and the distinct
 gradient rows and each sample's row index go straight to the surgery kernel,
 which transforms each distinct per-domain stack once (under the linear
 featurizer, once per class, see `surgery.batch_surgery_updates`) and applies

@@ -24,15 +24,12 @@ def style_stats_batch(images, psi):
         raise NotConvolutional("style statistics need spatial feature maps")
     f = psi.feature_dim
     out = np.empty((len(images), 2 * f))
-
-    def write(block, maps):
+    for block, maps in psi.map_blocks(images):
         np.maximum(maps, 0.0, out=maps)
         mean = spatial_mean(maps)
         maps -= mean[:, None, :]
         out[block, :f] = mean
         out[block, f:] = np.sqrt(spatial_mean(np.multiply(maps, maps, out=maps)))
-
-    psi.map_blocks(images, write)
     return out
 
 

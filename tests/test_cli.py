@@ -233,12 +233,13 @@ def test_sweep_zero_cell_equals_dm_baseline(tmp_path):
 
 
 def test_sweep_workers_after_a_laned_call_match_a_serial_sweep(monkeypatch, tmp_path):
-    # The parent's lanes have started threads before the pool forks its
-    # workers; each worker runs one lane and the cells give the serial bytes.
+    # The parent's lane pool has started its threads before the sweep forks
+    # its workers; each worker is one lane and the cells give the serial bytes.
     monkeypatch.setattr(featurizers, "_usable_cpus", lambda: 2)
     psi = ConvFeaturizer.create(3, 4, 3, SeededRng(5))
-    psi.features_batch(np.zeros((2 * featurizers.IMAGE_BLOCK, 3, 8, 8)))
-    assert featurizers._pool is not None
+    featurizers.run_ahead(featurizers._pooled_features, psi.kernels,
+                          np.zeros((2 * featurizers.IMAGE_BLOCK, 3, 8, 8))).result(60)
+    assert featurizers._pool is not None and featurizers._pool._threads
     cfg = {**SMALL_CFG, "distill": {"ipc": 4, "iterations": 3, "featurizer": {"kind": "conv"}}}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))

@@ -12,6 +12,7 @@ import pytest
 from sgsdistill import featurizers
 from sgsdistill.errors import NotConvolutional, ShapeMismatch
 from sgsdistill.featurizers import IMAGE_BLOCK, ConvFeaturizer, LinearFeaturizer, mean_features
+from sgsdistill.pseudo import style_stats_batch
 from sgsdistill.rng import SeededRng
 
 from helpers import (
@@ -319,35 +320,6 @@ def test_conv_outputs_do_not_depend_on_the_lane_count(monkeypatch, n):
         assert one.shape == three.shape and one.tobytes() == three.tobytes()
 
 
-def test_lanes_run_every_task_once_in_their_own_workspace(monkeypatch):
-    # More lanes than this host may have CPUs, switching threads often: every
-    # task runs exactly once, lane 0 on the calling thread, each lane with
-    # the one workspace made for it.
-    monkeypatch.setattr(featurizers, "_usable_cpus", lambda: 5)
-    seen = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(20):
-            seen.clear()
-            featurizers._in_lanes(23, lambda: [], lambda task, work: (
-                work.append(task), seen.append((task, threading.get_ident(), id(work)))))
-            assert sorted(task for task, _, _ in seen) == list(range(23))
-            lane_of = {}
-            for task, thread, work in seen:
-                assert lane_of.setdefault(task % 5, (thread, work)) == (thread, work)
-            assert lane_of[0][0] == threading.get_ident()
-            assert len({work for _, work in lane_of.values()}) == 5
-    finally:
-        sys.setswitchinterval(interval)
-
-    def fail(task, work):
-        if task == 3:
-            raise ValueError("lane error")
-    with pytest.raises(ValueError, match="lane error"):
-        featurizers._in_lanes(8, lambda: None, fail)
-
-
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
 @pytest.mark.parametrize("allowed", [True, False])
 def test_lane_threads_hold_one_cpu_each_where_allowed(monkeypatch, allowed):
@@ -356,22 +328,10 @@ def test_lane_threads_hold_one_cpu_each_where_allowed(monkeypatch, allowed):
         def refuse(pid, cpus):
             raise PermissionError("affinity is not ours to set")
         monkeypatch.setattr(os, "sched_setaffinity", refuse)
-    seen = {}
-    started = threading.Event()
-
-    def record(task, work):
-        # Lane 0 waits until the pool has started lane 1, so that the
-        # calling thread cannot take lane 1 back.
-        if task == 1:
-            started.set()
-        else:
-            started.wait(60)
-        seen[task] = os.sched_getaffinity(0)
-
-    featurizers._in_lanes(2, lambda: None, record)
     mask = os.sched_getaffinity(0)
-    assert seen[0] == mask   # the calling thread stays free
-    assert seen[1] == ({sorted(mask)[1 % len(mask)]} if allowed else mask)
+    lane = featurizers.run_ahead(os.sched_getaffinity, 0).result(timeout=60)
+    assert os.sched_getaffinity(0) == mask   # the calling thread stays free
+    assert lane == ({sorted(mask)[1 % len(mask)]} if allowed else mask)
 
 
 @contextlib.contextmanager
@@ -388,8 +348,8 @@ def busy_pool():
 
 
 def test_a_busy_pool_does_not_hold_up_a_laned_call(monkeypatch):
-    # The calling thread takes back every lane the held pool has not
-    # started, and the results keep their bytes.
+    # The conv passes run on the calling thread, not on the held pool, and
+    # the results keep their bytes.
     rng = SeededRng(73)
     psi = ConvFeaturizer.create(3, 4, 3, rng.substream(0))
     images = rng.substream(1).normal(size=(3 * IMAGE_BLOCK + 5, 3, 5, 7))
@@ -406,41 +366,6 @@ def test_a_busy_pool_does_not_hold_up_a_laned_call(monkeypatch):
     assert threads == {threading.get_ident()}
     for one, other in zip(expected, got):
         assert one.tobytes() == other.tobytes()
-
-
-def test_an_error_in_a_taken_back_lane_is_raised(monkeypatch):
-    monkeypatch.setattr(featurizers, "_usable_cpus", lambda: 2)
-
-    def fail(task, work):
-        if task == 1:
-            raise ValueError("taken-back lane error")
-
-    with busy_pool():
-        with pytest.raises(ValueError, match="taken-back lane error"):
-            featurizers._in_lanes(2, lambda: None, fail)
-    seen = []
-    featurizers._in_lanes(2, lambda: None, lambda task, work: seen.append(task))
-    assert sorted(seen) == [0, 1]
-
-
-def test_a_laned_call_on_a_pool_thread_runs_there(monkeypatch):
-    # With two pool threads, a laned call made on one of them does not
-    # spread to the other: it runs as one lane, on its own thread.
-    monkeypatch.setattr(featurizers, "_usable_cpus", lambda: 3)
-    rng = SeededRng(74)
-    psi = ConvFeaturizer.create(3, 4, 3, rng.substream(0))
-    images = rng.substream(1).normal(size=(3 * IMAGE_BLOCK + 5, 3, 5, 7))
-    seen = []
-
-    def nested():
-        featurizers._in_lanes(6, lambda: None,
-                              lambda task, work: seen.append(threading.get_ident()))
-        return threading.get_ident(), psi.features_batch(images)
-
-    thread, features = featurizers.run_ahead(nested).result(timeout=60)
-    assert thread != threading.get_ident()
-    assert seen == [thread] * 6
-    assert features.tobytes() == psi.features_batch(images).tobytes()
 
 
 class _Mallinfo2(ctypes.Structure):
@@ -462,7 +387,7 @@ def test_making_the_lane_pool_stops_large_arrays_growing_the_heap(monkeypatch):
     # By default, freeing a mapped block raises glibc's mmap threshold past it,
     # and the next array of that size that fits no free heap space grows the heap.
     monkeypatch.setattr(featurizers, "_usable_cpus", lambda: 2)
-    featurizers._in_lanes(2, lambda: None, lambda task, work: None)
+    featurizers._executor()
     size = _mallinfo2().fordblks + 2 * featurizers.MMAP_THRESHOLD   # fits no free space
     freed = np.ones(size + featurizers.MMAP_THRESHOLD, dtype=np.uint8)
     del freed
@@ -472,10 +397,13 @@ def test_making_the_lane_pool_stops_large_arrays_growing_the_heap(monkeypatch):
     assert block.all()
 
 
-@pytest.mark.parametrize("single", ["one usable cpu", "one_lane"])
-def test_a_single_lane_starts_no_thread(monkeypatch, single):
-    monkeypatch.setattr(featurizers, "_usable_cpus", lambda: 1 if single == "one usable cpu" else 4)
-    if single == "one_lane":
+@pytest.mark.parametrize("cpus", ["one usable cpu", "one_lane", "two usable cpus"])
+def test_a_single_lane_starts_no_thread(monkeypatch, cpus):
+    # Only queued items run on the pool: with any CPU count the conv passes
+    # and the style statistics run on the calling thread.
+    usable = {"one usable cpu": 1, "one_lane": 4, "two usable cpus": 2}[cpus]
+    monkeypatch.setattr(featurizers, "_usable_cpus", lambda: usable)
+    if cpus == "one_lane":
         featurizers.one_lane()
     threads = threading.active_count()
     rng = SeededRng(71)
@@ -483,6 +411,7 @@ def test_a_single_lane_starts_no_thread(monkeypatch, single):
     images = rng.substream(1).normal(size=(2 * IMAGE_BLOCK + 1, 3, 5, 7))
     psi.features_batch(images)
     psi.vjp_batch(images, rng.substream(2).normal(size=(3, 4)))
+    style_stats_batch(images, psi)
     assert featurizers._pool is None
     assert threading.active_count() == threads
 
@@ -490,18 +419,23 @@ def test_a_single_lane_starts_no_thread(monkeypatch, single):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork here")
 def test_a_forked_child_makes_its_own_lane_pool(monkeypatch):
     # The parent's pool threads do not exist in a forked child; the child's
-    # laned calls must start their own instead of waiting on them forever.
+    # queued items must start their own instead of waiting on them forever.
     monkeypatch.setattr(featurizers, "_usable_cpus", lambda: 2)
     rng = SeededRng(72)
     psi = ConvFeaturizer.create(3, 4, 3, rng.substream(0))
     images = rng.substream(1).normal(size=(2 * IMAGE_BLOCK + 1, 3, 5, 7))
     expected = psi.features_batch(images).tobytes()
+
+    def queued():
+        return featurizers.run_ahead(featurizers._pooled_features, psi.kernels, images).result(60)
+
+    assert queued().tobytes() == expected
     assert featurizers._pool is not None
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            code = 0 if psi.features_batch(images).tobytes() == expected else 1
+            code = 0 if queued().tobytes() == expected else 1
         finally:
             os._exit(code)
     deadline = time.monotonic() + 60
@@ -510,5 +444,5 @@ def test_a_forked_child_makes_its_own_lane_pool(monkeypatch):
     if status[0] == 0:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
-        pytest.fail("the forked child's laned call did not finish")
+        pytest.fail("the forked child's queued item did not finish")
     assert os.waitstatus_to_exitcode(status[1]) == 0

@@ -569,6 +569,48 @@ def test_a_failed_run_leaves_no_draw_running_or_queued(monkeypatch, toy, kind):
     assert len(events) == 2 * drawn
 
 
+@pytest.mark.parametrize("kind, stage", [("linear", "draw"), ("conv", "draw"),
+                                         ("conv", "real means")])
+@pytest.mark.parametrize("where", ["lane", "taken back"])
+def test_an_error_in_a_queued_item_is_raised(monkeypatch, toy, kind, stage, where):
+    # The first item to run on the lane fails there (the matching pass is
+    # slowed, so the lane keeps ahead), or the first one the loop thread
+    # computes fails there (the lane is slowed, so the loop takes items back).
+    monkeypatch.setattr(featurizers, "_usable_cpus", lambda: 2)
+    loop, events, failed = threading.get_ident(), [], []
+
+    def failing(fn):
+        def wrapped(*args):
+            on_loop = threading.get_ident() == loop
+            events.append("started")
+            if not on_loop and where == "taken back":
+                time.sleep(0.05)
+            if on_loop == (where == "taken back") and not failed:
+                failed.append(threading.get_ident())
+                raise RuntimeError("queued item failed")
+            result = fn(*args)
+            events.append("done")
+            return result
+        return wrapped
+
+    if stage == "draw":
+        monkeypatch.setattr(FeaturizerSpec, "draw", failing(FeaturizerSpec.draw))
+    else:
+        monkeypatch.setattr(dm, "_conv_class_means", failing(dm._conv_class_means))
+    matching = pipeline.matching_rows
+    monkeypatch.setattr(pipeline, "matching_rows", lambda *args, **kwargs: (
+        time.sleep(0.02 if where == "lane" else 0.0), matching(*args, **kwargs))[1])
+    with pytest.raises(RuntimeError, match="queued item failed"):
+        run_distillation(toy, DistillConfig(ipc=3, iterations=12, seed=26,
+                                            featurizer=KINDS[kind]))
+    assert (failed[0] == loop) == (where == "taken back")
+    # Every other item that had started has finished, and none starts later.
+    done = events.count("done")
+    assert events.count("started") == done + 1
+    time.sleep(0.2)
+    assert len(events) == 2 * done + 1
+
+
 @pytest.mark.parametrize("single", ["one usable cpu", "one_lane"])
 def test_a_single_lane_run_starts_no_thread(monkeypatch, toy, single):
     monkeypatch.setattr(featurizers, "_usable_cpus", lambda: 1 if single == "one usable cpu" else 4)
