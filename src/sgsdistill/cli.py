@@ -348,9 +348,8 @@ def _cmd_cluster(args, settings, out, config_hash):
     return f"wrote {os.path.join(args.out, 'assignments.csv')}"
 
 
-def _sweep_cell(settings, param, value, data_path):
+def _sweep_cell(settings, param, value, ds):
     """One sweep cell; module-level so process pools can pickle it."""
-    ds = _dataset_for(data_path, settings)
     if param == "k":
         report, _ = sdg_protocol(ds, 0, int(value),
                                  config_distiller(settings.distill), settings.eval)
@@ -374,7 +373,8 @@ def _cmd_sweep(args, settings, out, config_hash):
             _pseudo_domain_count(v)
         else:
             replace(settings.distill, **{param: _checked(float, v, "--values")})
-    cells = [(settings, param, v, args.data) for v in values]
+    ds = _dataset_for(args.data, settings)   # read or generated once, shared by every cell
+    cells = [(settings, param, v, ds) for v in values]
     workers = min(args.jobs, len(cells), featurizers._usable_cpus())
     if workers > 1:
         # Each worker process is one lane of this pool: it computes its

@@ -6,6 +6,12 @@ background, a period-2 checkerboard with a color tint), so frequency-domain
 agreement between domains has genuine structure to find. A "tinted" style
 additionally hides per-sample color variants inside one domain, which gives
 single-source experiments a recoverable latent domain structure.
+
+Each sample owns a seeded stream (jitter, tint variant, then noise), so
+generation costs one stream and its draws per sample. The noiseless styled
+image is built once per distinct (class, dy, dx, variant) of a domain and
+added to the noise of every sample that drew it; `cli sweep` generates its
+dataset once for all of its cells.
 """
 
 from dataclasses import dataclass, field
@@ -87,6 +93,9 @@ class ToySpec:
             raise InvalidSpec("every (domain, class, split) cell must be non-empty")
         if self.jitter < 0 or self.noise_sigma < 0:
             raise InvalidSpec("jitter and noise_sigma must be non-negative")
+        if self.jitter >= min(self.height, self.width):
+            raise InvalidSpec(f"jitter {self.jitter} must be below the grid side "
+                              f"{min(self.height, self.width)}")
         if self.name in ("", ".", "..") or any(ch in self.name for ch in "/\\\0"):
             raise InvalidSpec(f"name must be a plain file stem, got {self.name!r}")
 
@@ -139,19 +148,19 @@ def _shift(plane, dy, dx):
 
 
 def _apply_style(img, style: StyleSpec, variant, height, width, channels):
-    yy, xx = np.mgrid[0:height, 0:width]
     if style.kind == "clean":
         return img
     if style.kind == "invert":
         return 1.0 - img
+    if style.kind == "tinted":
+        return img + _channel_tint(TINT_PALETTE[variant], channels, style.tint_strength)
+    yy, xx = np.mgrid[0:height, 0:width]
     if style.kind == "lowfreq":
         background = SINE_AMPLITUDE * np.sin(2.0 * np.pi * (yy + xx) / SINE_PERIOD)
         return img + background[None, :, :]
     if style.kind == "checker":
         board = CHECKER_AMPLITUDE * np.where((yy + xx) % 2 == 0, 1.0, -1.0)
         return img + board[None, :, :] + _channel_tint(CHECKER_TINT, channels)
-    if style.kind == "tinted":
-        return img + _channel_tint(TINT_PALETTE[variant], channels, style.tint_strength)
     raise InvalidSpec(f"unknown style kind {style.kind!r}")
 
 
@@ -169,6 +178,7 @@ def generate_toy(spec: ToySpec, seed):
     labels, domains, splits = [], [], []
     hidden, jitters = [], []
     for d, style in enumerate(spec.styles):
+        drawn = {}  # (class, dy, dx, variant) -> the domain's samples that drew it
         for c in range(spec.class_count):
             for split, count in [(TRAIN, spec.train_per_cell), (TEST, spec.test_per_cell)]:
                 for i in range(count):
@@ -177,18 +187,21 @@ def generate_toy(spec: ToySpec, seed):
                         (0, 0) if spec.jitter == 0 else
                         tuple(r.integers(-spec.jitter, spec.jitter + 1, size=2))
                     )
-                    glyph = _shift(templates[c], dy, dx)
-                    img = np.repeat(glyph[None, :, :], spec.channels, axis=0)
                     variant = int(r.integers(0, style.variants)) if style.variants > 1 else -1
-                    img = _apply_style(img, style, variant, spec.height, spec.width,
-                                       spec.channels)
-                    images[len(labels)] = img + r.normal(
+                    drawn.setdefault((c, dy, dx, variant), []).append(len(labels))
+                    images[len(labels)] = r.normal(
                         0.0, spec.noise_sigma, size=(spec.channels, spec.height, spec.width))
                     labels.append(c)
                     domains.append(d)
                     splits.append(split)
                     hidden.append(variant)
                     jitters.append((dy, dx))
+        # Each distinct noiseless image is styled once and added to its samples'
+        # noise; addition commutes exactly, so the bytes are styled + noise.
+        for (c, dy, dx, variant), rows in drawn.items():
+            glyph = _shift(templates[c], dy, dx)
+            images[rows] += _apply_style(np.repeat(glyph[None, :, :], spec.channels, axis=0),
+                                         style, variant, spec.height, spec.width, spec.channels)
     return MultiDomainDataset(
         images=images,
         labels=np.array(labels, dtype=np.int64),

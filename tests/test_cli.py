@@ -16,7 +16,7 @@ from sgsdistill.evaluation import EvalConfig
 from sgsdistill.featurizers import ConvFeaturizer
 from sgsdistill.pipeline import DistillConfig, FeaturizerSpec
 from sgsdistill.rng import SeededRng
-from sgsdistill.toydata import ToySpec, sdg_toy_spec
+from sgsdistill.toydata import ToySpec, generate_toy, sdg_toy_spec
 
 SMALL_CFG = {
     "toy": {"train_per_cell": 10, "test_per_cell": 5, "class_count": 3},
@@ -252,6 +252,25 @@ def test_sweep_workers_after_a_laned_call_match_a_serial_sweep(monkeypatch, tmp_
     assert csvs[0] == csvs[1]
 
 
+def test_a_serial_sweep_generates_its_dataset_once(monkeypatch, tmp_path):
+    calls = []
+
+    def counted(spec, seed):
+        calls.append(seed)
+        return generate_toy(spec, seed)
+
+    monkeypatch.setattr(cli, "generate_toy", counted)
+    seen = []
+    monkeypatch.setattr(cli, "_sweep_cell",
+                        lambda resolved, param, value, ds: seen.append(ds) or (value, 0.0))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"toy": TINY_CFG["toy"]}))
+    assert run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw"),
+                "--param", "lambda-c", "--values", "0,1,2", "--seed", "3"]) == 0
+    assert calls == [3]
+    assert len(seen) == 3 and all(ds is seen[0] for ds in seen)
+
+
 def test_sweep_over_pseudo_domain_counts(tmp_path):
     # Enough samples per cell that every (pseudo-domain, class) pair stays
     # populated after clustering the tinted source.
@@ -319,7 +338,8 @@ class _InlinePool:
 def test_sweep_pool_size(monkeypatch, tmp_path, jobs, values, cpus, pool):
     _InlinePool.sizes = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(cli, "_sweep_cell", lambda resolved, param, value, data: (value, 0.0))
+    monkeypatch.setattr(cli, "_sweep_cell", lambda resolved, param, value, ds: (value, 0.0))
+    monkeypatch.setattr(cli, "_dataset_for", lambda data, resolved: "dataset")
     # The pool counts the CPUs in the affinity mask, not the machine's.
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     monkeypatch.setattr(featurizers, "_usable_cpus", lambda: cpus)
@@ -367,6 +387,16 @@ def test_toy_name_must_be_a_plain_file_stem(tmp_path, name):
     out = tmp_path / "o"
     assert run(["gen-data", "--config", str(cfg), "--out", str(out)]) == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("jitter", [8, 9, 12])
+def test_jitter_past_the_grid_is_a_config_error(tmp_path, capsys, jitter):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"toy": {"height": 8, "width": 8, "jitter": jitter}}))
+    out = tmp_path / "o"
+    assert run(["gen-data", "--config", str(cfg), "--out", str(out)]) == 1
+    assert re.match(r"error: .*jitter \d+ must be below the grid side 8", capsys.readouterr().err)
+    assert _nothing_left(out)
 
 
 @pytest.mark.parametrize("data", ["generated", "file"])

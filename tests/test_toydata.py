@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from sgsdistill import toydata
 from sgsdistill.datasets import TRAIN
 from sgsdistill.errors import InvalidSpec
 from sgsdistill.featurizers import ConvFeaturizer
@@ -15,6 +18,46 @@ from sgsdistill.toydata import (
 )
 
 SMALL = ToySpec(train_per_cell=12, test_per_cell=6)
+
+TINTED2 = ToySpec(styles=(StyleSpec("tinted", variants=2, tint_strength=0.5),
+                          StyleSpec("checker")), train_per_cell=20, test_per_cell=10)
+
+
+def _digest(ds):
+    h = hashlib.sha256()
+    for a in (ds.images, ds.labels, ds.domains, ds.splits,
+              ds.extras["hidden_style"], ds.extras["jitter"]):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# Digests of an earlier generator that styled every sample from scratch.
+@pytest.mark.parametrize("spec, digest", [
+    (ToySpec(), "1a6c4f7ec144de0c986c7564bf39f632611b4c5eebb63f5537378fc6024c0453"),
+    (sdg_toy_spec(), "fc20cc49a49cf8dd7e6da2b4362a971807bff219303e968ec7a5ad1410fbccbc"),
+    (ToySpec(jitter=0, channels=1, height=12, width=10),
+     "581d676e994ae48d8a2b09b2f293688c6bb6136dfb34947f40e987d72ec73232"),
+    (TINTED2, "07319ee4d9d3c26e27a79a62669bafd07c5480823bd705eb6253e85a1ce4f7b3"),
+], ids=["default", "sdg", "plain-12x10", "tinted-2"])
+def test_generated_bytes_are_pinned(spec, digest):
+    assert _digest(generate_toy(spec, seed=0)) == digest
+
+
+@pytest.mark.parametrize("spec", [SMALL, TINTED2], ids=["small", "tinted-2"])
+def test_each_distinct_glyph_is_styled_once_per_domain(monkeypatch, spec):
+    styled, apply_style = [], toydata._apply_style
+
+    def counted(img, style, *rest):
+        styled.append(style)
+        return apply_style(img, style, *rest)
+
+    monkeypatch.setattr(toydata, "_apply_style", counted)
+    ds = generate_toy(spec, seed=4)
+    for d, style in enumerate(spec.styles):
+        mask = ds.domains == d
+        keys = {(c, dy, dx, v) for c, (dy, dx), v in zip(
+            ds.labels[mask], ds.extras["jitter"][mask], ds.extras["hidden_style"][mask])}
+        assert styled.count(style) == len(keys) < mask.sum()
 
 
 def test_same_seed_bit_identical():
@@ -118,3 +161,11 @@ def test_spec_validation():
         StyleSpec("clean", variants=3)
     with pytest.raises(InvalidSpec):
         ToySpec(train_per_cell=0)
+    for jitter in (8, 9, 12):
+        with pytest.raises(InvalidSpec, match="below the grid side"):
+            ToySpec(height=8, width=8, jitter=jitter)
+        with pytest.raises(InvalidSpec):
+            ToySpec(height=16, width=8, jitter=jitter)
+    edge = generate_toy(ToySpec(height=8, width=8, jitter=7, train_per_cell=3,
+                                test_per_cell=1), seed=0)
+    assert np.abs(edge.extras["jitter"]).max() <= 7
