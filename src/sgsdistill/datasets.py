@@ -4,7 +4,8 @@ Images are float64 arrays shaped (N, channels, height, width). Each sample
 carries a class id, a domain id, a train/test split flag, and a stable uid so
 evaluation protocols can prove which samples ever entered a pipeline. A view
 caches its class pixel means and, for the latest featurizer, its class
-feature-mean matrix (`dm.class_feature_mean`).
+feature-mean matrix (`dm.class_feature_mean`); the distillation loop reads
+neither, as its `dm.MatchingPlan` holds what it needs.
 """
 
 from dataclasses import dataclass, field, replace
@@ -60,8 +61,9 @@ class DataView:
     def cached_feature_mean(self, psi, compute):
         """The class feature-mean matrix under psi, computed once per
         featurizer (real data is immutable). Only the most recent
-        featurizer's matrix is kept, so drawing a fresh featurizer every
-        iteration costs no memory."""
+        featurizer's matrix is kept. The distillation loop does not call it
+        (it draws a new featurizer every iteration, so the cache could not
+        hit); perfbench's tracer wraps this name."""
         if self._feature_means is None or self._feature_means[0] != psi.token:
             self._feature_means = (psi.token, compute())
         return self._feature_means[1]

@@ -42,8 +42,10 @@ _TOKENS = itertools.count()
 # per 16x16x3 image at 16 channels, 3 MB per block; small blocks keep that in
 # cache whatever the batch size. One features_batch of 1,500 such images on
 # one thread of a 2-vCPU Xeon (BLAS pinned to one, median ms): blocks of 8,
-# 16, 32, 64 and 128 images took 30.1, 30.4, 32.4, 33.6 and 33.4. Whether
-# the smaller blocks' ~7% shows end to end is for the benchmark to decide.
+# 16, 32, 64 and 128 images took 30.1, 30.4, 32.4, 33.6 and 33.4. End to
+# end it does not show: on the distill-conv benchmark (2 CPUs, 10
+# alternating 25 s pairs) blocks of 16 ran more iterations/s than 32 in only
+# 6 pairs (medians 41.3 and 40.3), and peak RSS rose 1.3 MB in 4 of them.
 IMAGE_BLOCK = 32
 # Images per adjoint correlation in ConvFeaturizer.vjp_batch. Its buffers
 # take ~335 KB per 16x16 image at 16 channels (window rows of k*k*O
@@ -163,7 +165,8 @@ class LinearFeaturizer:
     """Random linear projection of flattened grids: features = W @ x.ravel()."""
 
     # A class's mean features are the features of its pixel mean, so the
-    # real images themselves are never featurized (`mean_features`).
+    # real images themselves are never featurized (`dm.MatchingPlan` stacks
+    # the class pixel means).
     reads_pixel_means = True
 
     def __init__(self, weight):
@@ -215,7 +218,14 @@ class LinearFeaturizer:
         if int(np.prod(images.shape[1:])) != self.weight.shape[1]:
             raise ShapeMismatch(f"batch shape {images.shape} incompatible with weight")
         rows, groups, lead = _covector_rows(upstream, self.feature_dim, groups, len(images))
-        return (rows @ self.weight).reshape(lead + rows.shape[1:2] + images.shape[1:]), groups
+        return ((rows @ self.weight).reshape(lead + rows.shape[1:2] + images.shape[1:]),
+                self.pullback_index(groups))
+
+    @classmethod
+    def pullback_index(cls, groups):
+        """Each image's row in pullback's output, from its covector group
+        (n,): the group's own row."""
+        return groups
 
     def hidden_activations(self, x):
         raise NotConvolutional("a linear featurizer has no spatial intermediates")
@@ -331,6 +341,11 @@ class ConvFeaturizer:
         """As LinearFeaturizer.pullback: vjp_batch and the identity index."""
         grads = self.vjp_batch(images, upstream, groups)
         return grads, np.arange(grads.shape[-4])
+
+    @classmethod
+    def pullback_index(cls, groups):
+        """As LinearFeaturizer.pullback_index: every image has a row of its own."""
+        return np.arange(len(groups))
 
 
 class _Workspace:

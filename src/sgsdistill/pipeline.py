@@ -15,14 +15,23 @@ item that no lane has started and computes it itself, until t's is done or
 none is left. Otherwise, and in the snapshot, the calling thread computes
 each item when it is needed. An item reads only its own streams and views,
 and each image's features are their own gemm, so the outputs are the same
-bytes whichever thread computed it, and no item outlives the call. One
-matching pass gives the pooled and per-domain gradients of every class (the
-real class means, one synthetic forward and one pullback, see
-`dm.matching_rows`), and the distinct
-gradient rows and each sample's row index go straight to the surgery kernel,
-which transforms each distinct per-domain stack once (under the linear
-featurizer, once per class, see `surgery.batch_surgery_updates`) and applies
-the three-signal step with each sample's assigned domain. At lambda_c =
+bytes whichever thread computed it, and no item outlives the call.
+
+What no iteration changes is derived once per run, when it starts: the
+run's `dm.MatchingPlan` (the synthetic class members and covector scales,
+each real view's class counts, held classes and mixing weights, the input
+checks, and, with fixed views, each view's class members and, under the
+linear featurizer, stacked class pixel means) and, under surgery, each
+sample's distinct (gradient row, assigned domain) pair
+(`surgery.surgery_pairs`). Each iteration then runs only what depends on its
+draw or on the synthetic pixels: one matching pass gives the pooled and
+per-domain gradients of every class (the real class means, one synthetic
+forward and one pullback, see `dm.matching_rows`), and the distinct gradient
+rows go straight to the surgery kernel, which transforms each distinct
+per-domain stack once (under the linear featurizer, once per class, see
+`surgery.batch_surgery_updates`) and applies the three-signal step to each
+pair. Both keep the shapes and operand order of deriving everything each
+iteration, so the outputs are the same bytes. At lambda_c =
 lambda_d = 0 (plain matching) the pass pulls back only the pooled covectors
 (bitwise the gradient surgery starts from), the step is
 `DistillConfig.base_scale` (1, or 0 without use_base) times them, and one
@@ -30,7 +39,8 @@ source domain or a domain missing a class (NaN loss) is let through. The
 synthetic set (images, labels, domain assignments, init provenance and
 iteration counter) is the whole loop state, and a checkpoint is one container
 holding all of it; keying the streams by iteration makes a restored checkpoint
-continue bit-identically to a run that never stopped.
+continue bit-identically to a run that never stopped. A run refuses a set
+that `initialize` could not have built under its config.
 """
 
 import collections
@@ -43,12 +53,12 @@ import numpy as np
 from . import storage
 from .datasets import DataView, MultiDomainDataset, SyntheticSet
 # dm_gradient is not called here; perfbench/tracer.py wraps this name.
-from .dm import class_groups, dm_gradient, matching_rows, real_class_means
+from .dm import MatchingPlan, dm_gradient, matching_rows, real_class_means
 from .errors import DistillError, EmptyClass, InvalidConfig, TooFewDomains
 from .featurizers import (ConvFeaturizer, LinearFeaturizer, gaussian_weights, lane_count,
                           run_ahead)
 from .rng import SeededRng
-from .surgery import batch_consensus_maps, batch_surgery_updates
+from .surgery import batch_consensus_maps, batch_surgery_updates, surgery_pairs
 
 INIT_STRATEGIES = ("noise", "random", "uniform")
 
@@ -221,21 +231,22 @@ def _subsample_view(view, per_class, rng):
 class _Inputs:
     """Iteration t's inputs, one item of the loop's queue. Made on the calling
     thread, which draws the real views (through SeededRng) and reads their
-    class groups. `compute(rng)` then gives the featurizer weights drawn from
-    rng and, where the featurizer does not read class pixel means, each real
-    view's class-mean features under them (else None: dm reads them from the
-    pixel means on the loop thread). compute calls numpy only, so with ahead
-    a lane runs it on the stream's numpy generator; otherwise, or when taken
-    back, it runs here through SeededRng."""
+    class members from the run's MatchingPlan. `compute(rng)` then gives the
+    featurizer weights drawn from rng and, where the featurizer does not
+    read class pixel means, each real view's class-mean features under them
+    (else None: dm computes them from the plan's pixel means on the loop
+    thread). compute calls numpy only, so with ahead a lane runs it on the
+    stream's numpy generator; otherwise, or when taken back, it runs here
+    through SeededRng."""
 
-    def __init__(self, source, cfg, rng, t, domain_views, ahead=False):
+    def __init__(self, source, cfg, rng, t, domain_views, plan, ahead=False):
         self.spec, self.stream = cfg.featurizer, rng.substream(_STREAM_FEATURIZER, t)
         self.views = domain_views if cfg.batch_per_class == 0 else [
             _subsample_view(view, cfg.batch_per_class, rng.substream(_STREAM_BATCH, t, s))
             for s, view in enumerate(domain_views)]
         self.draw = functools.partial(self.spec.draw, source.image_shape)
-        self.real = None if _KINDS[self.spec.kind].reads_pixel_means else [
-            (view.images, class_groups(view)) for view in self.views]
+        self.real = None if _KINDS[self.spec.kind].reads_pixel_means else plan.real_views(
+            self.views)
         if ahead:
             self.future = run_ahead(self.compute, self.stream.generator)
         else:
@@ -272,13 +283,34 @@ def _take(queue):
     return queue.popleft().inputs()
 
 
+def _plan(source, cfg, synthetic, domain_views, per_domain):
+    """The MatchingPlan of a run of cfg on source from synthetic. The set
+    must be one initialize(source, cfg) could have built, stepped or not:
+    ipc images per class in class order, domains in _domain_pattern's
+    balanced order (InvalidConfig otherwise; a set built under another ipc
+    would continue as a different run), and the source's image shape
+    (ShapeMismatch otherwise)."""
+    k, pattern = source.class_count, _domain_pattern(cfg.ipc, source.domain_count)
+    if not np.array_equal(synthetic.labels, np.repeat(np.arange(k), cfg.ipc)):
+        raise InvalidConfig(f"the synthetic set does not hold ipc={cfg.ipc} images of each "
+                            f"of the source's {k} classes in class order")
+    if not np.array_equal(synthetic.domains, np.tile(pattern, k)):
+        raise InvalidConfig(f"the synthetic set's domains are not the balanced assignment of "
+                            f"ipc={cfg.ipc} over {source.domain_count} source domains")
+    return MatchingPlan(synthetic, domain_views, _KINDS[cfg.featurizer.kind], per_domain,
+                        cfg.batch_per_class)
+
+
 def run_distillation(source: MultiDomainDataset, cfg: DistillConfig, initial=None,
                      checkpoint_dir=None):
     """Distill; returns the final synthetic set plus the loss history.
 
     Passing `initial` (e.g. a restored checkpoint) continues from its
     iteration counter; with the same config the continuation is
-    bit-identical to an uninterrupted run.
+    bit-identical to an uninterrupted run. What the matching and surgery
+    passes read that no iteration changes is derived once, when the run
+    starts: its MatchingPlan, and under surgery each sample's distinct (row,
+    assigned domain) pair (`surgery.surgery_pairs`).
     """
     s_count = source.domain_count
     if cfg.surgery and s_count < 2:
@@ -289,6 +321,9 @@ def run_distillation(source: MultiDomainDataset, cfg: DistillConfig, initial=Non
     rng = SeededRng(cfg.seed)
     synthetic = initial.copy() if initial is not None else initialize(source, cfg)
     domain_views = [source.train_view(domain=s) for s in range(s_count)]
+    plan = _plan(source, cfg, synthetic, domain_views, cfg.surgery)
+    pairs = surgery_pairs(_KINDS[cfg.featurizer.kind].pullback_index(synthetic.labels),
+                          synthetic.domains, s_count) if cfg.surgery else None
     history = []
 
     # The inputs of iterations t, t + 1, ..., computed ahead on the lanes.
@@ -297,14 +332,15 @@ def run_distillation(source: MultiDomainDataset, cfg: DistillConfig, initial=Non
     try:
         for t in range(synthetic.iteration, cfg.iterations):
             while len(queue) < (DRAW_DEPTH if ahead else 1) and t + len(queue) < cfg.iterations:
-                queue.append(_Inputs(source, cfg, rng, t + len(queue), domain_views, ahead))
+                queue.append(_Inputs(source, cfg, rng, t + len(queue), domain_views, plan, ahead))
             psi, real_domains, real_means = _take(queue)
             rows, index, losses = matching_rows(synthetic, real_domains, psi,
-                                                per_domain=cfg.surgery, real_means=real_means)
+                                                per_domain=cfg.surgery, real_means=real_means,
+                                                plan=plan)
             history.append((t, *losses.tolist()))
             if cfg.surgery:
                 updates = batch_surgery_updates(rows[1:], rows[0], synthetic.domains, cfg,
-                                                rows=index)
+                                                rows=index, pairs=pairs)
             else:
                 updates = cfg.base_scale * rows[0][index]
             synthetic.images = synthetic.images - cfg.eta * updates
@@ -328,9 +364,11 @@ def surgery_snapshot(source: MultiDomainDataset, cfg: DistillConfig,
     offline-inspection dump. Needs at least two domains (TooFewDomains).
     """
     domain_views = [source.train_view(domain=s) for s in range(source.domain_count)]
+    plan = _plan(source, cfg, synthetic, domain_views, True)
     psi, real_domains, real_means = _Inputs(source, cfg, SeededRng(cfg.seed), synthetic.iteration,
-                                            domain_views).inputs()
-    rows, index, _ = matching_rows(synthetic, real_domains, psi, real_means=real_means)
+                                            domain_views, plan).inputs()
+    rows, index, _ = matching_rows(synthetic, real_domains, psi, real_means=real_means,
+                                   plan=plan)
     return batch_consensus_maps(rows[1:], cfg.epsilon, rows=index)
 
 

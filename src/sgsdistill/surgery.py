@@ -16,6 +16,8 @@ reads `batch_consensus_maps`; both take distinct per-domain gradient rows
 plus the row each sample takes (under the linear featurizer, one row per
 class; see `dm.matching_rows`), so each distinct stack gets one forward
 transform, resultant and class signal however many samples share it. The
+kernel forms one update per distinct (row, assigned domain) pair
+(`surgery_pairs`), which a run derives once. The
 per-sample classes and functions above the kernel define what it computes.
 """
 
@@ -147,13 +149,31 @@ def _class_split(stack, epsilon):
     return resultant, out.real
 
 
-def batch_surgery_updates(domain_gradients, base_gradients, assigned_domains, cfg, rows=None):
+def surgery_pairs(rows, assigned_domains, domain_count):
+    """The distinct (row, assigned domain) pairs of the samples, sample i
+    taking row rows[i] and domain assigned_domains[i]: (pair rows, pair
+    domains, each sample's pair), the gather `batch_surgery_updates` forms
+    its updates by. UnknownDomain for a domain outside 0..domain_count - 1."""
+    rows = np.asarray(rows)
+    assigned = np.asarray(assigned_domains, dtype=np.int64)
+    if assigned.shape != rows.shape:
+        raise ShapeMismatch(f"assigned {assigned.shape} and rows {rows.shape} do not match")
+    if assigned.size and (assigned.min() < 0 or assigned.max() >= domain_count):
+        raise UnknownDomain("assigned domain outside the stack")
+    pairs, pair_of = np.unique(rows * domain_count + assigned, return_inverse=True)
+    return (*np.divmod(pairs, domain_count), pair_of)
+
+
+def batch_surgery_updates(domain_gradients, base_gradients, assigned_domains, cfg, rows=None,
+                          pairs=None):
     """Three-signal updates for every sample at once.
 
     domain_gradients is an (S, m, channels, h, w) stack of distinct gradient
     rows and base_gradients (m, channels, h, w) their pooled-loss rows;
     sample i takes row rows[i] and domain assigned_domains[i] (rows defaults
-    to one row per sample), and cfg gives the strengths. Each row's stack
+    to one row per sample), and cfg gives the strengths. pairs, when given,
+    is surgery_pairs(rows, assigned_domains, S), derived beforehand (a run
+    derives it once); assigned_domains is then not read. Each row's stack
     gets one forward transform, one resultant and one class-signal inverse;
     the domain signal is the assigned domain's gradient minus the mean
     gradient, in pixel space. The three-term sum is formed once per distinct
@@ -166,16 +186,12 @@ def batch_surgery_updates(domain_gradients, base_gradients, assigned_domains, cf
     """
     stack, rows = _domain_stack(domain_gradients, rows)
     base = np.asarray(base_gradients, dtype=np.float64)
-    assigned = np.asarray(assigned_domains, dtype=np.int64)
-    if base.shape != stack.shape[1:] or assigned.shape != rows.shape:
-        raise ShapeMismatch(f"base {base.shape}, assigned {assigned.shape} and rows "
-                            f"{rows.shape} do not match the stack's rows {stack.shape[1:]}")
-    if assigned.size and (assigned.min() < 0 or assigned.max() >= len(stack)):
-        raise UnknownDomain("assigned domain outside the stack")
+    if base.shape != stack.shape[1:]:
+        raise ShapeMismatch(f"base {base.shape} does not match the stack's rows "
+                            f"{stack.shape[1:]}")
+    pair_rows, pair_domains, pair_of = (surgery_pairs(rows, assigned_domains, len(stack))
+                                        if pairs is None else pairs)
     class_real = _class_split(stack, cfg.epsilon)[1]
-    # One update per distinct (row, assigned domain) pair, gathered per sample.
-    pairs, pair_of = np.unique(rows * len(stack) + assigned, return_inverse=True)
-    pair_rows, pair_domains = np.divmod(pairs, len(stack))
     domain_real = stack[pair_domains, pair_rows] - (stack.sum(axis=0) / len(stack))[pair_rows]
     return (cfg.base_scale * base[pair_rows] + cfg.lambda_c * class_real[pair_rows]
             + cfg.lambda_d * domain_real)[pair_of]

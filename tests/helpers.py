@@ -94,11 +94,12 @@ def naive_matvec(mat, vec):
     return out
 
 
-def per_sample_surgery(domain_gradients, base, assigned, cfg, rows=None):
+def per_sample_surgery(domain_gradients, base, assigned, cfg, rows=None, pairs=None):
     """Three-signal updates one sample at a time through the per-sample path
     (stack, consensus, decompose, combined_update) with cfg's strengths: the
     batch kernel's oracle. With rows, sample i's stack and base are row
-    rows[i], gathered first."""
+    rows[i], gathered first. pairs, the kernel's precomputed gather, is not
+    read: each sample's row and domain are."""
     from sgsdistill.surgery import (DomainGradientStack, combined_update, consensus,
                                     decompose)
 
@@ -132,6 +133,33 @@ def per_sample_consensus_maps(domain_gradients, epsilon, rows=None):
     return resultants, class_signals
 
 
+def per_call_matching_rows(synthetic, views, psi, per_domain=True):
+    """`dm.matching_rows` derived from scratch on its arguments, as before
+    runs planned it: the class sizes from the synthetic set's view, each
+    view's class counts, and every class feature mean through
+    `dm.class_feature_mean`, with NaN rows and zero weights for classes a
+    view lacks. The plan path's oracle; returns (rows, index, losses)."""
+    from sgsdistill.dm import class_feature_mean
+
+    k = synthetic.class_count
+    syn_view = synthetic.as_view()
+    sizes = np.array([syn_view.class_indices(c).size for c in range(k)])
+    mu_syn = class_feature_mean(syn_view, psi)
+    counts = np.array([np.bincount(view.labels, minlength=k)[:k] for view in views])
+    held = counts > 0
+    mu_real = np.full((len(views),) + mu_syn.shape, np.nan)
+    for s, view in enumerate(views):
+        if held[s].any():
+            means = class_feature_mean(view, psi)[:k]
+            mu_real[s, :len(means)] = means
+    weights = (counts / counts.sum(axis=0))[..., None]
+    pooled = (weights * np.where(held[..., None], mu_real, 0.0)).sum(axis=0)
+    deltas = mu_syn - np.concatenate([pooled[None], mu_real])
+    covectors = (2.0 / sizes)[:, None] * deltas[:len(views) + 1 if per_domain else 1]
+    rows, index = psi.pullback(synthetic.images, covectors, groups=synthetic.labels)
+    return rows, index, np.einsum("rkf,rkf->r", deltas, deltas)
+
+
 def zero_strength_surgery_run(source, cfg):
     """The distillation loop at zero strengths with every step through the
     surgery kernel (per-domain rows and batch_surgery_updates), on the inputs
@@ -140,18 +168,20 @@ def zero_strength_surgery_run(source, cfg):
     from dataclasses import replace
 
     from sgsdistill.dm import matching_rows
-    from sgsdistill.pipeline import _Inputs, initialize
+    from sgsdistill.pipeline import _Inputs, _plan, initialize
     from sgsdistill.rng import SeededRng
     from sgsdistill.surgery import batch_surgery_updates
 
     cfg = replace(cfg, lambda_c=0.0, lambda_d=0.0)
     synthetic = initialize(source, cfg)
     views = [source.train_view(domain=s) for s in range(source.domain_count)]
+    plan = _plan(source, cfg, synthetic, views, True)
     rng = SeededRng(cfg.seed)
     history = []
     for t in range(cfg.iterations):
-        psi, real, real_means = _Inputs(source, cfg, rng, t, views).inputs()
-        rows, index, losses = matching_rows(synthetic, real, psi, real_means=real_means)
+        psi, real, real_means = _Inputs(source, cfg, rng, t, views, plan).inputs()
+        rows, index, losses = matching_rows(synthetic, real, psi, real_means=real_means,
+                                            plan=plan)
         history.append((t, *losses.tolist()))
         synthetic.images = synthetic.images - cfg.eta * batch_surgery_updates(
             rows[1:], rows[0], synthetic.domains, cfg, rows=index)

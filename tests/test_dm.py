@@ -409,6 +409,21 @@ def test_pooled_only_pass_skips_views_missing_a_class(kind):
                                          rel=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["linear", "conv"])
+def test_pooled_only_pass_skips_a_view_holding_no_class(kind):
+    # A view with no samples gets weight 0 in every pooled class mean and a
+    # NaN loss; the pooled rows are those of the other view alone.
+    ds, synthetic, psi = matching_case(48, True, kind)
+    view = ds.train_view(domain=0)
+    empty = DataView(images=view.images[:0], labels=view.labels[:0],
+                     class_count=view.class_count)
+    alone, alone_losses = gathered_matching(synthetic, [view], psi, per_domain=False)
+    both, losses = gathered_matching(synthetic, [view, empty], psi, per_domain=False)
+    assert both.tobytes() == alone.tobytes()
+    assert losses[:2].tobytes() == alone_losses.tobytes()
+    assert np.isnan(losses[2])
+
+
 def test_pooled_row_is_bitwise_the_same_with_or_without_domain_rows():
     for kind in ("linear", "conv"):
         ds, synthetic, psi = matching_case(45, True, kind)

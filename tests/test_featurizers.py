@@ -11,7 +11,8 @@ import pytest
 
 from sgsdistill import featurizers
 from sgsdistill.errors import NotConvolutional, ShapeMismatch
-from sgsdistill.featurizers import IMAGE_BLOCK, ConvFeaturizer, LinearFeaturizer, mean_features
+from sgsdistill.featurizers import (ADJOINT_BLOCK, IMAGE_BLOCK, ConvFeaturizer, LinearFeaturizer,
+                                    mean_features)
 from sgsdistill.pseudo import style_stats_batch
 from sgsdistill.rng import SeededRng
 
@@ -299,11 +300,17 @@ def test_grouped_vjp_batch_matches_per_image_vjp_and_rows_stand_alone(kind):
 
 # Batch sizes around the block edges: no block, one short block, a full
 # block plus one image, and several blocks with a short last one.
-LANE_BATCHES = [0, 1, IMAGE_BLOCK - 1, IMAGE_BLOCK + 1, 3 * IMAGE_BLOCK + 5]
+BLOCK_BATCHES = [0, 1, IMAGE_BLOCK - 1, IMAGE_BLOCK + 1, 3 * IMAGE_BLOCK + 5]
 
 
-@pytest.mark.parametrize("n", LANE_BATCHES)
-def test_conv_outputs_do_not_depend_on_the_lane_count(monkeypatch, n):
+def block_sizes(n):
+    """(IMAGE_BLOCK, ADJOINT_BLOCK) settings for a batch of n: single images,
+    small blocks, the defaults, and one block wider than the batch."""
+    return [(1, 1), (3, 3), (IMAGE_BLOCK, ADJOINT_BLOCK), (n + 1, n + 1)]
+
+
+@pytest.mark.parametrize("n", BLOCK_BATCHES)
+def test_conv_outputs_do_not_depend_on_the_block_size(monkeypatch, n):
     rng = SeededRng(70)
     psi = ConvFeaturizer.create(3, 4, 3, rng.substream(0))
     images = rng.substream(1).normal(size=(n, 3, 5, 7))
@@ -311,13 +318,15 @@ def test_conv_outputs_do_not_depend_on_the_lane_count(monkeypatch, n):
     grouped = rng.substream(3).normal(size=(2, 3, 4))
     stacked = rng.substream(4).normal(size=(3, 4))
     results = []
-    for cpus in (1, 3):
-        monkeypatch.setattr(featurizers, "_usable_cpus", lambda: cpus)
+    for image_block, adjoint_block in block_sizes(n):
+        monkeypatch.setattr(featurizers, "IMAGE_BLOCK", image_block)
+        monkeypatch.setattr(featurizers, "ADJOINT_BLOCK", adjoint_block)
         results.append([psi.features_batch(images),
                         psi.vjp_batch(images, grouped, groups=groups),
                         psi.vjp_batch(images, stacked)])
-    for one, three in zip(*results):
-        assert one.shape == three.shape and one.tobytes() == three.tobytes()
+    for other in results[1:]:
+        for want, got in zip(results[0], other):
+            assert want.shape == got.shape and want.tobytes() == got.tobytes()
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")

@@ -9,7 +9,8 @@ import pytest
 
 from sgsdistill.datasets import TRAIN, DataView
 from sgsdistill.dm import dm_gradient, dm_loss
-from sgsdistill.errors import DistillError, EmptyClass, InvalidConfig, IoError, TooFewDomains
+from sgsdistill.errors import (DistillError, EmptyClass, InvalidConfig, IoError, ShapeMismatch,
+                               TooFewDomains)
 from sgsdistill.evaluation import assert_protocol_isolation
 from sgsdistill.featurizers import ConvFeaturizer, LinearFeaturizer
 from sgsdistill import dm, featurizers, pipeline, storage
@@ -30,8 +31,8 @@ from sgsdistill.rng import SeededRng
 from sgsdistill.storage import write_loss_history_csv
 from sgsdistill.toydata import ToySpec, generate_toy
 
-from helpers import (assert_balanced, make_dataset, per_sample_consensus_maps,
-                     per_sample_surgery, zero_strength_surgery_run)
+from helpers import (assert_balanced, make_dataset, per_call_matching_rows,
+                     per_sample_consensus_maps, per_sample_surgery, zero_strength_surgery_run)
 
 SMALL_TOY = ToySpec(train_per_cell=12, test_per_cell=4, class_count=3)
 FAST = dict(featurizer=FeaturizerSpec(kind="linear", dim=32))
@@ -50,7 +51,8 @@ def toy():
 def first_inputs(source, cfg, t=0):
     """Iteration t's featurizer and real views, as the loop draws them."""
     views = [source.train_view(domain=s) for s in range(source.domain_count)]
-    return _Inputs(source, cfg, SeededRng(cfg.seed), t, views).inputs()[:2]
+    plan = pipeline._plan(source, cfg, initialize(source, cfg), views, cfg.surgery)
+    return _Inputs(source, cfg, SeededRng(cfg.seed), t, views, plan).inputs()[:2]
 
 
 def test_uniform_pattern_with_remainder(toy):
@@ -338,40 +340,121 @@ def test_fixed_featurizer_is_the_first_draw_and_featurizes_each_view_once(monkey
     assert first.history[0][1] == pytest.approx(
         dm_loss(initialize(toy, cfg), toy.train_view(), psi), rel=1e-12)
 
-    # Class means are computed through the view's cache, except the conv
-    # featurizer's real-side ones, which the loop's queued items compute
-    # with dm's pass (on a lane or, taken back, on the loop thread).
-    computed, featurized = [], []
-    cached = DataView.cached_feature_mean
+    # Each iteration featurizes the synthetic set once and each real view
+    # once: under conv its images (the loop's queued items run dm's pass, on
+    # a lane or, taken back, on the loop thread), under linear the stack of
+    # its class pixel means, which the run's plan holds when the views stay
+    # the same. The loop no longer reads the views' feature-mean caches.
+    featurized, cached = [], []
     features_batch = type(psi).features_batch
     conv_class_means = dm._conv_class_means
-
-    def counting(view, psi, compute):
-        def counted():
-            computed.append((id(view), view.uids is not None))
-            return compute()
-        return cached(view, psi, counted)
+    cached_feature_mean = DataView.cached_feature_mean
 
     def counting_pass(kernels, images, groups):
-        computed.append((id(images), True))
-        featurized.append(1)
+        featurized.append(images)
         return conv_class_means(kernels, images, groups)
 
-    monkeypatch.setattr(DataView, "cached_feature_mean", counting)
+    monkeypatch.setattr(DataView, "cached_feature_mean", lambda view, psi, compute: (
+        cached.append(view), cached_feature_mean(view, psi, compute))[1])
     monkeypatch.setattr(dm, "_conv_class_means", counting_pass)
     monkeypatch.setattr(type(psi), "features_batch",
-                        lambda self, images: featurized.append(1) or features_batch(self, images))
+                        lambda self, images: featurized.append(images) or features_batch(self, images))
     for batch_per_class in (0, 4):
-        computed.clear()
         featurized.clear()
         res = run_distillation(toy, replace(cfg, batch_per_class=batch_per_class))
         assert res.synthetic.iteration == cfg.iterations
-        real = [view for view, is_real in computed if is_real]
-        assert len(real) == toy.domain_count * cfg.iterations
-        assert len(computed) - len(real) == cfg.iterations   # the synthetic set
-        assert len(featurized) == len(computed)   # one featurization per view
-        if batch_per_class == 0:   # the same train views every iteration
-            assert len(set(real)) == toy.domain_count
+        assert len(featurized) == (toy.domain_count + 1) * cfg.iterations
+        # The list holds every input, so no two share an id. The synthetic
+        # set's input is new each iteration; a real view's is the same
+        # array every iteration when the views stay the same.
+        distinct = len({id(images) for images in featurized})
+        if batch_per_class == 0:
+            assert distinct == toy.domain_count + cfg.iterations
+        else:
+            assert distinct == len(featurized)
+    assert cached == []
+
+
+@STRENGTHS
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("batch_per_class", [0, 4])
+def test_plan_path_matches_a_per_call_derivation_bitwise(monkeypatch, toy, kind, batch_per_class,
+                                                         strengths):
+    # Every matching pass of a run (per-domain rows under surgery, the
+    # pooled rows alone at zero strengths) and of the snapshot equals, byte
+    # for byte, the same pass derived from scratch on its arguments. Some
+    # (domain, class) cells hold fewer train samples than a minibatch takes
+    # (2 and 3 < 4) or more than the others (12 against 7), so the classes'
+    # mixing weights differ between domains.
+    lambda_c, lambda_d = strengths
+    train = toy.splits == TRAIN
+    keep = np.ones(len(toy), dtype=bool)
+    for d, c, drop in [(0, 1, 10), (1, 0, 5), (2, 2, 9), (3, 1, 5)]:
+        keep[np.flatnonzero(train & (toy.domains == d) & (toy.labels == c))[:drop]] = False
+    source = toy.subset(keep)
+    cfg = DistillConfig(ipc=5, iterations=3, seed=27, featurizer=KINDS[kind], lambda_c=lambda_c,
+                        lambda_d=lambda_d, batch_per_class=batch_per_class)
+    matching, passes = pipeline.matching_rows, []
+
+    def checked(synthetic, views, psi, per_domain=True, **kwargs):
+        got = matching(synthetic, views, psi, per_domain, **kwargs)
+        want = per_call_matching_rows(synthetic, views, psi, per_domain)
+        for plan_path, oracle in zip(got, want):
+            assert np.asarray(plan_path).tobytes() == np.asarray(oracle).tobytes()
+        passes.append(per_domain)
+        return got
+
+    monkeypatch.setattr(pipeline, "matching_rows", checked)
+    res = run_distillation(source, cfg)
+    surgery_snapshot(source, cfg, res.synthetic)
+    assert passes == [cfg.surgery] * cfg.iterations + [True]
+
+
+@pytest.mark.parametrize("batch_per_class", [0, 4])
+def test_linear_real_pixel_means_are_stacked_once_per_run(monkeypatch, toy, batch_per_class):
+    # The synthetic set holds 9 images; a real view 36, a minibatch of it 12.
+    # With fixed views the run's plan stacks each view's class pixel means
+    # when the run starts; minibatches are new views every iteration.
+    cfg = DistillConfig(ipc=3, iterations=5, seed=28, batch_per_class=batch_per_class, **FAST)
+    group_means, real = dm._group_means, []
+
+    def counting(rows, groups):
+        if len(rows) != toy.class_count * cfg.ipc:
+            real.append(len(rows))
+        return group_means(rows, groups)
+
+    monkeypatch.setattr(dm, "_group_means", counting)
+    run_distillation(toy, cfg)
+    passes = 1 if batch_per_class == 0 else cfg.iterations
+    assert real == [36 if batch_per_class == 0 else 12] * toy.domain_count * passes
+
+
+def continued_set(synthetic, case):
+    """A copy of synthetic that a run of another config would continue."""
+    bad = synthetic.copy()
+    if case == "ipc":
+        pass   # continued under ipc 3
+    elif case == "class order":
+        bad.labels = bad.labels[::-1].copy()
+    elif case == "domains":
+        bad.domains[bad.labels == 0] = 0
+    else:
+        bad.images = bad.images[..., :-1]
+    return bad
+
+
+@pytest.mark.parametrize("case, error", [("ipc", InvalidConfig), ("class order", InvalidConfig),
+                                         ("domains", InvalidConfig), ("shape", ShapeMismatch)])
+def test_a_run_refuses_to_continue_a_set_its_config_would_not_build(tmp_path, toy, case, error):
+    cfg = DistillConfig(ipc=5, iterations=2, seed=29, **FAST)
+    checkpoint(run_distillation(toy, cfg).synthetic, tmp_path / "half.dgck")
+    restored = restore(tmp_path / "half.dgck")
+    resumed = replace(cfg, iterations=4, ipc=3 if case == "ipc" else cfg.ipc)
+    with pytest.raises(error):
+        run_distillation(toy, resumed, initial=continued_set(restored, case))
+    with pytest.raises(error):
+        surgery_snapshot(toy, resumed, continued_set(restored, case))
+    assert run_distillation(toy, replace(cfg, iterations=4), initial=restored).synthetic.iteration == 4
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -385,9 +468,9 @@ def test_surgery_snapshot_matches_the_next_iterations_kernel_input(monkeypatch, 
     inputs = []
     kernel = pipeline.batch_surgery_updates
 
-    def spy(domain_gradients, base, assigned, w, rows=None):
+    def spy(domain_gradients, base, assigned, w, rows=None, pairs=None):
         inputs.append((domain_gradients, rows))
-        return kernel(domain_gradients, base, assigned, w, rows=rows)
+        return kernel(domain_gradients, base, assigned, w, rows=rows, pairs=pairs)
 
     monkeypatch.setattr(pipeline, "batch_surgery_updates", spy)
     run_distillation(toy, replace(cfg, iterations=3), initial=synthetic)
@@ -646,7 +729,7 @@ def test_lanes_call_no_rng_or_featurizer_method(monkeypatch, toy, kind, batch_pe
 
     for name in ("class_feature_mean", "mean_features"):
         monkeypatch.setattr(dm, name, recording(getattr(dm, name)))
-    for cls in (SeededRng, LinearFeaturizer, ConvFeaturizer, DataView):
+    for cls in (SeededRng, LinearFeaturizer, ConvFeaturizer, DataView, dm.MatchingPlan):
         for name, attr in list(vars(cls).items()):
             if cls is not SeededRng and name.startswith("_") and name != "__init__":
                 continue

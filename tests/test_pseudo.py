@@ -18,15 +18,17 @@ from helpers import naive_correlate
 
 
 @pytest.mark.parametrize("n", [0, 1, IMAGE_BLOCK - 1, IMAGE_BLOCK + 1, 3 * IMAGE_BLOCK + 5])
-def test_style_stats_do_not_depend_on_the_lane_count(monkeypatch, n):
+def test_style_stats_do_not_depend_on_the_block_size(monkeypatch, n):
+    # Single images, small blocks, the default, and one block wider than the batch.
     rng = SeededRng(21)
     psi = ConvFeaturizer.create(3, 4, 3, rng.substream(0))
     images = rng.substream(1).normal(size=(n, 3, 5, 7))
     stats = []
-    for cpus in (1, 3):
-        monkeypatch.setattr(featurizers, "_usable_cpus", lambda: cpus)
+    for block in (1, 3, IMAGE_BLOCK, n + 1):
+        monkeypatch.setattr(featurizers, "IMAGE_BLOCK", block)
         stats.append(style_stats_batch(images, psi))
-    assert stats[0].shape == (n, 8) and stats[0].tobytes() == stats[1].tobytes()
+    assert stats[0].shape == (n, 8)
+    assert all(other.tobytes() == stats[0].tobytes() for other in stats[1:])
 
 
 def test_constant_activation_plane_stats():

@@ -15,6 +15,7 @@ from sgsdistill.surgery import (
     combined_update,
     consensus,
     decompose,
+    surgery_pairs,
 )
 
 from helpers import per_sample_consensus_maps, per_sample_surgery
@@ -197,6 +198,11 @@ def kernel_inputs(seed, domains=3, rows=6, shape=(2, 8, 8)):
 
 def assert_kernel_matches_oracle(grads, base, assigned, rows=None):
     got = batch_surgery_updates(grads, base, assigned, KERNEL_CFG, rows=rows)
+    # Pairs derived beforehand, as a run derives them once, give the same bytes.
+    pairs = surgery_pairs(np.arange(grads.shape[1]) if rows is None else rows, assigned,
+                          len(grads))
+    planned = batch_surgery_updates(grads, base, None, KERNEL_CFG, rows=rows, pairs=pairs)
+    assert planned.tobytes() == got.tobytes()
     if rows is not None:
         grads, base = grads[:, rows], base[rows]
     want = per_sample_surgery(grads, base, assigned, KERNEL_CFG)
@@ -316,6 +322,12 @@ def test_kernel_rejects_a_bad_row_index():
         batch_surgery_updates(grads, base, assigned + 1, KERNEL_CFG, rows=rows)
     with pytest.raises(UnknownDomain):
         batch_surgery_updates(grads, base, assigned - 1, KERNEL_CFG, rows=rows)
+    # Pairs derived beforehand check the same.
+    with pytest.raises(ShapeMismatch):
+        surgery_pairs(rows[:-1], assigned, len(grads))
+    for bad in (assigned + 1, assigned - 1):
+        with pytest.raises(UnknownDomain):
+            surgery_pairs(rows, bad, len(grads))
 
 
 def test_kernel_rejects_a_duplicated_non_hermitian_row(monkeypatch):
