@@ -13,17 +13,21 @@ depends on the featurizer or the synthetic pixels, in the shapes and
 operand order of deriving everything per call, so the bytes are the same:
 the synthetic class means (one forward), each view's class-mean features
 (under the linear featurizer one gemm of the plan's pixel means, under conv
-`real_class_means`, which the loop computes ahead on a lane), the pooled real
-class means as the count-weighted mix of the domain means, the deltas and
-losses, and one `pullback` of the (S + 1, classes) covectors, which returns
-distinct gradient rows plus each image's row (one row per class under the
-linear featurizer). Every covector row is pulled back on its own, so the
-pooled row is bitwise the same whether or not the domain rows ride along
-(the loop asks for them only at a positive surgery strength).
+`real_class_means` over the plan's padded channels-last layout of the view,
+which the loop computes ahead on a lane), the pooled real class means as the
+count-weighted mix of the domain means, the deltas and losses, and one
+pullback of the (S + 1, classes) covectors, which returns distinct gradient
+rows plus each image's row (one row per class under the linear featurizer).
+Under conv the pullback reuses the synthetic forward's rectifier mask
+(`ConvFeaturizer.linearize`), so a pass correlates the synthetic set once.
+Every covector row is pulled back on its own, so the pooled row is bitwise
+the same whether or not the domain rows ride along (the loop asks for them
+only at a positive surgery strength).
 `dm_gradient` gathers the pooled rows to the images; `dm_loss` stops before
 the pullback.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +43,14 @@ class MatchingPlan:
     2 / ipc_c (`scale`, (K, 1)), the classes each view holds (`held`, (S, K))
     and their mixing weights in the pooled means (`weights`, (S, K, 1)),
     and, with fixed views (batch_per_class 0), each view's members of every
-    held class and, when featurizer (a featurizer class) reads pixel means,
-    their stacked pixel means. With batch_per_class > 0 each pass's views
-    are class-balanced minibatches (`pipeline._subsample_view`) holding
-    min(class size, batch_per_class) members of each class, so the counts
-    and weights still hold and the members are read from the pass's views.
+    held class and either their stacked pixel means, when featurizer reads
+    pixel means, or the view's images in the layout its correlation reads
+    (`featurizer.layout`). featurizer is the featurizer or the
+    `pipeline.FeaturizerSpec` a run draws from. With batch_per_class > 0
+    each pass's views are class-balanced minibatches
+    (`pipeline._subsample_view`) holding min(class size, batch_per_class)
+    members of each class, so the counts and weights still hold, and the
+    members are read, and laid out, from the pass's views.
     Raises ShapeMismatch when the image shape or count does not match, and
     EmptyClass when the synthetic set lacks a class, no view holds one, or,
     with per_domain (surgery needs every class in every domain), a view
@@ -76,19 +83,22 @@ class MatchingPlan:
             raise EmptyClass(f"class {c} has no samples in source domain {s}; surgery needs "
                              "every class in every source (pseudo-)domain")
         self.weights = (counts / counts.sum(axis=0))[..., None]
+        self._layout = None if featurizer.reads_pixel_means else featurizer.layout
         self._members = None if batch_per_class else self._read_members(views)
         self._pixel_means = None
         if self._members is not None and featurizer.reads_pixel_means:
             self._pixel_means = self.real_pixel_means(views)
 
     def _read_members(self, views):
-        return [(view.images, [np.flatnonzero(view.labels == c)
-                               for c in np.flatnonzero(self.held[s])])
+        return [(view.images if self._layout is None else self._layout(view.images),
+                 [np.flatnonzero(view.labels == c) for c in np.flatnonzero(self.held[s])])
                 for s, view in enumerate(views)]
 
     def real_views(self, views):
-        """(images, each held class's member indices) of every view, as
-        `real_class_means` reads them; views are the pass's real views."""
+        """(images, each held class's member indices) of every view, the
+        images laid out as the featurizer's correlation reads them (conv,
+        `featurizers.padded_layout`) or as they are (linear); views are the
+        pass's real views. `real_class_means` reads them."""
         return self._members or self._read_members(views)
 
     def real_pixel_means(self, views):
@@ -120,10 +130,11 @@ def class_feature_mean(view, psi):
 
 def real_class_means(kernels, views):
     """Each view's held-class mean features, (held, F), under the
-    ConvFeaturizer holding kernels (float64), from the (images, member
-    groups) pairs of `MatchingPlan.real_views`; a view that holds no class
-    is skipped. Calls numpy only, so a featurizer pool thread may run it."""
-    return [_conv_class_means(kernels, images, groups) for images, groups in views if groups]
+    ConvFeaturizer holding kernels (float64), from the (laid-out images,
+    member groups) pairs of `MatchingPlan.real_views`; a view that holds no
+    class is skipped. Calls numpy only, so a featurizer pool thread may run
+    it."""
+    return [_conv_class_means(kernels, padded, groups) for padded, groups in views if groups]
 
 
 @dataclass
@@ -135,25 +146,31 @@ class DmGradient:
 
 
 def _class_deltas(plan, synthetic: SyntheticSet, domain_views, psi, real_means):
-    """Deltas (S + 1, K, F) and their losses (S + 1,). deltas[0, c] is mean
+    """Deltas (S + 1, K, F), their losses (S + 1,) and the synthetic images'
+    pullback, a function of (covectors, groups) that gives
+    psi.pullback(synthetic.images, covectors, groups). deltas[0, c] is mean
     psi(synthetic_c) minus the pooled real class mean (the count-weighted mix
     of the views holding class c), deltas[1 + s, c] the same against view s;
     a view without class c gets weight 0 and a NaN row, so its loss is NaN.
     real_means, when given, holds real_class_means of the views under psi.
+    Under conv the pullback reuses the forward's rectifier mask
+    (`ConvFeaturizer.linearize`), so the synthetic set is correlated once.
     """
     if psi.reads_pixel_means:
         mu_syn = psi.features_batch(_group_means(synthetic.images, plan.groups))
+        pullback = functools.partial(psi.pullback, synthetic.images)
         if real_means is None:
             real_means = [psi.features_batch(m) for m in plan.real_pixel_means(domain_views)]
     else:
-        mu_syn = _group_means(psi.features_batch(synthetic.images), plan.groups)
+        features, pullback = psi.linearize(synthetic.images)
+        mu_syn = _group_means(features, plan.groups)
         if real_means is None:
             real_means = real_class_means(psi.kernels, plan.real_views(domain_views))
     mu_real = np.full(plan.held.shape + mu_syn.shape[1:], np.nan)
     mu_real[plan.held] = np.concatenate(real_means)
     pooled = (plan.weights * np.where(plan.held[..., None], mu_real, 0.0)).sum(axis=0)
     deltas = mu_syn - np.concatenate([pooled[None], mu_real])
-    return deltas, np.einsum("rkf,rkf->r", deltas, deltas)
+    return deltas, np.einsum("rkf,rkf->r", deltas, deltas), pullback
 
 
 def matching_rows(synthetic: SyntheticSet, domain_views, psi, per_domain=True,
@@ -171,17 +188,16 @@ def matching_rows(synthetic: SyntheticSet, domain_views, psi, per_domain=True,
     per_domain), or None for a one-off one.
     """
     if plan is None:
-        plan = MatchingPlan(synthetic, domain_views, type(psi), per_domain)
-    deltas, losses = _class_deltas(plan, synthetic, domain_views, psi, real_means)
+        plan = MatchingPlan(synthetic, domain_views, psi, per_domain)
+    deltas, losses, pullback = _class_deltas(plan, synthetic, domain_views, psi, real_means)
     rows = len(domain_views) + 1 if per_domain else 1
-    pulled, index = psi.pullback(synthetic.images, plan.scale * deltas[:rows],
-                                 groups=plan.labels)
+    pulled, index = pullback(plan.scale * deltas[:rows], plan.labels)
     return pulled, index, losses
 
 
 def dm_loss(synthetic: SyntheticSet, view, psi):
     """Sum over classes of || mean psi(synthetic_c) - mean psi(real_c) ||^2."""
-    plan = MatchingPlan(synthetic, [view], type(psi), per_domain=False)
+    plan = MatchingPlan(synthetic, [view], psi, per_domain=False)
     return float(_class_deltas(plan, synthetic, [view], psi, None)[1][0])
 
 

@@ -14,7 +14,12 @@ moves contiguous runs instead of single pixels.
 
 Batches are correlated a block of images at a time in one set of buffers, on
 the calling thread. Each image's window matrix is its own gemm, so results
-are bitwise the same for any block size and on any thread.
+are bitwise the same for any block size and on any thread. Images that are
+featurized every iteration under a new draw, a run's fixed real views, are
+laid out padded and channels-last once (`padded_layout`, held by the run's
+`dm.MatchingPlan`), and their windows are copied straight out of that
+layout. The synthetic set is correlated once per iteration: `linearize`
+gives its features and a pullback that reuses the forward's rectifier mask.
 
 The distillation loop queues whole iterations' inputs on a module thread
 pool (`run_ahead`), one thread, or lane, per usable CPU but the caller's, each
@@ -24,6 +29,7 @@ there. With one usable CPU no thread is started.
 
 import concurrent.futures
 import ctypes
+import functools
 import itertools
 import os
 import threading
@@ -37,15 +43,18 @@ from .rng import SeededRng
 # Distinguishes featurizer instances in feature-mean caches.
 _TOKENS = itertools.count()
 
-# Images per correlation in ConvFeaturizer.features_batch, the rectifier mask
-# of vjp_batch and pseudo.style_stats_batch. One block's buffers take ~94 KB
-# per 16x16x3 image at 16 channels, 3 MB per block; small blocks keep that in
-# cache whatever the batch size. One features_batch of 1,500 such images on
-# one thread of a 2-vCPU Xeon (BLAS pinned to one, median ms): blocks of 8,
-# 16, 32, 64 and 128 images took 30.1, 30.4, 32.4, 33.6 and 33.4. End to
-# end it does not show: on the distill-conv benchmark (2 CPUs, 10
-# alternating 25 s pairs) blocks of 16 ran more iterations/s than 32 in only
-# 6 pairs (medians 41.3 and 40.3), and peak RSS rose 1.3 MB in 4 of them.
+# Images per correlation in ConvFeaturizer.features_batch and linearize, the
+# real-side pass over a laid-out view and pseudo.style_stats_batch. One
+# block's buffers take ~94 KB per 16x16x3 image at 16 channels, 3 MB per
+# block; small blocks keep that in cache whatever the batch size. On 1,500
+# such images, one thread of a 2-vCPU Xeon (BLAS pinned to one, median of 15,
+# ms), blocks of 8, 16, 32, 64 and 128 images took 32.1, 31.6, 32.2, 33.0 and
+# 33.5 in features_batch, and 28.0, 27.4, 28.2, 28.9 and 28.9 in the pass
+# over the layout a run's plan holds (`padded_layout`). End to end it did not
+# show, measured before the plan held that layout: on the distill-conv
+# benchmark (2 CPUs, 10 alternating 25 s pairs) blocks of 16 ran more
+# iterations/s than 32 in only 6 pairs (medians 41.3 and 40.3), and peak RSS
+# rose 1.3 MB in 4 of them.
 IMAGE_BLOCK = 32
 # Images per adjoint correlation in ConvFeaturizer.vjp_batch. Its buffers
 # take ~335 KB per 16x16 image at 16 channels (window rows of k*k*O
@@ -316,31 +325,32 @@ class ConvFeaturizer:
         is then pulled back on its own, ADJOINT_BLOCK images per correlation,
         so an image's result depends neither on the other rows nor on the
         other images."""
-        images = self._check_batch(images)
-        rows, groups, lead = _covector_rows(upstream, self.feature_dim, groups, len(images))
-        n, c, h, w = images.shape
-        o = self.feature_dim
-        active = np.empty((n, h * w, o), dtype=bool)
-        for block, z in _map_blocks(self.kernels, images):
-            np.greater(z, 0.0, out=active[block])
-        # The adjoint of the padded correlation correlates the cotangent with
-        # the spatially flipped kernels, in and out channels swapped.
-        flipped = self.kernels[..., ::-1, ::-1].transpose(1, 0, 2, 3)
-        per_image = rows[:, groups, None, None, :] / (h * w)
-        grads = np.empty((len(rows),) + images.shape)
-        work = _Workspace(min(n, ADJOINT_BLOCK), h, w, flipped)
-        for r, start in itertools.product(range(len(rows)), range(0, n, ADJOINT_BLOCK)):
-            block = slice(start, start + ADJOINT_BLOCK)
-            mask = active[block].reshape(-1, h, w, o)
-            np.multiply(mask, per_image[r, block], out=work.interior[:len(mask)])
-            grads[r, block] = (_correlate(work, len(mask))
-                               .reshape(-1, h, w, c).transpose(0, 3, 1, 2))
-        return grads.reshape(lead + images.shape)
+        return self.pullback(images, upstream, groups)[0]
 
     def pullback(self, images, upstream, groups=None):
         """As LinearFeaturizer.pullback: vjp_batch and the identity index."""
-        grads = self.vjp_batch(images, upstream, groups)
-        return grads, np.arange(grads.shape[-4])
+        return self.linearize(images)[1](upstream, groups)
+
+    def linearize(self, images):
+        """features_batch of a batch and its pullback there, from one
+        correlation of the batch: the pullback is a function of (upstream,
+        groups=None) that gives what `pullback` gives, from this pass's
+        rectifier mask. The matching pass featurizes the synthetic set
+        through it, so each iteration correlates the set once."""
+        images = self._check_batch(images)
+        n, _, h, w = images.shape
+        active = np.empty((n, h * w, self.feature_dim), dtype=bool)
+        features = _pooled_features(self.kernels, images, active)
+
+        def pullback(upstream, groups=None):
+            grads = _adjoint(self.kernels, images.shape, active, upstream, groups)
+            return grads, np.arange(grads.shape[-4])
+        return features, pullback
+
+    def layout(self, images):
+        """A batch (N, C, H, W) laid out as this featurizer's correlation
+        reads it (`padded_layout`)."""
+        return padded_layout(self._check_batch(images), self.kernels.shape[2])
 
     @classmethod
     def pullback_index(cls, groups):
@@ -349,31 +359,45 @@ class ConvFeaturizer:
 
 
 class _Workspace:
-    """Buffers for correlating up to n channels-last (h, w, C) maps with
-    kernels (O, C, k, k): the padded maps, zeroed once so that their border
-    stays zero (callers write only the interior), the window rows, the
-    product, and the kernels as a (k*k*C, O) matrix."""
+    """Buffers for correlating up to n channels-last (h, w, C) maps at a time
+    with kernels (O, C, k, k): the padded maps, zeroed once so that their
+    border stays zero (callers write only the interior), or a batch that
+    `padded_layout` laid out, given as padded; the window rows, the product,
+    and the kernels as a (k*k*C, O) matrix."""
 
-    def __init__(self, n, h, w, kernels):
+    def __init__(self, n, h, w, kernels, padded=None):
         o, c, k = kernels.shape[:3]
         p = k // 2
-        self.padded = np.zeros((n, h + 2 * p, w + 2 * p, c))
+        self.padded = np.zeros((n, h + 2 * p, w + 2 * p, c)) if padded is None else padded
         self.interior = self.padded[:, p:p + h, p:p + w]
         self.rows = np.empty((n, h * w, k * k * c))
         self.out = np.empty((n, h * w, o))
         self.matrix = kernels.transpose(2, 3, 1, 0).reshape(-1, o)
-        # Each pixel's k x k window, (n, h, w, k, k*C), and the rows as the same
-        # shape. The last axis is spelled out: -1 does not reshape an empty batch.
-        flat = self.padded.reshape(n, h + 2 * p, (w + 2 * p) * c)
+        # Each padded map's k x k window per pixel, (N, h, w, k, k*C), and the
+        # rows as n of them. The last axis is spelled out: -1 does not reshape
+        # an empty batch.
+        flat = self.padded.reshape(len(self.padded), h + 2 * p, (w + 2 * p) * c)
         self.windows = sliding_window_view(flat, (k, k * c), axis=(1, 2))[:, :, ::c]
-        self.window_rows = self.rows.reshape(self.windows.shape)
+        self.window_rows = self.rows.reshape((n,) + self.windows.shape[1:])
+
+
+def padded_layout(images, side):
+    """Images (N, C, H, W) as a correlation with side x side kernels reads
+    them: channels-last and zero-padded by side // 2 pixels on each border,
+    (N, H + 2p, W + 2p, C). A run's `dm.MatchingPlan` holds its fixed real
+    views this way, so the real-side pass copies windows straight out of it."""
+    n, c, h, w = images.shape
+    p = side // 2
+    out = np.zeros((n, h + 2 * p, w + 2 * p, c))
+    out[:, p:p + h, p:p + w] = images.transpose(0, 2, 3, 1)
+    return out
 
 
 def _forward(images, work):
     """Pre-rectifier maps of a checked batch (n, C, H, W), channels-last
     (n, H*W, O), in work's buffers."""
     work.interior[:len(images)] = images.transpose(0, 2, 3, 1)
-    return _correlate(work, len(images))
+    return _correlate(work, work.windows[:len(images)])
 
 
 def _map_blocks(kernels, images):
@@ -386,26 +410,76 @@ def _map_blocks(kernels, images):
         yield block, _forward(images[block], work)
 
 
-def _pooled_features(kernels, images):
-    """ConvFeaturizer.features_batch of the featurizer holding kernels, on a
-    checked batch: rectified maps, spatially pooled."""
-    out = np.empty((len(images), kernels.shape[0]))
-    for block, z in _map_blocks(kernels, images):
+def _laid_out_features(kernels, padded):
+    """_pooled_features of a batch laid out by `padded_layout`: each block's
+    windows are copied straight out of padded."""
+    k = kernels.shape[2]
+    n, hp, wp, _ = padded.shape
+    work = _Workspace(min(n, IMAGE_BLOCK), hp - k + 1, wp - k + 1, kernels, padded)
+    blocks = (slice(start, start + IMAGE_BLOCK) for start in range(0, n, IMAGE_BLOCK))
+    return _pool_blocks(((block, _correlate(work, work.windows[block])) for block in blocks),
+                        np.empty((n, kernels.shape[0])))
+
+
+def _pool_blocks(blocks, out, active=None):
+    """Fill out (N, O) with each block's rectified, spatially pooled maps and,
+    when given active (N, H*W, O), with their rectifier mask."""
+    for block, z in blocks:
+        if active is not None:
+            np.greater(z, 0.0, out=active[block])
         out[block] = spatial_mean(np.maximum(z, 0.0, out=z))
     return out
 
 
-def _correlate(work, n):
-    """Zero-padded stride-1 cross-correlation of the first n maps in
-    work.interior with work's kernels -> (n, H*W, O), a view of work.out;
-    the im2col of the module docstring."""
-    np.copyto(work.window_rows[:n], work.windows[:n])
+def _pooled_features(kernels, images, active=None):
+    """ConvFeaturizer.features_batch of the featurizer holding kernels, on a
+    checked batch: rectified maps, spatially pooled; the rectifier mask goes
+    to active (n, H*W, O) when given."""
+    return _pool_blocks(_map_blocks(kernels, images),
+                        np.empty((len(images), kernels.shape[0])), active)
+
+
+def _adjoint(kernels, shape, active, upstream, groups):
+    """ConvFeaturizer.vjp_batch of the featurizer holding kernels, on a
+    checked batch of shape (n, C, H, W) whose rectifier mask is active."""
+    n, c, h, w = shape
+    o = kernels.shape[0]
+    rows, groups, lead = _covector_rows(upstream, o, groups, n)
+    # The adjoint of the padded correlation correlates the cotangent with
+    # the spatially flipped kernels, in and out channels swapped.
+    flipped = kernels[..., ::-1, ::-1].transpose(1, 0, 2, 3)
+    per_image = rows[:, groups, None, None, :] / (h * w)
+    grads = np.empty((len(rows),) + shape)
+    work = _Workspace(min(n, ADJOINT_BLOCK), h, w, flipped)
+    for r, start in itertools.product(range(len(rows)), range(0, n, ADJOINT_BLOCK)):
+        block = slice(start, start + ADJOINT_BLOCK)
+        mask = active[block].reshape(-1, h, w, o)
+        np.multiply(mask, per_image[r, block], out=work.interior[:len(mask)])
+        grads[r, block] = (_correlate(work, work.windows[:len(mask)])
+                           .reshape(-1, h, w, c).transpose(0, 3, 1, 2))
+    return grads.reshape(lead + shape)
+
+
+def _correlate(work, windows):
+    """Zero-padded stride-1 cross-correlation of the maps whose windows
+    (n, h, w, k, k*C) are given with work's kernels -> (n, H*W, O), a view of
+    work.out; the im2col of the module docstring."""
+    n = len(windows)
+    np.copyto(work.window_rows[:n], windows)
     return np.matmul(work.rows[:n], work.matrix, out=work.out[:n])
+
+
+@functools.lru_cache(maxsize=None)
+def _ones(n):
+    """n ones, read-only: spatial_mean's vector, made once per map size."""
+    ones = np.ones(n)
+    ones.flags.writeable = False
+    return ones
 
 
 def spatial_mean(maps):
     """Mean over the H*W axis of channels-last maps (N, H*W, O) -> (N, O)."""
-    return np.ones(maps.shape[1]) @ maps / maps.shape[1]
+    return _ones(maps.shape[1]) @ maps / maps.shape[1]
 
 
 def _covector_rows(upstream, feature_dim, groups, n):
@@ -438,10 +512,11 @@ def mean_features(psi, images, groups, pixel_mean):
     return _group_means(psi.features_batch(images), groups)
 
 
-def _conv_class_means(kernels, images, groups):
-    """mean_features of the ConvFeaturizer holding kernels (float64), its
-    real-side pass: numpy only, so a pool thread may run it."""
-    return _group_means(_pooled_features(kernels, images), groups)
+def _conv_class_means(kernels, padded, groups):
+    """mean_features of the ConvFeaturizer holding kernels (float64) over a
+    batch laid out by `padded_layout`, its real-side pass: numpy only, so a
+    pool thread may run it."""
+    return _group_means(_laid_out_features(kernels, padded), groups)
 
 
 def _group_means(rows, groups):

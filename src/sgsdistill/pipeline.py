@@ -21,17 +21,19 @@ What no iteration changes is derived once per run, when it starts: the
 run's `dm.MatchingPlan` (the synthetic class members and covector scales,
 each real view's class counts, held classes and mixing weights, the input
 checks, and, with fixed views, each view's class members and, under the
-linear featurizer, stacked class pixel means) and, under surgery, each
+linear featurizer, stacked class pixel means, under conv its images in the
+padded channels-last layout the correlation reads) and, under surgery, each
 sample's distinct (gradient row, assigned domain) pair
 (`surgery.surgery_pairs`). Each iteration then runs only what depends on its
 draw or on the synthetic pixels: one matching pass gives the pooled and
 per-domain gradients of every class (the real class means, one synthetic
-forward and one pullback, see `dm.matching_rows`), and the distinct gradient
-rows go straight to the surgery kernel, which transforms each distinct
-per-domain stack once (under the linear featurizer, once per class, see
-`surgery.batch_surgery_updates`) and applies the three-signal step to each
-pair. Both keep the shapes and operand order of deriving everything each
-iteration, so the outputs are the same bytes. At lambda_c =
+forward and one pullback that reuses it, see `dm.matching_rows`), and the
+distinct gradient rows go straight to the surgery kernel, which transforms
+each distinct per-domain stack once, on the half plane (under the linear
+featurizer, once per class, see `surgery.batch_surgery_updates`), and
+applies the three-signal step to each pair. Both keep the shapes and
+operand order of deriving everything each iteration, so the outputs are the
+same bytes. At lambda_c =
 lambda_d = 0 (plain matching) the pass pulls back only the pooled covectors
 (bitwise the gradient surgery starts from), the step is
 `DistillConfig.base_scale` (1, or 0 without use_base) times them, and one
@@ -56,7 +58,7 @@ from .datasets import DataView, MultiDomainDataset, SyntheticSet
 from .dm import MatchingPlan, dm_gradient, matching_rows, real_class_means
 from .errors import DistillError, EmptyClass, InvalidConfig, TooFewDomains
 from .featurizers import (ConvFeaturizer, LinearFeaturizer, gaussian_weights, lane_count,
-                          run_ahead)
+                          padded_layout, run_ahead)
 from .rng import SeededRng
 from .surgery import batch_consensus_maps, batch_surgery_updates, surgery_pairs
 
@@ -102,6 +104,15 @@ class FeaturizerSpec:
     def holding(self, weights):
         """The featurizer of this kind with weights that `draw` returned."""
         return _KINDS[self.kind](weights)
+
+    @property
+    def reads_pixel_means(self):
+        return _KINDS[self.kind].reads_pixel_means
+
+    def layout(self, images):
+        """Real images as this kind's correlation reads them
+        (`featurizers.padded_layout`), for the run's `dm.MatchingPlan`."""
+        return padded_layout(images, self.kernel)
 
 
 @dataclass(frozen=True)
@@ -245,8 +256,7 @@ class _Inputs:
             _subsample_view(view, cfg.batch_per_class, rng.substream(_STREAM_BATCH, t, s))
             for s, view in enumerate(domain_views)]
         self.draw = functools.partial(self.spec.draw, source.image_shape)
-        self.real = None if _KINDS[self.spec.kind].reads_pixel_means else plan.real_views(
-            self.views)
+        self.real = None if self.spec.reads_pixel_means else plan.real_views(self.views)
         if ahead:
             self.future = run_ahead(self.compute, self.stream.generator)
         else:
@@ -297,7 +307,7 @@ def _plan(source, cfg, synthetic, domain_views, per_domain):
     if not np.array_equal(synthetic.domains, np.tile(pattern, k)):
         raise InvalidConfig(f"the synthetic set's domains are not the balanced assignment of "
                             f"ipc={cfg.ipc} over {source.domain_count} source domains")
-    return MatchingPlan(synthetic, domain_views, _KINDS[cfg.featurizer.kind], per_domain,
+    return MatchingPlan(synthetic, domain_views, cfg.featurizer, per_domain,
                         cfg.batch_per_class)
 
 

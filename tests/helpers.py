@@ -94,10 +94,39 @@ def naive_matvec(mat, vec):
     return out
 
 
-def per_sample_surgery(domain_gradients, base, assigned, cfg, rows=None, pairs=None):
+# How far the batch kernel's half-plane transforms (rfft2 / irfft2) may sit
+# from the full-plane per-sample path (fourier.fft2 / ifft2), relative to
+# each output's largest magnitude: the two round differently, by about 5e-16.
+FULL_PLANE_RTOL = 1e-12
+
+
+def assert_close_to_full_plane(got, want, rtol=FULL_PLANE_RTOL):
+    """got matches want, an output of the full-plane per-sample path, to
+    within rtol of want's largest magnitude."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= rtol * np.abs(want).max(initial=0.0)
+
+
+def half_plane_split(gradients, epsilon):
+    """One sample's resultant, on the half plane, and class signal from its
+    per-domain stack (S, C, h, w), through np.fft.rfft2 / irfft2 as the batch
+    kernel transforms: the kernel's bitwise oracle for one sample."""
+    spectra = np.fft.rfft2(gradients, axes=(-2, -1))
+    total = spectra.sum(axis=0)
+    resultant = np.abs(total) / (np.abs(spectra).sum(axis=0) + epsilon)
+    weighted = total / len(gradients) * resultant
+    return resultant, np.fft.irfft2(weighted, s=gradients.shape[-2:], axes=(-2, -1))
+
+
+def per_sample_surgery(domain_gradients, base, assigned, cfg, rows=None, pairs=None,
+                       half_plane=True):
     """Three-signal updates one sample at a time through the per-sample path
     (stack, consensus, decompose, combined_update) with cfg's strengths: the
-    batch kernel's oracle. With rows, sample i's stack and base are row
+    batch kernel's oracle. With half_plane the class signal is
+    half_plane_split's, the kernel's transforms, so the kernel matches it
+    bitwise; without, it is the full-plane path's, which the kernel matches
+    to within FULL_PLANE_RTOL. With rows, sample i's stack and base are row
     rows[i], gathered first. pairs, the kernel's precomputed gather, is not
     read: each sample's row and domain are."""
     from sgsdistill.surgery import (DomainGradientStack, combined_update, consensus,
@@ -111,14 +140,19 @@ def per_sample_surgery(domain_gradients, base, assigned, cfg, rows=None, pairs=N
         stack = DomainGradientStack.from_gradients(i, domain_gradients[:, i])
         bundle = decompose(stack, consensus(stack, cfg.epsilon),
                            base=np.asarray(base[i], dtype=np.float64))
+        if half_plane:
+            bundle.class_signal = half_plane_split(stack.gradients, cfg.epsilon)[1]
         out[i] = combined_update(bundle, assigned[i], cfg)
     return out
 
 
-def per_sample_consensus_maps(domain_gradients, epsilon, rows=None):
+def per_sample_consensus_maps(domain_gradients, epsilon, rows=None, half_plane=True):
     """Resultant maps and class signals one sample at a time (per-sample path),
-    of the stack's rows gathered by rows first when given."""
-    from sgsdistill.surgery import DomainGradientStack, consensus, decompose
+    of the stack's rows gathered by rows first when given. With half_plane
+    they are half_plane_split's, the resultant spread to the full plane as
+    `batch_consensus_maps` spreads it (its bitwise oracle); without, the
+    full-plane path's."""
+    from sgsdistill.surgery import DomainGradientStack, _full_plane, consensus, decompose
 
     domain_gradients = np.asarray(domain_gradients, dtype=np.float64)
     if rows is not None:
@@ -126,6 +160,10 @@ def per_sample_consensus_maps(domain_gradients, epsilon, rows=None):
     resultants = np.empty(domain_gradients.shape[1:])
     class_signals = np.empty(domain_gradients.shape[1:])
     for i in range(domain_gradients.shape[1]):
+        if half_plane:
+            half, class_signals[i] = half_plane_split(domain_gradients[:, i], epsilon)
+            resultants[i] = _full_plane(half, domain_gradients.shape[-1])
+            continue
         stack = DomainGradientStack.from_gradients(i, domain_gradients[:, i])
         cons = consensus(stack, epsilon)
         resultants[i] = cons.resultant

@@ -299,8 +299,9 @@ def test_grouped_vjp_batch_matches_per_image_vjp_and_rows_stand_alone(kind):
 
 
 # Batch sizes around the block edges: no block, one short block, a full
-# block plus one image, and several blocks with a short last one.
-BLOCK_BATCHES = [0, 1, IMAGE_BLOCK - 1, IMAGE_BLOCK + 1, 3 * IMAGE_BLOCK + 5]
+# block plus one image, several blocks with a short last one, and a batch
+# of a real view's size.
+BLOCK_BATCHES = [0, 1, IMAGE_BLOCK - 1, IMAGE_BLOCK + 1, 3 * IMAGE_BLOCK + 5, 500]
 
 
 def block_sizes(n):
@@ -324,6 +325,10 @@ def test_conv_outputs_do_not_depend_on_the_block_size(monkeypatch, n):
         results.append([psi.features_batch(images),
                         psi.vjp_batch(images, grouped, groups=groups),
                         psi.vjp_batch(images, stacked)])
+        # The real-side pass reads the layout a run's plan holds; it gives
+        # the features of the channels-first images, bitwise.
+        laid_out = featurizers._laid_out_features(psi.kernels, psi.layout(images))
+        assert laid_out.tobytes() == results[-1][0].tobytes()
     for other in results[1:]:
         for want, got in zip(results[0], other):
             assert want.shape == got.shape and want.tobytes() == got.tobytes()

@@ -31,8 +31,9 @@ from sgsdistill.rng import SeededRng
 from sgsdistill.storage import write_loss_history_csv
 from sgsdistill.toydata import ToySpec, generate_toy
 
-from helpers import (assert_balanced, make_dataset, per_call_matching_rows,
-                     per_sample_consensus_maps, per_sample_surgery, zero_strength_surgery_run)
+from helpers import (assert_balanced, assert_close_to_full_plane, make_dataset,
+                     per_call_matching_rows, per_sample_consensus_maps, per_sample_surgery,
+                     zero_strength_surgery_run)
 
 SMALL_TOY = ToySpec(train_per_cell=12, test_per_cell=4, class_count=3)
 FAST = dict(featurizer=FeaturizerSpec(kind="linear", dim=32))
@@ -272,6 +273,25 @@ def test_checkpoint_truncation_never_partial(tmp_path, toy):
 
 
 @STRENGTHS
+@pytest.mark.parametrize("batch_per_class", [0, 4])
+def test_a_conv_iteration_correlates_the_synthetic_set_once(monkeypatch, toy, strengths,
+                                                           batch_per_class):
+    # The synthetic forward hands its rectifier mask to the pullback
+    # (`ConvFeaturizer.linearize`), so each iteration correlates the
+    # synthetic images forward once; the real views are correlated straight
+    # from their layout, which does not go through _forward.
+    cfg = DistillConfig(ipc=3, iterations=4, seed=29, featurizer=KINDS["conv"],
+                        lambda_c=strengths[0], lambda_d=strengths[1],
+                        batch_per_class=batch_per_class)
+    forwarded, forward = [], featurizers._forward
+    monkeypatch.setattr(featurizers, "_forward", lambda images, work: (
+        forwarded.append(len(images)), forward(images, work))[1])
+    res = run_distillation(toy, cfg)
+    assert res.synthetic.iteration == cfg.iterations
+    assert sum(forwarded) == len(res.synthetic.images) * cfg.iterations
+
+
+@STRENGTHS
 @pytest.mark.parametrize("kind", sorted(KINDS))
 @pytest.mark.parametrize("batch_per_class", [0, 4])
 def test_restore_and_continue_matches_uninterrupted(tmp_path, toy, batch_per_class, kind,
@@ -342,11 +362,14 @@ def test_fixed_featurizer_is_the_first_draw_and_featurizes_each_view_once(monkey
 
     # Each iteration featurizes the synthetic set once and each real view
     # once: under conv its images (the loop's queued items run dm's pass, on
-    # a lane or, taken back, on the loop thread), under linear the stack of
-    # its class pixel means, which the run's plan holds when the views stay
-    # the same. The loop no longer reads the views' feature-mean caches.
+    # a lane or, taken back, on the loop thread) as the run's plan lays them
+    # out when the views stay the same, under linear the stack of its class
+    # pixel means, which the plan holds then. The conv synthetic forward is
+    # `linearize`, which also hands the pullback its rectifier mask. The
+    # loop no longer reads the views' feature-mean caches.
     featurized, cached = [], []
-    features_batch = type(psi).features_batch
+    entry = "features_batch" if kind == "linear" else "linearize"
+    forward = getattr(type(psi), entry)
     conv_class_means = dm._conv_class_means
     cached_feature_mean = DataView.cached_feature_mean
 
@@ -357,8 +380,8 @@ def test_fixed_featurizer_is_the_first_draw_and_featurizes_each_view_once(monkey
     monkeypatch.setattr(DataView, "cached_feature_mean", lambda view, psi, compute: (
         cached.append(view), cached_feature_mean(view, psi, compute))[1])
     monkeypatch.setattr(dm, "_conv_class_means", counting_pass)
-    monkeypatch.setattr(type(psi), "features_batch",
-                        lambda self, images: featurized.append(images) or features_batch(self, images))
+    monkeypatch.setattr(type(psi), entry,
+                        lambda self, images: featurized.append(images) or forward(self, images))
     for batch_per_class in (0, 4):
         featurized.clear()
         res = run_distillation(toy, replace(cfg, batch_per_class=batch_per_class))
@@ -536,6 +559,13 @@ def test_run_matches_per_sample_surgery_bitwise(monkeypatch, tmp_path, toy, kind
         assert res.synthetic.images.tobytes() == oracle.synthetic.images.tobytes()
     assert kernel.history == oracle.history
     assert resumed.history == oracle.history[short.iterations:]
+    # The full-plane per-sample path rounds differently; five steps keep
+    # the images and losses within its tolerance.
+    monkeypatch.setattr(pipeline, "batch_surgery_updates",
+                        functools.partial(per_sample_surgery, half_plane=False))
+    full_plane = run_distillation(toy, full)
+    assert_close_to_full_plane(kernel.synthetic.images, full_plane.synthetic.images)
+    assert_close_to_full_plane(kernel.history, full_plane.history)
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -545,9 +575,13 @@ def test_surgery_snapshot_matches_per_sample_path(monkeypatch, toy, kind):
     maps = surgery_snapshot(toy, cfg, synthetic)
     monkeypatch.setattr(pipeline, "batch_consensus_maps", per_sample_consensus_maps)
     oracle = surgery_snapshot(toy, cfg, synthetic)
-    for got, want in zip(maps, oracle):
+    monkeypatch.setattr(pipeline, "batch_consensus_maps",
+                        functools.partial(per_sample_consensus_maps, half_plane=False))
+    full_plane = surgery_snapshot(toy, cfg, synthetic)
+    for got, want, full in zip(maps, oracle, full_plane):
         assert got.shape == synthetic.images.shape
         assert got.tobytes() == want.tobytes()
+        assert_close_to_full_plane(got, full)
 
 
 def test_failed_checkpoint_write_leaves_no_files(monkeypatch, tmp_path, toy):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgsdistill.errors import NonHermitianInput, ShapeMismatch, TooFewDomains, UnknownDomain
+from sgsdistill.errors import ShapeMismatch, TooFewDomains, UnknownDomain
 from sgsdistill.fourier import fft2, frequency_negation, ifft2, ifft2_with_residue
 from sgsdistill.pipeline import DistillConfig
 from sgsdistill.rng import SeededRng
@@ -18,7 +18,8 @@ from sgsdistill.surgery import (
     surgery_pairs,
 )
 
-from helpers import per_sample_consensus_maps, per_sample_surgery
+from helpers import (assert_close_to_full_plane, per_sample_consensus_maps,
+                     per_sample_surgery)
 
 EPS = 1e-8
 
@@ -208,6 +209,8 @@ def assert_kernel_matches_oracle(grads, base, assigned, rows=None):
     want = per_sample_surgery(grads, base, assigned, KERNEL_CFG)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+    assert_close_to_full_plane(
+        got, per_sample_surgery(grads, base, assigned, KERNEL_CFG, half_plane=False))
 
 
 def test_kernel_matches_per_sample_oracle_on_distinct_rows():
@@ -228,10 +231,11 @@ def test_kernel_transforms_each_class_stack_once_in_the_linear_layout(monkeypatc
     # 5 classes x ipc 10 over S = 3 domains: one stack and one base row per
     # class. Forward: 5 stacks x 3 domains x 3 channels; inverse: the 5
     # class signals only (the domain signals are taken in pixel space).
+    # Both on the half plane: the rows are real.
     classes, ipc, pattern = 5, 10, np.repeat(np.arange(3), [4, 3, 3])
     grads, base, _ = kernel_inputs(23, rows=classes, shape=(3, 8, 8))
     rows, assigned = np.repeat(np.arange(classes), ipc), np.tile(pattern, classes)
-    planes = {"fft2": [], "ifft2": []}
+    planes = {"rfft2": [], "irfft2": [], "fft2": [], "ifft2": []}
     for name in planes:
         real = getattr(np.fft, name)
 
@@ -240,10 +244,12 @@ def test_kernel_transforms_each_class_stack_once_in_the_linear_layout(monkeypatc
             return real(a, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counting)
     got = batch_surgery_updates(grads, base, assigned, KERNEL_CFG, rows=rows)
-    assert planes == {"fft2": [45], "ifft2": [15]}
+    assert planes == {"rfft2": [45], "irfft2": [15], "fft2": [], "ifft2": []}
     monkeypatch.undo()
     want = per_sample_surgery(grads[:, rows], base[rows], assigned, KERNEL_CFG)
     assert got.tobytes() == want.tobytes()
+    assert_close_to_full_plane(got, per_sample_surgery(grads[:, rows], base[rows], assigned,
+                                                       KERNEL_CFG, half_plane=False))
 
 
 def test_kernel_matches_oracle_on_non_adjacent_duplicates():
@@ -330,27 +336,6 @@ def test_kernel_rejects_a_bad_row_index():
             surgery_pairs(rows, bad, len(grads))
 
 
-def test_kernel_rejects_a_duplicated_non_hermitian_row(monkeypatch):
-    # Real inputs always transform to Hermitian spectra, so corrupt the
-    # forward transform of one row's stack: one bin without its conjugate.
-    grads, base, assigned = kernel_inputs(25, rows=2)
-    bad = grads[:, 0]
-    real_fft2 = np.fft.fft2
-
-    def corrupting_fft2(a, *args, **kwargs):
-        out = real_fft2(a, *args, **kwargs)
-        hit = np.all(a == bad[:, None], axis=(0, 2, 3, 4))
-        out[0, hit, 0, 0, 1] += 1.0j
-        return out
-
-    monkeypatch.setattr(np.fft, "fft2", corrupting_fft2)
-    shared = np.zeros(2, dtype=np.int64)
-    batch_surgery_updates(grads[:, 1:], base[1:], assigned[:2], KERNEL_CFG, rows=shared)
-    rows = np.array([1, 0, 0, 0])
-    with pytest.raises(NonHermitianInput):
-        batch_surgery_updates(grads, base, assigned[rows], KERNEL_CFG, rows=rows)
-
-
 def kernel_domain_signal(grads, assigned):
     """The kernel's domain signal alone: no base, no class signal."""
     cfg = DistillConfig(lambda_c=0.0, lambda_d=1.0, epsilon=EPS, use_base=False)
@@ -395,11 +380,35 @@ def test_consensus_maps_match_per_sample_path():
     rows = np.array([0, 0, 1, 2, 2, 0])
     got = batch_consensus_maps(grads[:, rows], EPS)
     want = per_sample_consensus_maps(grads[:, rows], EPS)
-    for g, w in zip(got, want):
+    full = per_sample_consensus_maps(grads[:, rows], EPS, half_plane=False)
+    for g, w, f in zip(got, want, full):
         assert g.tobytes() == w.tobytes()
+        assert_close_to_full_plane(g, f)
     for g, w in zip(batch_consensus_maps(grads, EPS, rows=rows), want):
         assert g.tobytes() == w.tobytes()
     with pytest.raises(ValueError):
         batch_consensus_maps(grads, 0.0)
     with pytest.raises(TooFewDomains):
         batch_consensus_maps(grads[:1], EPS)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=8, max_value=17),
+    st.integers(min_value=8, max_value=17),
+    st.integers(min_value=2, max_value=5),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_half_plane_split_matches_the_full_plane_path_property(h, w, domains, rows, channels,
+                                                               seed):
+    # Odd and even sides: the half plane of an odd width has no Nyquist
+    # column, and irfft2 needs the full shape to give it back.
+    grads = SeededRng(seed).normal(size=(domains, rows, channels, h, w))
+    resultant, class_signal = batch_consensus_maps(grads, EPS)
+    full = per_sample_consensus_maps(grads, EPS, half_plane=False)
+    assert_close_to_full_plane(resultant, full[0])
+    assert_close_to_full_plane(class_signal, full[1])
+    # The mirrored resultant is exactly symmetric: r[ky, kx] == r[-ky, -kx].
+    assert frequency_negation(resultant).tobytes() == resultant.tobytes()
