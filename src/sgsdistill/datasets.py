@@ -4,8 +4,8 @@ Images are float64 arrays shaped (N, channels, height, width). Each sample
 carries a class id, a domain id, a train/test split flag, and a stable uid so
 evaluation protocols can prove which samples ever entered a pipeline. A view
 caches its class pixel means and, for the latest featurizer, its class
-feature-mean matrix (`dm.class_feature_mean`); the distillation loop reads
-neither, as its `dm.MatchingPlan` holds what it needs.
+feature-mean matrix (`dm.class_feature_mean`). The distillation loop reads
+neither: a run's `dm.MatchingPlan` holds what it needs.
 """
 
 from dataclasses import dataclass, field, replace
@@ -50,7 +50,9 @@ class DataView:
         return self.images[self.class_indices(c)]
 
     def class_pixel_mean(self, c):
-        """Cached per-class pixel mean; feature means of linear maps reuse it."""
+        """Cached per-class pixel mean. No library code calls it: a linear
+        map's class means average the members themselves
+        (`LinearFeaturizer.class_features` and `layout`)."""
         if self._pixel_means is None:
             self._pixel_means = {}
         c = int(c)

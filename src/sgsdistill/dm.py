@@ -11,30 +11,27 @@ of every class from one pass. What no pass changes is derived once, in a
 for a single call, through the same code. Each pass then computes only what
 depends on the featurizer or the synthetic pixels, in the shapes and
 operand order of deriving everything per call, so the bytes are the same:
-the synthetic class means (one forward), each view's class-mean features
-(under the linear featurizer one gemm of the plan's pixel means, under conv
-`real_class_means` over the plan's padded channels-last layout of the view,
-which the loop computes ahead on a lane), the pooled real class means as the
+the synthetic class-mean features and their pullback (the featurizer's
+`class_features`), each view's class-mean features
+(`featurizers.real_class_means` over the featurizer's `layout` of the view,
+which the plan holds for fixed views; the loop computes them before the
+pass, see `pipeline._Inputs`), the pooled real class means as the
 count-weighted mix of the domain means, the deltas and losses, and one
 pullback of the (S + 1, classes) covectors, which returns distinct gradient
-rows plus each image's row (one row per class under the linear featurizer).
-Under conv the pullback reuses the synthetic forward's rectifier mask
-(`ConvFeaturizer.linearize`), so a pass correlates the synthetic set once.
-Every covector row is pulled back on its own, so the pooled row is bitwise
-the same whether or not the domain rows ride along (the loop asks for them
-only at a positive surgery strength).
+rows plus each image's row. Every covector row is pulled back on its own,
+so the pooled row is bitwise the same whether or not the domain rows ride
+along (the loop asks for them only at a positive surgery strength).
 `dm_gradient` gathers the pooled rows to the images; `dm_loss` stops before
 the pullback.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .datasets import SyntheticSet
 from .errors import EmptyClass, ShapeMismatch
-from .featurizers import _conv_class_means, _group_means, mean_features
+from .featurizers import mean_features, real_class_means
 
 
 class MatchingPlan:
@@ -42,19 +39,17 @@ class MatchingPlan:
     changes: each synthetic class's members (`groups`) and covector scale
     2 / ipc_c (`scale`, (K, 1)), the classes each view holds (`held`, (S, K))
     and their mixing weights in the pooled means (`weights`, (S, K, 1)),
-    and, with fixed views (batch_per_class 0), each view's members of every
-    held class and either their stacked pixel means, when featurizer reads
-    pixel means, or the view's images in the layout its correlation reads
-    (`featurizer.layout`). featurizer is the featurizer or the
-    `pipeline.FeaturizerSpec` a run draws from. With batch_per_class > 0
-    each pass's views are class-balanced minibatches
-    (`pipeline._subsample_view`) holding min(class size, batch_per_class)
-    members of each class, so the counts and weights still hold, and the
-    members are read, and laid out, from the pass's views.
-    Raises ShapeMismatch when the image shape or count does not match, and
-    EmptyClass when the synthetic set lacks a class, no view holds one, or,
-    with per_domain (surgery needs every class in every domain), a view
-    lacks one.
+    and, with fixed views (batch_per_class 0), the views `laid_out`.
+    featurizer is the featurizer or the `pipeline.FeaturizerSpec` a run
+    draws from. With batch_per_class > 0 each pass's views are
+    class-balanced minibatches (`pipeline._subsample_view`) holding
+    min(class size, batch_per_class) members of each class, so the counts
+    and weights still hold, and each pass's views are laid out.
+    The classes are 0 up to the largest label of the synthetic set or any
+    view. Raises ShapeMismatch when the image shape or count does not
+    match, and EmptyClass when the synthetic set lacks a class, no view
+    holds one, or, with per_domain (surgery needs every class in every
+    domain), a view lacks one.
     """
 
     def __init__(self, synthetic: SyntheticSet, views, featurizer, per_domain=True,
@@ -65,14 +60,15 @@ class MatchingPlan:
         if len(synthetic.images) != len(synthetic.labels):
             raise ShapeMismatch(f"{len(synthetic.images)} synthetic images, "
                                 f"{len(synthetic.labels)} labels")
-        k = synthetic.class_count
+        k = 1 + max(int(labels.max(initial=-1))
+                    for labels in [synthetic.labels] + [view.labels for view in views])
         self.labels = synthetic.labels
         self.groups = [np.flatnonzero(self.labels == c) for c in range(k)]
         sizes = np.array([g.size for g in self.groups])
         if not sizes.all():
             raise EmptyClass(f"class {np.argmin(sizes)} has no synthetic samples")
         self.scale = (2.0 / sizes)[:, None]
-        counts = np.array([np.bincount(view.labels, minlength=k)[:k] for view in views])
+        counts = np.array([np.bincount(view.labels, minlength=k) for view in views])
         if batch_per_class:
             counts = np.minimum(counts, batch_per_class)
         self.held = counts > 0
@@ -83,58 +79,34 @@ class MatchingPlan:
             raise EmptyClass(f"class {c} has no samples in source domain {s}; surgery needs "
                              "every class in every source (pseudo-)domain")
         self.weights = (counts / counts.sum(axis=0))[..., None]
-        self._layout = None if featurizer.reads_pixel_means else featurizer.layout
-        self._members = None if batch_per_class else self._read_members(views)
-        self._pixel_means = None
-        if self._members is not None and featurizer.reads_pixel_means:
-            self._pixel_means = self.real_pixel_means(views)
+        self._layout, self._laid_out = featurizer.layout, None
+        if not batch_per_class:
+            self._laid_out = self.laid_out(views)
 
-    def _read_members(self, views):
-        return [(view.images if self._layout is None else self._layout(view.images),
-                 [np.flatnonzero(view.labels == c) for c in np.flatnonzero(self.held[s])])
-                for s, view in enumerate(views)]
-
-    def real_views(self, views):
-        """(images, each held class's member indices) of every view, the
-        images laid out as the featurizer's correlation reads them (conv,
-        `featurizers.padded_layout`) or as they are (linear); views are the
-        pass's real views. `real_class_means` reads them."""
-        return self._members or self._read_members(views)
-
-    def real_pixel_means(self, views):
-        """The held classes' pixel means of each view that holds one,
-        stacked (held, *image shape)."""
-        if self._pixel_means is not None:
-            return self._pixel_means
-        return [_group_means(images, groups) for images, groups in self.real_views(views)
-                if groups]
+    def laid_out(self, views):
+        """What `featurizers.real_class_means` reads of the pass's views: the
+        featurizer's `layout` of each view that holds a class, from its
+        images and each held class's members. With fixed views the plan's
+        own, laid out once."""
+        if self._laid_out is not None:
+            return self._laid_out
+        return [self._layout(view.images, [np.flatnonzero(view.labels == c)
+                                           for c in np.flatnonzero(held)])
+                for view, held in zip(views, self.held) if held.any()]
 
 
 def class_feature_mean(view, psi):
     """(class_count, F) mean features of every class in the view, from one
-    featurization: a linear map reads the stacked class pixel means, a conv
-    map featurizes the view once and averages each class's rows. Classes the
-    view lacks get NaN rows. Cached on the view for psi. The matching pass
-    does not call it (it reads a `MatchingPlan`); perfbench's tracer wraps
-    this name."""
+    featurization (`mean_features`). Classes the view lacks get NaN rows.
+    Cached on the view for psi. The matching pass does not call it (it
+    reads a `MatchingPlan`); perfbench's tracer wraps this name."""
     def compute():
         held = [c for c, idx in view.by_class().items() if idx.size]
         means = np.full((view.class_count, psi.feature_dim), np.nan)
         if held:
-            means[held] = mean_features(
-                psi, view.images, [view.by_class()[c] for c in held],
-                pixel_mean=lambda: np.stack([view.class_pixel_mean(c) for c in held]))
+            means[held] = mean_features(psi, view.images, [view.by_class()[c] for c in held])
         return means
     return view.cached_feature_mean(psi, compute)
-
-
-def real_class_means(kernels, views):
-    """Each view's held-class mean features, (held, F), under the
-    ConvFeaturizer holding kernels (float64), from the (laid-out images,
-    member groups) pairs of `MatchingPlan.real_views`; a view that holds no
-    class is skipped. Calls numpy only, so a featurizer pool thread may run
-    it."""
-    return [_conv_class_means(kernels, padded, groups) for padded, groups in views if groups]
 
 
 @dataclass
@@ -153,19 +125,10 @@ def _class_deltas(plan, synthetic: SyntheticSet, domain_views, psi, real_means):
     of the views holding class c), deltas[1 + s, c] the same against view s;
     a view without class c gets weight 0 and a NaN row, so its loss is NaN.
     real_means, when given, holds real_class_means of the views under psi.
-    Under conv the pullback reuses the forward's rectifier mask
-    (`ConvFeaturizer.linearize`), so the synthetic set is correlated once.
     """
-    if psi.reads_pixel_means:
-        mu_syn = psi.features_batch(_group_means(synthetic.images, plan.groups))
-        pullback = functools.partial(psi.pullback, synthetic.images)
-        if real_means is None:
-            real_means = [psi.features_batch(m) for m in plan.real_pixel_means(domain_views)]
-    else:
-        features, pullback = psi.linearize(synthetic.images)
-        mu_syn = _group_means(features, plan.groups)
-        if real_means is None:
-            real_means = real_class_means(psi.kernels, plan.real_views(domain_views))
+    mu_syn, pullback = psi.class_features(synthetic.images, plan.groups)
+    if real_means is None:
+        real_means = real_class_means(psi.weights, plan.laid_out(domain_views))
     mu_real = np.full(plan.held.shape + mu_syn.shape[1:], np.nan)
     mu_real[plan.held] = np.concatenate(real_means)
     pooled = (plan.weights * np.where(plan.held[..., None], mu_real, 0.0)).sum(axis=0)

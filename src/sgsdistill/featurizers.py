@@ -12,19 +12,24 @@ multiply by the kernels as a (k*k*C, O) matrix. In that order each of a
 window's k rows is k*C consecutive values of the padded input, so the copy
 moves contiguous runs instead of single pixels.
 
-Batches are correlated a block of images at a time in one set of buffers, on
-the calling thread. Each image's window matrix is its own gemm, so results
-are bitwise the same for any block size and on any thread. Images that are
-featurized every iteration under a new draw, a run's fixed real views, are
-laid out padded and channels-last once (`padded_layout`, held by the run's
-`dm.MatchingPlan`), and their windows are copied straight out of that
-layout. The synthetic set is correlated once per iteration: `linearize`
-gives its features and a pullback that reuses the forward's rectifier mask.
+Every forward correlation copies its windows straight out of a batch laid
+out padded and channels-last (`padded_layout`), a block of images at a time
+in one set of buffers, on the calling thread. Each image's window matrix is
+its own gemm, so results are bitwise the same for any block size and on any
+thread.
+
+The matching pass reads one contract of both kinds. `class_features` gives
+the synthetic set's class-mean features and their pullback: a linear map
+featurizes the class pixel means, a conv map correlates the set once
+(`linearize`) and its pullback reuses the forward's rectifier mask.
+`layout` gives what the real-side pass, `real_class_means`, reads of a real
+view: a linear map's class pixel means, a conv map's `padded_layout` and
+class members. A run's `dm.MatchingPlan` holds that of its fixed views.
 
 The distillation loop queues whole iterations' inputs on a module thread
 pool (`run_ahead`), one thread, or lane, per usable CPU but the caller's, each
-held to one CPU; `_conv_class_means` is the conv real-side pass it runs
-there. With one usable CPU no thread is started.
+held to one CPU; under conv a lane runs `real_class_means` there. With one
+usable CPU no thread is started.
 """
 
 import concurrent.futures
@@ -173,11 +178,6 @@ def gaussian_weights(shape, rng):
 class LinearFeaturizer:
     """Random linear projection of flattened grids: features = W @ x.ravel()."""
 
-    # A class's mean features are the features of its pixel mean, so the
-    # real images themselves are never featurized (`dm.MatchingPlan` stacks
-    # the class pixel means).
-    reads_pixel_means = True
-
     def __init__(self, weight):
         self.weight = np.asarray(weight, dtype=np.float64)
         if self.weight.ndim != 2 or self.weight.shape[0] < 1:
@@ -193,6 +193,10 @@ class LinearFeaturizer:
     @property
     def feature_dim(self):
         return self.weight.shape[0]
+
+    @property
+    def weights(self):
+        return self.weight
 
     def _check(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -227,14 +231,20 @@ class LinearFeaturizer:
         if int(np.prod(images.shape[1:])) != self.weight.shape[1]:
             raise ShapeMismatch(f"batch shape {images.shape} incompatible with weight")
         rows, groups, lead = _covector_rows(upstream, self.feature_dim, groups, len(images))
-        return ((rows @ self.weight).reshape(lead + rows.shape[1:2] + images.shape[1:]),
-                self.pullback_index(groups))
+        return (rows @ self.weight).reshape(lead + rows.shape[1:2] + images.shape[1:]), groups
 
-    @classmethod
-    def pullback_index(cls, groups):
-        """Each image's row in pullback's output, from its covector group
-        (n,): the group's own row."""
-        return groups
+    def class_features(self, images, groups):
+        """(G, F) mean features of each group (index arrays into images) and
+        the images' pullback, a function of (upstream, groups) as `pullback`
+        takes them. A group's mean features are the features of its pixel
+        mean, so the images themselves are not featurized."""
+        pullback = functools.partial(self.pullback, images)
+        return self.features_batch(_group_means(images, groups)), pullback
+
+    def layout(self, images, groups):
+        """What `real_class_means` reads of a batch's groups: their stacked
+        pixel means."""
+        return _group_means(images, groups)
 
     def hidden_activations(self, x):
         raise NotConvolutional("a linear featurizer has no spatial intermediates")
@@ -250,8 +260,6 @@ class ConvFeaturizer:
     Inputs and gradients are (N, C, H, W); the maps in between are
     channels-last (N, H*W, O), as the im2col matmul yields them.
     """
-
-    reads_pixel_means = False
 
     def __init__(self, kernels):
         self.kernels = np.asarray(kernels, dtype=np.float64)
@@ -272,6 +280,10 @@ class ConvFeaturizer:
     def feature_dim(self):
         return self.kernels.shape[0]
 
+    @property
+    def weights(self):
+        return self.kernels
+
     def _check(self, x):
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3 or x.shape[0] != self.kernels.shape[1]:
@@ -289,8 +301,7 @@ class ConvFeaturizer:
     def preactivations(self, x):
         """Pre-rectifier maps (out_channels, H, W); exposed for kink-margin checks."""
         x = self._check(x)
-        work = _Workspace(1, *x.shape[1:], self.kernels)
-        return _forward(x[None], work)[0].T.reshape((-1,) + x.shape[1:])
+        return next(self.map_blocks(x[None]))[1][0].T.reshape((-1,) + x.shape[1:])
 
     def hidden_activations(self, x):
         """Post-rectifier feature maps before pooling, one plane per output channel."""
@@ -303,7 +314,8 @@ class ConvFeaturizer:
         """(block, maps) for every IMAGE_BLOCK slice of a batch (N, C, H, W) and
         its pre-rectifier maps (b, H*W, O), which the caller may overwrite;
         they are valid until the next block."""
-        return _map_blocks(self.kernels, self._check_batch(images))
+        return _map_blocks(self.kernels, padded_layout(self._check_batch(images),
+                                                       self.kernels.shape[2]))
 
     def features_batch(self, images):
         return _pooled_features(self.kernels, self._check_batch(images))
@@ -347,36 +359,36 @@ class ConvFeaturizer:
             return grads, np.arange(grads.shape[-4])
         return features, pullback
 
-    def layout(self, images):
-        """A batch (N, C, H, W) laid out as this featurizer's correlation
-        reads it (`padded_layout`)."""
-        return padded_layout(self._check_batch(images), self.kernels.shape[2])
+    def class_features(self, images, groups):
+        """As LinearFeaturizer.class_features, from one correlation of the
+        images (`linearize`): each group's mean of their pooled features, and
+        the pullback that reuses the forward's rectifier mask."""
+        features, pullback = self.linearize(images)
+        return _group_means(features, groups), pullback
 
-    @classmethod
-    def pullback_index(cls, groups):
-        """As LinearFeaturizer.pullback_index: every image has a row of its own."""
-        return np.arange(len(groups))
+    def layout(self, images, groups):
+        """What `real_class_means` reads of a batch (N, C, H, W) and its
+        groups: the batch laid out as this featurizer's correlation reads it
+        (`padded_layout`), and the groups."""
+        return padded_layout(self._check_batch(images), self.kernels.shape[2]), groups
 
 
 class _Workspace:
-    """Buffers for correlating up to n channels-last (h, w, C) maps at a time
-    with kernels (O, C, k, k): the padded maps, zeroed once so that their
-    border stays zero (callers write only the interior), or a batch that
-    `padded_layout` laid out, given as padded; the window rows, the product,
-    and the kernels as a (k*k*C, O) matrix."""
+    """Buffers for correlating, up to n at a time, the maps of a batch laid
+    out as `padded_layout` gives it (padded, (N, h + 2p, w + 2p, C)) with
+    kernels (O, C, k, k): the window rows, the product, and the kernels as a
+    (k*k*C, O) matrix."""
 
-    def __init__(self, n, h, w, kernels, padded=None):
+    def __init__(self, kernels, padded, n):
         o, c, k = kernels.shape[:3]
-        p = k // 2
-        self.padded = np.zeros((n, h + 2 * p, w + 2 * p, c)) if padded is None else padded
-        self.interior = self.padded[:, p:p + h, p:p + w]
-        self.rows = np.empty((n, h * w, k * k * c))
-        self.out = np.empty((n, h * w, o))
+        hp, wp = padded.shape[1:3]
+        self.rows = np.empty((n, (hp - k + 1) * (wp - k + 1), k * k * c))
+        self.out = np.empty(self.rows.shape[:2] + (o,))
         self.matrix = kernels.transpose(2, 3, 1, 0).reshape(-1, o)
         # Each padded map's k x k window per pixel, (N, h, w, k, k*C), and the
         # rows as n of them. The last axis is spelled out: -1 does not reshape
         # an empty batch.
-        flat = self.padded.reshape(len(self.padded), h + 2 * p, (w + 2 * p) * c)
+        flat = padded.reshape(len(padded), hp, wp * c)
         self.windows = sliding_window_view(flat, (k, k * c), axis=(1, 2))[:, :, ::c]
         self.window_rows = self.rows.reshape((n,) + self.windows.shape[1:])
 
@@ -384,8 +396,8 @@ class _Workspace:
 def padded_layout(images, side):
     """Images (N, C, H, W) as a correlation with side x side kernels reads
     them: channels-last and zero-padded by side // 2 pixels on each border,
-    (N, H + 2p, W + 2p, C). A run's `dm.MatchingPlan` holds its fixed real
-    views this way, so the real-side pass copies windows straight out of it."""
+    (N, H + 2p, W + 2p, C). Every forward correlation copies its windows
+    straight out of it."""
     n, c, h, w = images.shape
     p = side // 2
     out = np.zeros((n, h + 2 * p, w + 2 * p, c))
@@ -393,32 +405,13 @@ def padded_layout(images, side):
     return out
 
 
-def _forward(images, work):
-    """Pre-rectifier maps of a checked batch (n, C, H, W), channels-last
-    (n, H*W, O), in work's buffers."""
-    work.interior[:len(images)] = images.transpose(0, 2, 3, 1)
-    return _correlate(work, work.windows[:len(images)])
-
-
-def _map_blocks(kernels, images):
+def _map_blocks(kernels, padded):
     """ConvFeaturizer.map_blocks of the featurizer holding kernels, on a
-    checked batch."""
-    n, _, h, w = images.shape
-    work = _Workspace(min(n, IMAGE_BLOCK), h, w, kernels)
-    for start in range(0, n, IMAGE_BLOCK):
+    batch laid out by `padded_layout`."""
+    work = _Workspace(kernels, padded, min(len(padded), IMAGE_BLOCK))
+    for start in range(0, len(padded), IMAGE_BLOCK):
         block = slice(start, start + IMAGE_BLOCK)
-        yield block, _forward(images[block], work)
-
-
-def _laid_out_features(kernels, padded):
-    """_pooled_features of a batch laid out by `padded_layout`: each block's
-    windows are copied straight out of padded."""
-    k = kernels.shape[2]
-    n, hp, wp, _ = padded.shape
-    work = _Workspace(min(n, IMAGE_BLOCK), hp - k + 1, wp - k + 1, kernels, padded)
-    blocks = (slice(start, start + IMAGE_BLOCK) for start in range(0, n, IMAGE_BLOCK))
-    return _pool_blocks(((block, _correlate(work, work.windows[block])) for block in blocks),
-                        np.empty((n, kernels.shape[0])))
+        yield block, _correlate(work, work.windows[block])
 
 
 def _pool_blocks(blocks, out, active=None):
@@ -435,26 +428,34 @@ def _pooled_features(kernels, images, active=None):
     """ConvFeaturizer.features_batch of the featurizer holding kernels, on a
     checked batch: rectified maps, spatially pooled; the rectifier mask goes
     to active (n, H*W, O) when given."""
-    return _pool_blocks(_map_blocks(kernels, images),
-                        np.empty((len(images), kernels.shape[0])), active)
+    return _laid_out_features(kernels, padded_layout(images, kernels.shape[2]), active)
+
+
+def _laid_out_features(kernels, padded, active=None):
+    """_pooled_features of a batch laid out by `padded_layout`."""
+    return _pool_blocks(_map_blocks(kernels, padded), np.empty((len(padded), len(kernels))),
+                        active)
 
 
 def _adjoint(kernels, shape, active, upstream, groups):
     """ConvFeaturizer.vjp_batch of the featurizer holding kernels, on a
     checked batch of shape (n, C, H, W) whose rectifier mask is active."""
     n, c, h, w = shape
-    o = kernels.shape[0]
+    o, p = kernels.shape[0], kernels.shape[2] // 2
     rows, groups, lead = _covector_rows(upstream, o, groups, n)
     # The adjoint of the padded correlation correlates the cotangent with
-    # the spatially flipped kernels, in and out channels swapped.
+    # the spatially flipped kernels, in and out channels swapped. Its
+    # padded buffer is zeroed once, so the border stays zero: each block
+    # writes only the interior.
     flipped = kernels[..., ::-1, ::-1].transpose(1, 0, 2, 3)
     per_image = rows[:, groups, None, None, :] / (h * w)
     grads = np.empty((len(rows),) + shape)
-    work = _Workspace(min(n, ADJOINT_BLOCK), h, w, flipped)
+    padded = np.zeros((min(n, ADJOINT_BLOCK), h + 2 * p, w + 2 * p, o))
+    work = _Workspace(flipped, padded, len(padded))
     for r, start in itertools.product(range(len(rows)), range(0, n, ADJOINT_BLOCK)):
         block = slice(start, start + ADJOINT_BLOCK)
         mask = active[block].reshape(-1, h, w, o)
-        np.multiply(mask, per_image[r, block], out=work.interior[:len(mask)])
+        np.multiply(mask, per_image[r, block], out=padded[:len(mask), p:p + h, p:p + w])
         grads[r, block] = (_correlate(work, work.windows[:len(mask)])
                            .reshape(-1, h, w, c).transpose(0, 3, 1, 2))
     return grads.reshape(lead + shape)
@@ -500,23 +501,22 @@ def _covector_rows(upstream, feature_dim, groups, n):
     return upstream.reshape((-1,) + upstream.shape[-2:]), groups, upstream.shape[:-2]
 
 
-def mean_features(psi, images, groups, pixel_mean):
-    """One mean feature row per group (index arrays into images), from one
-    featurization. A linear map's feature mean is W applied to the pixel
-    mean, so a featurizer that `reads_pixel_means` featurizes the stack of
-    the groups' pixel means instead, which the zero-argument callable
-    pixel_mean returns.
-    """
-    if psi.reads_pixel_means:
-        return psi.features_batch(pixel_mean())
-    return _group_means(psi.features_batch(images), groups)
+def mean_features(psi, images, groups):
+    """One mean feature row per group (index arrays into images), (G, F):
+    psi's `class_features`."""
+    return psi.class_features(images, groups)[0]
 
 
-def _conv_class_means(kernels, padded, groups):
-    """mean_features of the ConvFeaturizer holding kernels (float64) over a
-    batch laid out by `padded_layout`, its real-side pass: numpy only, so a
-    pool thread may run it."""
-    return _group_means(_laid_out_features(kernels, padded), groups)
+def real_class_means(weights, laid_out):
+    """The real-side pass: each view's held-class mean features (held, F)
+    under the featurizer holding weights (float64, as `FeaturizerSpec.draw`
+    gives them, (F, pixels) linear or (O, C, k, k) conv), from what the
+    featurizer's `layout` gave for each view. Gives class_features' means,
+    bitwise. Calls numpy only, so a lane may run it."""
+    if weights.ndim == 2:
+        return [means.reshape(len(means), -1) @ weights.T for means in laid_out]
+    return [_group_means(_laid_out_features(weights, padded), groups)
+            for padded, groups in laid_out]
 
 
 def _group_means(rows, groups):

@@ -3,13 +3,14 @@
 Iteration t's inputs (`_Inputs`, shared with the surgery snapshot) depend on t
 and never on the synthetic set: the featurizer drawn from a stream keyed by t;
 the real views, which are the domain train views or, when batch_per_class > 0,
-class-balanced minibatches of them drawn from streams keyed by t; and, under a
-featurizer that featurizes the real images themselves (conv, not linear), each
-real view's class-mean features. Where `featurizers.lane_count()` is above 1,
-the loop keeps the inputs of iterations t ... t + DRAW_DEPTH - 1 queued on
-the featurizer pool's lanes while iteration t runs: the loop thread draws an
-item's views when it queues it, and a lane draws its weights and computes
-its real means (`featurizers.run_ahead`). When iteration t's item has not
+class-balanced minibatches of them drawn from streams keyed by t; and each
+real view's class-mean features (`featurizers.real_class_means`). Where
+`featurizers.lane_count()` is above 1, the loop keeps the inputs of
+iterations t ... t + DRAW_DEPTH - 1 queued on the featurizer pool's lanes
+while iteration t runs: the loop thread draws an item's views when it
+queues it, and a lane draws its weights and, under conv, computes its real
+means (`featurizers.run_ahead`); under linear the loop thread computes them
+when it takes the item. When iteration t's item has not
 finished, the loop thread does not wait: it takes back the furthest queued
 item that no lane has started and computes it itself, until t's is done or
 none is left. Otherwise, and in the snapshot, the calling thread computes
@@ -17,17 +18,16 @@ each item when it is needed. An item reads only its own streams and views,
 and each image's features are their own gemm, so the outputs are the same
 bytes whichever thread computed it, and no item outlives the call.
 
-What no iteration changes is derived once per run, when it starts: the
-run's `dm.MatchingPlan` (the synthetic class members and covector scales,
-each real view's class counts, held classes and mixing weights, the input
-checks, and, with fixed views, each view's class members and, under the
-linear featurizer, stacked class pixel means, under conv its images in the
-padded channels-last layout the correlation reads) and, under surgery, each
-sample's distinct (gradient row, assigned domain) pair
-(`surgery.surgery_pairs`). Each iteration then runs only what depends on its
-draw or on the synthetic pixels: one matching pass gives the pooled and
-per-domain gradients of every class (the real class means, one synthetic
-forward and one pullback that reuses it, see `dm.matching_rows`), and the
+What no iteration changes is derived once per run: the run's
+`dm.MatchingPlan` (the synthetic class members and covector scales, each
+real view's class counts, held classes and mixing weights, the input
+checks, and, with fixed views, each view as the featurizer's `layout` gives
+it) when it starts and, under surgery, each sample's distinct (gradient
+row, assigned domain) pair (`surgery.surgery_pairs`) from the first pass.
+Each iteration then runs only what depends on its draw or on the synthetic
+pixels: one matching pass gives the pooled and per-domain gradients of
+every class (the real class means, the synthetic class means and one
+pullback, see `dm.matching_rows`), and the
 distinct gradient rows go straight to the surgery kernel, which transforms
 each distinct per-domain stack once, on the half plane (under the linear
 featurizer, once per class, see `surgery.batch_surgery_updates`), and
@@ -55,10 +55,10 @@ import numpy as np
 from . import storage
 from .datasets import DataView, MultiDomainDataset, SyntheticSet
 # dm_gradient is not called here; perfbench/tracer.py wraps this name.
-from .dm import MatchingPlan, dm_gradient, matching_rows, real_class_means
+from .dm import MatchingPlan, dm_gradient, matching_rows
 from .errors import DistillError, EmptyClass, InvalidConfig, TooFewDomains
-from .featurizers import (ConvFeaturizer, LinearFeaturizer, gaussian_weights, lane_count,
-                          padded_layout, run_ahead)
+from .featurizers import (ConvFeaturizer, LinearFeaturizer, _group_means, gaussian_weights,
+                          lane_count, padded_layout, real_class_means, run_ahead)
 from .rng import SeededRng
 from .surgery import batch_consensus_maps, batch_surgery_updates, surgery_pairs
 
@@ -105,14 +105,13 @@ class FeaturizerSpec:
         """The featurizer of this kind with weights that `draw` returned."""
         return _KINDS[self.kind](weights)
 
-    @property
-    def reads_pixel_means(self):
-        return _KINDS[self.kind].reads_pixel_means
-
-    def layout(self, images):
-        """Real images as this kind's correlation reads them
-        (`featurizers.padded_layout`), for the run's `dm.MatchingPlan`."""
-        return padded_layout(images, self.kernel)
+    def layout(self, images, groups):
+        """What `featurizers.real_class_means` reads of real images and
+        their class member groups under this kind, as its featurizer's
+        `layout` gives it, for the run's `dm.MatchingPlan`."""
+        if self.kind == "linear":
+            return _group_means(images, groups)
+        return padded_layout(images, self.kernel), groups
 
 
 @dataclass(frozen=True)
@@ -241,14 +240,13 @@ def _subsample_view(view, per_class, rng):
 
 class _Inputs:
     """Iteration t's inputs, one item of the loop's queue. Made on the calling
-    thread, which draws the real views (through SeededRng) and reads their
-    class members from the run's MatchingPlan. `compute(rng)` then gives the
-    featurizer weights drawn from rng and, where the featurizer does not
-    read class pixel means, each real view's class-mean features under them
-    (else None: dm computes them from the plan's pixel means on the loop
-    thread). compute calls numpy only, so with ahead a lane runs it on the
-    stream's numpy generator; otherwise, or when taken back, it runs here
-    through SeededRng."""
+    thread, which draws the real views (through SeededRng) and has the run's
+    MatchingPlan lay them out. `compute(rng)` then gives the featurizer
+    weights drawn from rng and, under conv, each real view's class-mean
+    features under them (`real_class_means`; else None, and `inputs`
+    computes them). compute calls numpy only, so with ahead a lane runs it
+    on the stream's numpy generator; otherwise, or when taken back, it runs
+    here through SeededRng."""
 
     def __init__(self, source, cfg, rng, t, domain_views, plan, ahead=False):
         self.spec, self.stream = cfg.featurizer, rng.substream(_STREAM_FEATURIZER, t)
@@ -256,7 +254,13 @@ class _Inputs:
             _subsample_view(view, cfg.batch_per_class, rng.substream(_STREAM_BATCH, t, s))
             for s, view in enumerate(domain_views)]
         self.draw = functools.partial(self.spec.draw, source.image_shape)
-        self.real = None if self.spec.reads_pixel_means else plan.real_views(self.views)
+        self.real = plan.laid_out(self.views)
+        # The linear real pass, one small gemm per view, runs on the loop
+        # thread: the lane's weight draw already bounds the linear loop, and
+        # with the pass there too distill-linear ran slower in 6 of 6
+        # alternating 12 s pairs (2 CPUs, medians 588 against 658
+        # iterations/s).
+        self.real_on_lane = self.spec.kind == "conv"
         if ahead:
             self.future = run_ahead(self.compute, self.stream.generator)
         else:
@@ -264,7 +268,7 @@ class _Inputs:
 
     def compute(self, rng):
         weights = self.draw(rng)
-        return weights, None if self.real is None else real_class_means(weights, self.real)
+        return weights, real_class_means(weights, self.real) if self.real_on_lane else None
 
     def _compute_here(self):
         result = self.compute(self.stream)
@@ -277,8 +281,10 @@ class _Inputs:
             self._compute_here()
 
     def inputs(self):
-        """(featurizer, real views, their class means or None), once computed."""
+        """(featurizer, real views, their class means), once computed."""
         weights, means = self.future.result()
+        if means is None:
+            means = real_class_means(weights, self.real)
         return self.spec.holding(weights), self.views, means
 
 
@@ -318,9 +324,10 @@ def run_distillation(source: MultiDomainDataset, cfg: DistillConfig, initial=Non
     Passing `initial` (e.g. a restored checkpoint) continues from its
     iteration counter; with the same config the continuation is
     bit-identical to an uninterrupted run. What the matching and surgery
-    passes read that no iteration changes is derived once, when the run
-    starts: its MatchingPlan, and under surgery each sample's distinct (row,
-    assigned domain) pair (`surgery.surgery_pairs`).
+    passes read that no iteration changes is derived once: the run's
+    MatchingPlan when it starts, and under surgery each sample's distinct
+    (row, assigned domain) pair (`surgery.surgery_pairs`) from the first
+    pass's gradient row index.
     """
     s_count = source.domain_count
     if cfg.surgery and s_count < 2:
@@ -332,9 +339,7 @@ def run_distillation(source: MultiDomainDataset, cfg: DistillConfig, initial=Non
     synthetic = initial.copy() if initial is not None else initialize(source, cfg)
     domain_views = [source.train_view(domain=s) for s in range(s_count)]
     plan = _plan(source, cfg, synthetic, domain_views, cfg.surgery)
-    pairs = surgery_pairs(_KINDS[cfg.featurizer.kind].pullback_index(synthetic.labels),
-                          synthetic.domains, s_count) if cfg.surgery else None
-    history = []
+    pairs, history = None, []
 
     # The inputs of iterations t, t + 1, ..., computed ahead on the lanes.
     queue = collections.deque()
@@ -349,6 +354,7 @@ def run_distillation(source: MultiDomainDataset, cfg: DistillConfig, initial=Non
                                                 plan=plan)
             history.append((t, *losses.tolist()))
             if cfg.surgery:
+                pairs = pairs or surgery_pairs(index, synthetic.domains, s_count)
                 updates = batch_surgery_updates(rows[1:], rows[0], synthetic.domains, cfg,
                                                 rows=index, pairs=pairs)
             else:

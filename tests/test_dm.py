@@ -468,3 +468,29 @@ def test_all_class_means_match_one_class_at_a_time(kind):
             assert means[c].tobytes() == one.tobytes()
         else:  # the linear path featurizes the class pixel means instead
             assert max_rel(means[c], one) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["linear", "conv"])
+@pytest.mark.parametrize("missing", [1, 4])
+def test_a_synthetic_set_without_a_class_the_views_hold_is_refused(kind, missing):
+    # The classes run up to the largest label of the synthetic set or any
+    # view, so a set without the views' top class is refused as one without
+    # any other class is, not matched on the classes below it alone.
+    rng = SeededRng(49)
+    ds = make_dataset(rng.substream(0), class_count=5)
+    full = make_synthetic(rng.substream(1), class_count=5)
+    keep = full.labels != missing
+    synthetic = SyntheticSet(images=full.images[keep], labels=full.labels[keep],
+                             domains=full.domains[keep])
+    if kind == "linear":
+        psi = LinearFeaturizer.create((1, 4, 4), 6, rng.substream(2))
+    else:
+        psi = ConvFeaturizer.create(1, 4, 3, rng.substream(2))
+    views = [ds.train_view(domain=s) for s in range(ds.domain_count)]
+    calls = [lambda: dm_loss(synthetic, ds.train_view(), psi),
+             lambda: dm_gradient(synthetic, ds.train_view(), psi),
+             lambda: matching_rows(synthetic, views, psi),
+             lambda: matching_rows(synthetic, views, psi, per_domain=False)]
+    for call in calls:
+        with pytest.raises(EmptyClass, match=f"class {missing} has no synthetic samples"):
+            call()

@@ -148,8 +148,7 @@ def test_mean_features_pixel_mean_shortcut_matches_batch_path():
     psi = LinearFeaturizer.create((1, 5, 5), 6, rng.substream(1))
     groups = [np.arange(4), np.arange(4, 9)]
     direct = np.stack([psi.features_batch(imgs[g]).mean(axis=0) for g in groups])
-    via_mean = mean_features(psi, imgs, groups,
-                             pixel_mean=lambda: np.stack([imgs[g].mean(axis=0) for g in groups]))
+    via_mean = mean_features(psi, imgs, groups)
     assert direct.shape == via_mean.shape == (2, 6)
     assert np.abs(direct - via_mean).max() < 1e-12 * max(1.0, np.abs(direct).max())
 
@@ -318,6 +317,8 @@ def test_conv_outputs_do_not_depend_on_the_block_size(monkeypatch, n):
     groups = rng.substream(2).integers(0, 3, size=n)
     grouped = rng.substream(3).normal(size=(2, 3, 4))
     stacked = rng.substream(4).normal(size=(3, 4))
+    members = [np.flatnonzero(groups == c) for c in np.unique(groups)]
+    linear = LinearFeaturizer.create((3, 5, 7), 4, rng.substream(5))
     results = []
     for image_block, adjoint_block in block_sizes(n):
         monkeypatch.setattr(featurizers, "IMAGE_BLOCK", image_block)
@@ -326,9 +327,15 @@ def test_conv_outputs_do_not_depend_on_the_block_size(monkeypatch, n):
                         psi.vjp_batch(images, grouped, groups=groups),
                         psi.vjp_batch(images, stacked)])
         # The real-side pass reads the layout a run's plan holds; it gives
-        # the features of the channels-first images, bitwise.
-        laid_out = featurizers._laid_out_features(psi.kernels, psi.layout(images))
-        assert laid_out.tobytes() == results[-1][0].tobytes()
+        # the features of the channels-first images, bitwise, and under
+        # either kind the class means the synthetic side computes.
+        padded = psi.layout(images, members)[0]
+        assert featurizers._laid_out_features(psi.kernels, padded).tobytes() == \
+            results[-1][0].tobytes()
+        for kind in (psi, linear):
+            if members:
+                real = featurizers.real_class_means(kind.weights, [kind.layout(images, members)])
+                assert real[0].tobytes() == kind.class_features(images, members)[0].tobytes()
     for other in results[1:]:
         for want, got in zip(results[0], other):
             assert want.shape == got.shape and want.tobytes() == got.tobytes()

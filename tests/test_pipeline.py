@@ -277,18 +277,27 @@ def test_checkpoint_truncation_never_partial(tmp_path, toy):
 def test_a_conv_iteration_correlates_the_synthetic_set_once(monkeypatch, toy, strengths,
                                                            batch_per_class):
     # The synthetic forward hands its rectifier mask to the pullback
-    # (`ConvFeaturizer.linearize`), so each iteration correlates the
-    # synthetic images forward once; the real views are correlated straight
-    # from their layout, which does not go through _forward.
+    # (`ConvFeaturizer.linearize`), so each iteration lays out and
+    # correlates the synthetic images once. Every forward correlation reads
+    # a padded layout; the real views are laid out once per run when they
+    # stay the same, and each minibatch once.
     cfg = DistillConfig(ipc=3, iterations=4, seed=29, featurizer=KINDS["conv"],
                         lambda_c=strengths[0], lambda_d=strengths[1],
                         batch_per_class=batch_per_class)
-    forwarded, forward = [], featurizers._forward
-    monkeypatch.setattr(featurizers, "_forward", lambda images, work: (
-        forwarded.append(len(images)), forward(images, work))[1])
+    laid_out, layout = [], featurizers.padded_layout
+
+    def counting(images, side):
+        laid_out.append(len(images))
+        return layout(images, side)
+
+    monkeypatch.setattr(featurizers, "padded_layout", counting)
+    monkeypatch.setattr(pipeline, "padded_layout", counting)
     res = run_distillation(toy, cfg)
     assert res.synthetic.iteration == cfg.iterations
-    assert sum(forwarded) == len(res.synthetic.images) * cfg.iterations
+    synthetic = [n for n in laid_out if n == len(res.synthetic.images)]
+    assert sum(synthetic) == len(res.synthetic.images) * cfg.iterations
+    views = toy.domain_count * (1 if batch_per_class == 0 else cfg.iterations)
+    assert len(laid_out) == cfg.iterations + views
 
 
 @STRENGTHS
@@ -361,25 +370,26 @@ def test_fixed_featurizer_is_the_first_draw_and_featurizes_each_view_once(monkey
         dm_loss(initialize(toy, cfg), toy.train_view(), psi), rel=1e-12)
 
     # Each iteration featurizes the synthetic set once and each real view
-    # once: under conv its images (the loop's queued items run dm's pass, on
-    # a lane or, taken back, on the loop thread) as the run's plan lays them
-    # out when the views stay the same, under linear the stack of its class
-    # pixel means, which the plan holds then. The conv synthetic forward is
-    # `linearize`, which also hands the pullback its rectifier mask. The
-    # loop no longer reads the views' feature-mean caches.
+    # once, through `real_class_means` (under conv the loop's queued items
+    # run it, on a lane or, taken back, on the loop thread) over the view as
+    # the run's plan lays it out when the views stay the same: under conv
+    # its padded images, under linear the stack of its class pixel means.
+    # The conv synthetic forward is `linearize`, which also hands the
+    # pullback its rectifier mask. The loop no longer reads the views'
+    # feature-mean caches.
     featurized, cached = [], []
     entry = "features_batch" if kind == "linear" else "linearize"
     forward = getattr(type(psi), entry)
-    conv_class_means = dm._conv_class_means
+    real_class_means = pipeline.real_class_means
     cached_feature_mean = DataView.cached_feature_mean
 
-    def counting_pass(kernels, images, groups):
-        featurized.append(images)
-        return conv_class_means(kernels, images, groups)
+    def counting_pass(weights, laid_out):
+        featurized.extend(view if kind == "linear" else view[0] for view in laid_out)
+        return real_class_means(weights, laid_out)
 
     monkeypatch.setattr(DataView, "cached_feature_mean", lambda view, psi, compute: (
         cached.append(view), cached_feature_mean(view, psi, compute))[1])
-    monkeypatch.setattr(dm, "_conv_class_means", counting_pass)
+    monkeypatch.setattr(pipeline, "real_class_means", counting_pass)
     monkeypatch.setattr(type(psi), entry,
                         lambda self, images: featurized.append(images) or forward(self, images))
     for batch_per_class in (0, 4):
@@ -433,20 +443,40 @@ def test_plan_path_matches_a_per_call_derivation_bitwise(monkeypatch, toy, kind,
     assert passes == [cfg.surgery] * cfg.iterations + [True]
 
 
+@STRENGTHS
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_surgery_pairs_are_derived_once_per_run(monkeypatch, tmp_path, toy, kind, strengths):
+    # The pairs come from the first pass's gradient row index, which no
+    # iteration changes: once per run, a continued one too, and never at
+    # zero strengths (plain matching runs no surgery).
+    derived, pairs_of = [], pipeline.surgery_pairs
+    monkeypatch.setattr(pipeline, "surgery_pairs", lambda *args: (
+        derived.append(args), pairs_of(*args))[1])
+    cfg = DistillConfig(ipc=3, iterations=3, seed=30, featurizer=KINDS[kind],
+                        lambda_c=strengths[0], lambda_d=strengths[1], checkpoint_every=2)
+    run_distillation(toy, cfg, checkpoint_dir=tmp_path)
+    calls = 1 if cfg.surgery else 0
+    assert len(derived) == calls
+    run_distillation(toy, replace(cfg, iterations=6),
+                     initial=restore(tmp_path / "checkpoint_000002.dgck"))
+    assert len(derived) == 2 * calls
+
+
 @pytest.mark.parametrize("batch_per_class", [0, 4])
 def test_linear_real_pixel_means_are_stacked_once_per_run(monkeypatch, toy, batch_per_class):
     # The synthetic set holds 9 images; a real view 36, a minibatch of it 12.
     # With fixed views the run's plan stacks each view's class pixel means
-    # when the run starts; minibatches are new views every iteration.
+    # (`FeaturizerSpec.layout`) when the run starts; minibatches are new
+    # views every iteration.
     cfg = DistillConfig(ipc=3, iterations=5, seed=28, batch_per_class=batch_per_class, **FAST)
-    group_means, real = dm._group_means, []
+    group_means, real = pipeline._group_means, []
 
     def counting(rows, groups):
         if len(rows) != toy.class_count * cfg.ipc:
             real.append(len(rows))
         return group_means(rows, groups)
 
-    monkeypatch.setattr(dm, "_group_means", counting)
+    monkeypatch.setattr(pipeline, "_group_means", counting)
     run_distillation(toy, cfg)
     passes = 1 if batch_per_class == 0 else cfg.iterations
     assert real == [36 if batch_per_class == 0 else 12] * toy.domain_count * passes
@@ -713,7 +743,7 @@ def test_an_error_in_a_queued_item_is_raised(monkeypatch, toy, kind, stage, wher
     if stage == "draw":
         monkeypatch.setattr(FeaturizerSpec, "draw", failing(FeaturizerSpec.draw))
     else:
-        monkeypatch.setattr(dm, "_conv_class_means", failing(dm._conv_class_means))
+        monkeypatch.setattr(pipeline, "real_class_means", failing(pipeline.real_class_means))
     matching = pipeline.matching_rows
     monkeypatch.setattr(pipeline, "matching_rows", lambda *args, **kwargs: (
         time.sleep(0.02 if where == "lane" else 0.0), matching(*args, **kwargs))[1])
