@@ -7,6 +7,13 @@ deterministic, and finite-difference checkable. Protocols report relative
 comparisons between distillation configurations, not absolute benchmark
 numbers.
 
+Descent from the zero classifier never leaves the span of its n training
+images and the bias's constant column (the representer theorem), so
+`train_classifier` iterates on coefficients A (K, n), with W = A X and
+b = A 1, through the Gram X Xᵀ + 1: in exact arithmetic the same iterates,
+at n²·K per epoch instead of 2·n·pixels·K. A distilled set has ipc·K images,
+far fewer than twice its pixels.
+
 Leave-one-domain-out hygiene is enforced with provenance checks: the target
 domain's uids must appear nowhere in the distillation source nor among the
 real images that seeded the synthetic set.
@@ -17,8 +24,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .datasets import MultiDomainDataset, SyntheticSet
-from .errors import (DistillError, EmptyClass, EmptySet, InvalidConfig, TooFewDomains,
-                     UnknownDomain)
+from .errors import (DistillError, EmptyClass, EmptySet, InvalidConfig, ShapeMismatch,
+                     TooFewDomains, UnknownDomain)
 from .pipeline import DistillConfig, FeaturizerSpec, run_distillation
 from .pseudo import assign_pseudo_domains, default_style_featurizer
 from .rng import SeededRng
@@ -38,6 +45,9 @@ class SoftmaxClassifier:
 
     def logits(self, images):
         flat = np.asarray(images, dtype=np.float64).reshape(len(images), -1)
+        if flat.shape[1] != self.weight.shape[1]:
+            raise ShapeMismatch(f"images have {flat.shape[1]} pixels, the classifier "
+                                f"was trained on {self.weight.shape[1]}")
         return flat @ self.weight.T + self.bias
 
     def predict(self, images):
@@ -45,44 +55,39 @@ class SoftmaxClassifier:
         return np.argmax(self.logits(images), axis=1)
 
 
-def softmax_cross_entropy(weight, bias, images, labels):
-    """Mean cross-entropy and its exact gradients for a flattened batch."""
-    flat = images.reshape(len(images), -1)
-    logits = flat @ weight.T + bias
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    n = len(images)
-    loss = -float(np.mean(np.log(probs[np.arange(n), labels] + 1e-300)))
-    delta = probs
-    delta[np.arange(n), labels] -= 1.0
-    grad_w = delta.T @ flat / n
-    grad_b = delta.sum(axis=0) / n
-    return loss, grad_w, grad_b
+def _check_training(epochs, lr):
+    if not (epochs >= 0 and 0 < lr < np.inf):
+        raise InvalidConfig(f"eval needs epochs >= 0 and a finite lr > 0, "
+                            f"got epochs={epochs}, lr={lr}")
 
 
 def train_classifier(view, epochs, lr):
-    """Full-batch gradient descent from a zero-initialized classifier.
-
-    Deterministic given its inputs (nothing here is stochastic). Zero epochs
-    returns the zero classifier untouched.
+    """Full-batch gradient descent on mean cross-entropy from the zero
+    classifier, in the span of the view's images (module docstring): after
+    the Gram's n²·pixels, each epoch is the logits G Aᵀ and the step
+    Aᵀ -= lr/n (P - onehot). Deterministic given its inputs (nothing here is
+    stochastic). Zero epochs returns the zero classifier.
     """
+    _check_training(epochs, lr)
     view.require_nonempty()
     for c in range(view.class_count):
         view.class_indices(c)  # EmptyClass when a class is unrepresented
-    pixels = int(np.prod(view.images.shape[1:]))
-    clf = SoftmaxClassifier(
-        weight=np.zeros((view.class_count, pixels)),
-        bias=np.zeros(view.class_count),
-    )
-    images = np.asarray(view.images, dtype=np.float64)
+    n = len(view)
+    flat = np.asarray(view.images, dtype=np.float64).reshape(n, -1)
+    gram = flat @ flat.T + 1.0
+    rows = np.arange(n)
     labels = np.asarray(view.labels)
+    coef = np.zeros((n, view.class_count))  # Aᵀ
+    history = []
     for _ in range(int(epochs)):
-        loss, grad_w, grad_b = softmax_cross_entropy(clf.weight, clf.bias, images, labels)
-        clf.loss_history.append(loss)
-        clf.weight -= lr * grad_w
-        clf.bias -= lr * grad_b
-    return clf
+        logits = gram @ coef
+        exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs = exp / exp.sum(axis=1, keepdims=True)
+        history.append(-float(np.mean(np.log(probs[rows, labels] + 1e-300))))
+        probs[rows, labels] -= 1.0
+        coef -= lr / n * probs
+    return SoftmaxClassifier(weight=coef.T @ flat, bias=coef.sum(axis=0),
+                             loss_history=history)
 
 
 def accuracy(clf: SoftmaxClassifier, view):
@@ -143,8 +148,9 @@ class EvalConfig:
     base_seed: int = 0
 
     def __post_init__(self):
-        if self.runs < 1 or self.epochs < 0 or self.lr <= 0:
-            raise InvalidConfig(f"eval needs runs >= 1, epochs >= 0 and lr > 0, got {self}")
+        if self.runs < 1:
+            raise InvalidConfig(f"eval needs runs >= 1, got {self}")
+        _check_training(self.epochs, self.lr)
 
 
 def assert_protocol_isolation(full: MultiDomainDataset, source: MultiDomainDataset,

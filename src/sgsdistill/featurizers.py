@@ -14,9 +14,9 @@ moves contiguous runs instead of single pixels.
 
 Every forward correlation copies its windows straight out of a batch laid
 out padded and channels-last (`padded_layout`), a block of images at a time
-in one set of buffers, on the calling thread. Each image's window matrix is
-its own gemm, so results are bitwise the same for any block size and on any
-thread.
+in one set of buffers, on the calling thread; `map_blocks` lays out only the
+block it correlates. Each image's window matrix is its own gemm, so results
+are bitwise the same for any block size and on any thread.
 
 The matching pass reads one contract of both kinds. `class_features` gives
 the synthetic set's class-mean features and their pullback: a linear map
@@ -313,9 +313,17 @@ class ConvFeaturizer:
     def map_blocks(self, images):
         """(block, maps) for every IMAGE_BLOCK slice of a batch (N, C, H, W) and
         its pre-rectifier maps (b, H*W, O), which the caller may overwrite;
-        they are valid until the next block."""
-        return _map_blocks(self.kernels, padded_layout(self._check_batch(images),
-                                                       self.kernels.shape[2]))
+        they are valid until the next block. Each block is laid out in turn
+        into one zero-bordered buffer, so the batch is never laid out whole."""
+        images = self._check_batch(images)
+        n, c, h, w = images.shape
+        p = self.kernels.shape[2] // 2
+        padded = np.zeros((min(n, IMAGE_BLOCK), h + 2 * p, w + 2 * p, c))
+        work = _Workspace(self.kernels, padded, len(padded))
+        for start in range(0, n, IMAGE_BLOCK):
+            block = images[start:start + IMAGE_BLOCK]
+            padded[:len(block), p:p + h, p:p + w] = block.transpose(0, 2, 3, 1)
+            yield slice(start, start + len(block)), _correlate(work, work.windows[:len(block)])
 
     def features_batch(self, images):
         return _pooled_features(self.kernels, self._check_batch(images))
@@ -406,8 +414,8 @@ def padded_layout(images, side):
 
 
 def _map_blocks(kernels, padded):
-    """ConvFeaturizer.map_blocks of the featurizer holding kernels, on a
-    batch laid out by `padded_layout`."""
+    """ConvFeaturizer.map_blocks of the featurizer holding kernels, from a
+    batch laid out whole by `padded_layout`."""
     work = _Workspace(kernels, padded, min(len(padded), IMAGE_BLOCK))
     for start in range(0, len(padded), IMAGE_BLOCK):
         block = slice(start, start + IMAGE_BLOCK)

@@ -28,6 +28,38 @@ def fd_relative_error(analytic, numeric, floor=1e-8):
     return float(np.max(np.abs(a - n) / denom))
 
 
+def softmax_cross_entropy(weight, bias, images, labels):
+    """Mean cross-entropy and its exact gradients for a flattened batch."""
+    flat = images.reshape(len(images), -1)
+    logits = flat @ weight.T + bias
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    n = len(images)
+    loss = -float(np.mean(np.log(probs[np.arange(n), labels] + 1e-300)))
+    delta = probs
+    delta[np.arange(n), labels] -= 1.0
+    grad_w = delta.T @ flat / n
+    grad_b = delta.sum(axis=0) / n
+    return loss, grad_w, grad_b
+
+
+def primal_train_classifier(view, epochs, lr):
+    """Full-batch gradient descent on the weights and bias themselves, two
+    n x pixels gemms per epoch: the span-form `train_classifier`'s oracle."""
+    from sgsdistill.evaluation import SoftmaxClassifier
+
+    images, labels = np.asarray(view.images, dtype=np.float64), np.asarray(view.labels)
+    clf = SoftmaxClassifier(weight=np.zeros((view.class_count, images[0].size)),
+                            bias=np.zeros(view.class_count))
+    for _ in range(int(epochs)):
+        loss, grad_w, grad_b = softmax_cross_entropy(clf.weight, clf.bias, images, labels)
+        clf.loss_history.append(loss)
+        clf.weight -= lr * grad_w
+        clf.bias -= lr * grad_b
+    return clf
+
+
 def make_dataset(rng, class_count=3, domain_count=2, train_per_cell=6,
                  test_per_cell=3, shape=(1, 4, 4), domain_shift=0.5):
     """Random multi-domain dataset; each domain adds a distinct constant shift."""

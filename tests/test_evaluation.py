@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sgsdistill.datasets import DataView, SyntheticSet
-from sgsdistill.errors import DistillError, EmptyClass, EmptySet
+from sgsdistill.errors import DistillError, EmptyClass, EmptySet, InvalidConfig, ShapeMismatch
 from sgsdistill.evaluation import (
     EvalConfig,
     EvalEntry,
@@ -15,7 +15,6 @@ from sgsdistill.evaluation import (
     mdg_protocol,
     real_subsample_distiller,
     sdg_protocol,
-    softmax_cross_entropy,
     toy_protocol_config,
     train_classifier,
 )
@@ -23,7 +22,8 @@ from sgsdistill.pipeline import DistillConfig, FeaturizerSpec
 from sgsdistill.rng import SeededRng
 from sgsdistill.toydata import ToySpec, generate_toy, sdg_toy_spec
 
-from helpers import central_fd_grid, fd_relative_error
+from helpers import (central_fd_grid, fd_relative_error, primal_train_classifier,
+                     softmax_cross_entropy)
 
 SMALL_TOY = ToySpec(train_per_cell=12, test_per_cell=6, class_count=3)
 FAST_EVAL = EvalConfig(runs=2, epochs=150, lr=0.05, base_seed=3)
@@ -56,11 +56,15 @@ def test_cross_entropy_gradient_matches_finite_differences():
     assert fd_relative_error(grad_b, fd_b) < 1e-5
 
 
-def test_linearly_separable_data_reaches_full_accuracy():
+def _separable_pairs():
     rng = SeededRng(1)
     a = rng.substream(0).normal(size=(20, 1, 1, 2)) * 0.3 + np.array([3.0, 0.0]).reshape(1, 1, 1, 2)
     b = rng.substream(1).normal(size=(20, 1, 1, 2)) * 0.3 - np.array([3.0, 0.0]).reshape(1, 1, 1, 2)
-    view = view_of(np.concatenate([a, b]), [0] * 20 + [1] * 20, 2)
+    return view_of(np.concatenate([a, b]), [0] * 20 + [1] * 20, 2)
+
+
+def test_linearly_separable_data_reaches_full_accuracy():
+    view = _separable_pairs()
     clf = train_classifier(view, epochs=500, lr=0.1)
     assert accuracy(clf, view) == 1.0
 
@@ -70,6 +74,57 @@ def test_zero_epochs_is_zero_classifier():
     clf = train_classifier(view, epochs=0, lr=0.1)
     assert clf.loss_history == []
     assert not clf.weight.any() and not clf.bias.any()
+
+
+@pytest.fixture(scope="module")
+def span_cases():
+    """(view, epochs, lr, probe images): well-conditioned training sets, with
+    n < 2 * pixels (the default toy's 500-image domain-0 view, in float64 and
+    float32, and ten 8x8 images) and with n > pixels."""
+    rng = SeededRng(4)
+    full = generate_toy(ToySpec(), seed=0)
+    toy_view = full.train_view(domain=0)
+    as_f32 = DataView(images=toy_view.images.astype(np.float32), labels=toy_view.labels,
+                      class_count=toy_view.class_count)
+    small = view_of(rng.substream(0).normal(size=(10, 1, 8, 8)), [0, 1, 2, 3, 4] * 2, 5)
+    probe = full.test_view().images
+    return {
+        "toy": (toy_view, 120, 0.01, probe),
+        "float32": (as_f32, 120, 0.01, probe.astype(np.float32)),
+        "8x8": (small, 200, 0.1, rng.substream(1).normal(size=(2000, 1, 8, 8))),
+        "n_gt_d": (_separable_pairs(), 300, 0.1,
+                   rng.substream(2).normal(size=(2000, 1, 1, 2)) * 3.0),
+    }
+
+
+@pytest.mark.parametrize("case", ["toy", "float32", "8x8", "n_gt_d"])
+def test_span_form_matches_primal_descent(span_cases, case):
+    view, epochs, lr, probe = span_cases[case]
+    got = train_classifier(view, epochs, lr)
+    want = primal_train_classifier(view, epochs, lr)
+    assert got.weight.shape == want.weight.shape and got.bias.shape == want.bias.shape
+    assert np.abs(got.weight - want.weight).max() <= 1e-12 * np.abs(want.weight).max()
+    assert np.abs(got.bias - want.bias).max() <= 1e-12 * max(np.abs(want.bias).max(),
+                                                             np.abs(want.weight).max())
+    assert len(got.loss_history) == epochs
+    assert np.abs(np.subtract(got.loss_history, want.loss_history)).max() <= 1e-12
+    assert np.array_equal(got.predict(probe), want.predict(probe))
+
+
+@pytest.mark.parametrize("epochs,lr", [(-3, 0.1), (1, -1.0), (1, 0.0), (1, float("nan")),
+                                       (1, float("inf"))])
+def test_training_rejects_invalid_settings(epochs, lr):
+    view = view_of(np.ones((2, 1, 2, 2)), [0, 1], 2)
+    with pytest.raises(InvalidConfig, match="epochs >= 0 and a finite lr > 0"):
+        train_classifier(view, epochs=epochs, lr=lr)
+    with pytest.raises(InvalidConfig):
+        EvalConfig(epochs=epochs, lr=lr)
+
+
+def test_accuracy_rejects_a_view_of_another_image_size():
+    clf = train_classifier(view_of(np.eye(4).reshape(4, 1, 2, 2), [0, 1, 0, 1], 2), 3, 0.1)
+    with pytest.raises(ShapeMismatch, match="9 pixels.*trained on 4"):
+        accuracy(clf, view_of(np.zeros((3, 1, 3, 3)), [0, 1, 0], 2))
 
 
 def test_loss_monotone_at_small_lr(toy):
