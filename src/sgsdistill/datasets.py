@@ -2,13 +2,21 @@
 
 Images are float64 arrays shaped (N, channels, height, width). Each sample
 carries a class id, a domain id, a train/test split flag, and a stable uid so
-evaluation protocols can prove which samples ever entered a pipeline. A view
-caches its class pixel means and, for the latest featurizer, its class
-feature-mean matrix (`dm.class_feature_mean`). The distillation loop reads
-neither: a run's `dm.MatchingPlan` holds what it needs.
+evaluation protocols can prove which samples ever entered a pipeline.
+
+A dataset's subsets (a leave-one-domain-out source, one domain, a relabelled
+copy) share its pixel array and hold a row index into it, so they copy only
+their per-sample arrays; a subset of a subset composes the two indices.
+Views and synthetic sets own their pixels: a view gathers its rows from the
+shared array in one fancy index, the same bytes as gathering from a copy of
+the subset. A view caches its class pixel means and, for the latest
+featurizer, its class feature-mean matrix (`dm.class_feature_mean`). The
+distillation loop reads neither: a run's `dm.MatchingPlan` holds what it
+needs.
 """
 
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,23 +84,27 @@ class DataView:
         return self
 
 
-@dataclass
 class MultiDomainDataset:
-    """Labeled image samples partitioned into domains with train/test splits."""
+    """Labeled image samples partitioned into domains with train/test splits.
 
-    images: np.ndarray
-    labels: np.ndarray
-    domains: np.ndarray
-    splits: np.ndarray
-    class_count: int
-    domain_count: int
-    uids: np.ndarray | None = None
-    extras: dict = field(default_factory=dict)  # per-sample annotations, not serialized
+    `images` is this dataset's (N, channels, height, width) images. A subset
+    (`subset`, `without_domain`, `only_domain`, `with_domain_labels`) holds
+    its root's pixel array and its own rows of it, so its `images` is a
+    read-only gather of those rows, made on each access, and writing into a
+    root's array after taking a subset changes the subset's images too.
+    """
 
-    def __post_init__(self):
-        n = self.images.shape[0]
-        if self.uids is None:
-            self.uids = np.arange(n, dtype=np.int64)
+    def __init__(self, images, labels, domains, splits, class_count, domain_count,
+                 uids=None, extras=None):
+        self._pixels, self._rows = images, None   # a subset's images are _pixels[_rows]
+        self.labels, self.domains, self.splits = labels, domains, splits
+        self.class_count, self.domain_count = class_count, domain_count
+        self.uids = np.arange(images.shape[0], dtype=np.int64) if uids is None else uids
+        self.extras = {} if extras is None else extras  # per-sample annotations, not serialized
+        self._check()
+
+    def _check(self):
+        n = len(self)
         for arr, label in [(self.labels, "labels"), (self.domains, "domains"),
                            (self.splits, "splits"), (self.uids, "uids")]:
             if arr.shape[0] != n:
@@ -103,11 +115,32 @@ class MultiDomainDataset:
             raise ValueError("domain id out of range")
 
     def __len__(self):
-        return self.images.shape[0]
+        return len(self._pixels) if self._rows is None else len(self._rows)
+
+    @property
+    def images(self):
+        if self._rows is None:
+            return self._pixels
+        images = self._pixels[self._rows]
+        images.flags.writeable = False
+        return images
 
     @property
     def image_shape(self):
-        return self.images.shape[1:]
+        return self._pixels.shape[1:]
+
+    def _root_rows(self, idx):
+        """The rows of the shared pixel array that this dataset's rows idx are."""
+        return idx if self._rows is None else self._rows[idx]
+
+    def _sharing(self, rows, **changes):
+        """A copy of this dataset with the given attributes replaced, over
+        the same pixel array; its images are that array's rows `rows` (None:
+        the whole array)."""
+        ds = copy.copy(self)
+        ds.__dict__.update(changes, _rows=rows)
+        ds._check()
+        return ds
 
     def _mask(self, domain=None, split=None):
         mask = np.ones(len(self), dtype=bool)
@@ -122,7 +155,7 @@ class MultiDomainDataset:
     def view(self, domain=None, split=None):
         idx = np.flatnonzero(self._mask(domain, split))
         return DataView(
-            images=self.images[idx],
+            images=self._pixels[self._root_rows(idx)],
             labels=self.labels[idx],
             class_count=self.class_count,
             uids=self.uids[idx],
@@ -136,9 +169,8 @@ class MultiDomainDataset:
 
     def subset(self, mask):
         idx = np.flatnonzero(mask)
-        return replace(
-            self,
-            images=self.images[idx],
+        return self._sharing(
+            self._root_rows(idx),
             labels=self.labels[idx],
             domains=self.domains[idx],
             splits=self.splits[idx],
@@ -151,7 +183,7 @@ class MultiDomainDataset:
         if not 0 <= int(domain) < self.domain_count:
             raise UnknownDomain(f"domain {domain} not in 0..{self.domain_count - 1}")
         kept = self.subset(self.domains != int(domain))
-        kept.domains = kept.domains.astype(np.int64) - (kept.domains > int(domain))
+        kept.domains = kept.domains.astype(np.int64, copy=False) - (kept.domains > int(domain))
         kept.domain_count = self.domain_count - 1
         return kept
 
@@ -164,8 +196,7 @@ class MultiDomainDataset:
     def with_domain_labels(self, new_domains, domain_count):
         """Relabel domains (e.g. with pseudo-domain assignments)."""
         new_domains = np.asarray(new_domains, dtype=np.int64)
-        ds = replace(self, domains=new_domains, domain_count=int(domain_count))
-        return ds
+        return self._sharing(self._rows, domains=new_domains, domain_count=int(domain_count))
 
     def flatten_domains(self):
         """Collapse all domains into a single one; returns (dataset, old labels)."""

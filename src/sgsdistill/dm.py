@@ -148,12 +148,13 @@ def matching_rows(synthetic: SyntheticSet, domain_views, psi, per_domain=True,
     missing a class gets a NaN loss. real_means, when given, holds
     real_class_means of the views under psi, which is then not computed
     again. plan is the MatchingPlan of these arguments (built with the same
-    per_domain), or None for a one-off one.
+    per_domain), or None for a one-off one; when it holds fixed views laid
+    out, domain_views may be None.
     """
     if plan is None:
         plan = MatchingPlan(synthetic, domain_views, psi, per_domain)
     deltas, losses, pullback = _class_deltas(plan, synthetic, domain_views, psi, real_means)
-    rows = len(domain_views) + 1 if per_domain else 1
+    rows = len(plan.held) + 1 if per_domain else 1
     pulled, index = pullback(plan.scale * deltas[:rows], plan.labels)
     return pulled, index, losses
 

@@ -241,16 +241,18 @@ def _subsample_view(view, per_class, rng):
 class _Inputs:
     """Iteration t's inputs, one item of the loop's queue. Made on the calling
     thread, which draws the real views (through SeededRng) and has the run's
-    MatchingPlan lay them out. `compute(rng)` then gives the featurizer
-    weights drawn from rng and, under conv, each real view's class-mean
-    features under them (`real_class_means`; else None, and `inputs`
-    computes them). compute calls numpy only, so with ahead a lane runs it
-    on the stream's numpy generator; otherwise, or when taken back, it runs
-    here through SeededRng."""
+    MatchingPlan lay them out; with fixed views there is nothing to draw
+    (domain_views and `views` are None) and the plan's own layout serves.
+    `compute(rng)` then gives the featurizer weights drawn from rng and,
+    under conv, each real view's class-mean features under them
+    (`real_class_means`; else None, and `inputs` computes them). compute
+    calls numpy only, so with ahead a lane runs it on the stream's numpy
+    generator; otherwise, or when taken back, it runs here through
+    SeededRng."""
 
     def __init__(self, source, cfg, rng, t, domain_views, plan, ahead=False):
         self.spec, self.stream = cfg.featurizer, rng.substream(_STREAM_FEATURIZER, t)
-        self.views = domain_views if cfg.batch_per_class == 0 else [
+        self.views = None if cfg.batch_per_class == 0 else [
             _subsample_view(view, cfg.batch_per_class, rng.substream(_STREAM_BATCH, t, s))
             for s, view in enumerate(domain_views)]
         self.draw = functools.partial(self.spec.draw, source.image_shape)
@@ -281,7 +283,7 @@ class _Inputs:
             self._compute_here()
 
     def inputs(self):
-        """(featurizer, real views, their class means), once computed."""
+        """(featurizer, real views or None, their class means), once computed."""
         weights, means = self.future.result()
         if means is None:
             means = real_class_means(weights, self.real)
@@ -299,13 +301,16 @@ def _take(queue):
     return queue.popleft().inputs()
 
 
-def _plan(source, cfg, synthetic, domain_views, per_domain):
-    """The MatchingPlan of a run of cfg on source from synthetic. The set
-    must be one initialize(source, cfg) could have built, stepped or not:
-    ipc images per class in class order, domains in _domain_pattern's
-    balanced order (InvalidConfig otherwise; a set built under another ipc
-    would continue as a different run), and the source's image shape
-    (ShapeMismatch otherwise)."""
+def _plan(source, cfg, synthetic, per_domain):
+    """The MatchingPlan of a run of cfg on source from synthetic, and the
+    source's domain train views that each iteration draws its minibatches
+    from. With fixed views (batch_per_class 0) the plan holds what the
+    matching pass reads of them, so no view is returned (None) and their
+    images are freed here. The set must be one initialize(source, cfg)
+    could have built, stepped or not: ipc images per class in class order,
+    domains in _domain_pattern's balanced order (InvalidConfig otherwise; a
+    set built under another ipc would continue as a different run), and the
+    source's image shape (ShapeMismatch otherwise)."""
     k, pattern = source.class_count, _domain_pattern(cfg.ipc, source.domain_count)
     if not np.array_equal(synthetic.labels, np.repeat(np.arange(k), cfg.ipc)):
         raise InvalidConfig(f"the synthetic set does not hold ipc={cfg.ipc} images of each "
@@ -313,8 +318,9 @@ def _plan(source, cfg, synthetic, domain_views, per_domain):
     if not np.array_equal(synthetic.domains, np.tile(pattern, k)):
         raise InvalidConfig(f"the synthetic set's domains are not the balanced assignment of "
                             f"ipc={cfg.ipc} over {source.domain_count} source domains")
-    return MatchingPlan(synthetic, domain_views, cfg.featurizer, per_domain,
-                        cfg.batch_per_class)
+    views = [source.train_view(domain=s) for s in range(source.domain_count)]
+    plan = MatchingPlan(synthetic, views, cfg.featurizer, per_domain, cfg.batch_per_class)
+    return plan, views if cfg.batch_per_class else None
 
 
 def run_distillation(source: MultiDomainDataset, cfg: DistillConfig, initial=None,
@@ -337,8 +343,7 @@ def run_distillation(source: MultiDomainDataset, cfg: DistillConfig, initial=Non
         )
     rng = SeededRng(cfg.seed)
     synthetic = initial.copy() if initial is not None else initialize(source, cfg)
-    domain_views = [source.train_view(domain=s) for s in range(s_count)]
-    plan = _plan(source, cfg, synthetic, domain_views, cfg.surgery)
+    plan, domain_views = _plan(source, cfg, synthetic, cfg.surgery)
     pairs, history = None, []
 
     # The inputs of iterations t, t + 1, ..., computed ahead on the lanes.
@@ -379,8 +384,7 @@ def surgery_snapshot(source: MultiDomainDataset, cfg: DistillConfig,
     spectral split the training kernel runs. Feeds the optional
     offline-inspection dump. Needs at least two domains (TooFewDomains).
     """
-    domain_views = [source.train_view(domain=s) for s in range(source.domain_count)]
-    plan = _plan(source, cfg, synthetic, domain_views, True)
+    plan, domain_views = _plan(source, cfg, synthetic, True)
     psi, real_domains, real_means = _Inputs(source, cfg, SeededRng(cfg.seed), synthetic.iteration,
                                             domain_views, plan).inputs()
     rows, index, _ = matching_rows(synthetic, real_domains, psi, real_means=real_means,

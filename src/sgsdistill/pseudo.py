@@ -150,13 +150,13 @@ def assign_pseudo_domains(data: MultiDomainDataset, psi, k, rng: SeededRng):
     """
     if data.domain_count != 1:
         raise ValueError("pseudo-domains substitute for missing labels; dataset already has domains")
-    train_mask = data.splits == 0
-    train_styles = style_stats_batch(data.images[train_mask], psi)
+    train_mask, images = data.splits == 0, data.images
+    train_styles = style_stats_batch(images[train_mask], psi)
     model = kmeans(train_styles, k, rng, restarts=DEFAULT_RESTARTS)
     domains = np.empty(len(data), dtype=np.int64)
     domains[train_mask] = model.assignments
     if np.any(~train_mask):
-        test_styles = style_stats_batch(data.images[~train_mask], psi)
+        test_styles = style_stats_batch(images[~train_mask], psi)
         domains[~train_mask] = model.assign(test_styles)
     return data.with_domain_labels(domains, k), model
 

@@ -85,6 +85,17 @@ def make_dataset(rng, class_count=3, domain_count=2, train_per_cell=6,
     )
 
 
+def materialised(ds, images):
+    """A root dataset holding its own copy of images (ds's images, taken
+    independently of ds) and ds's per-sample arrays: the materialised form
+    that a subset sharing its root's pixels must match byte for byte."""
+    from sgsdistill.datasets import MultiDomainDataset
+
+    return MultiDomainDataset(images=images.copy(), labels=ds.labels, domains=ds.domains,
+                              splits=ds.splits, class_count=ds.class_count,
+                              domain_count=ds.domain_count, uids=ds.uids, extras=ds.extras)
+
+
 def make_synthetic(rng, class_count=3, ipc=2, shape=(1, 4, 4), domain_count=2):
     """Random synthetic set with balanced round-robin domain assignments."""
     from sgsdistill.datasets import SyntheticSet
@@ -244,8 +255,7 @@ def zero_strength_surgery_run(source, cfg):
 
     cfg = replace(cfg, lambda_c=0.0, lambda_d=0.0)
     synthetic = initialize(source, cfg)
-    views = [source.train_view(domain=s) for s in range(source.domain_count)]
-    plan = _plan(source, cfg, synthetic, views, True)
+    plan, views = _plan(source, cfg, synthetic, True)
     rng = SeededRng(cfg.seed)
     history = []
     for t in range(cfg.iterations):

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sgsdistill.datasets import TEST, TRAIN, DataView, MultiDomainDataset
 from sgsdistill.errors import EmptyClass, EmptySet, UnknownDomain
 from sgsdistill.rng import SeededRng
+from sgsdistill.toydata import ToySpec, generate_toy
 
-from helpers import make_dataset
+from helpers import make_dataset, materialised
 
 
 @pytest.fixture()
@@ -94,3 +97,68 @@ def test_dataset_validation():
             class_count=2,
             domain_count=1,
         )
+
+
+@pytest.fixture(scope="module")
+def toy():
+    return generate_toy(ToySpec(), seed=0)
+
+
+def relabelled(ds):
+    single = ds.only_domain(0)
+    return single.with_domain_labels(np.arange(len(single)) % 3, 3)
+
+
+# (make a subset of a dataset, the rows of its images that the subset holds)
+SUBSETS = {
+    **{f"without_domain({t})": (lambda ds, t=t: ds.without_domain(t),
+                                lambda ds, t=t: ds.domains != t) for t in range(4)},
+    "subset": (lambda ds: ds.subset(ds.labels == 2), lambda ds: ds.labels == 2),
+    "only_domain(2)": (lambda ds: ds.only_domain(2), lambda ds: ds.domains == 2),
+    "only_domain(0).with_domain_labels": (relabelled, lambda ds: ds.domains == 0),
+    "without_domain(1).subset": (lambda ds: ds.without_domain(1).subset(
+        ds.labels[ds.domains != 1] == 4), lambda ds: (ds.domains != 1) & (ds.labels == 4)),
+}
+
+
+def peak_allocation(call):
+    """(call(), the most bytes it held allocated at once, as tracemalloc saw)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        return call(), tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("case", sorted(SUBSETS))
+def test_subsets_share_pixels_and_give_the_bytes_of_a_copy(toy, case):
+    make, rows = SUBSETS[case]
+    sub, peak = peak_allocation(lambda: make(toy))
+    # A subset copies its per-sample arrays only, never its images.
+    assert peak < 0.01 * toy.images.nbytes
+    copy = materialised(sub, toy.images[rows(toy)])
+    assert len(sub) == len(copy)
+    assert sub.images.tobytes() == copy.images.tobytes()
+    for domain in [None, *range(sub.domain_count)]:
+        for split in [None, TRAIN, TEST]:
+            got, want = sub.view(domain, split), copy.view(domain, split)
+            assert got.images.tobytes() == want.images.tobytes()
+            assert got.uids.tobytes() == want.uids.tobytes()
+
+
+def test_no_write_through_a_subset_reaches_its_parent(toy):
+    before = toy.images.copy()
+    for make, _ in SUBSETS.values():
+        images = make(toy).images
+        with pytest.raises(ValueError):
+            images[0] = 0.0
+    # Views copy, so they stay writable and writing into one changes nothing else.
+    view = toy.without_domain(1).train_view()
+    view.images[:] = 0.0
+    assert toy.images.tobytes() == before.tobytes()
+    assert toy.images.flags.writeable
+    root = MultiDomainDataset(images=before, labels=toy.labels, domains=toy.domains,
+                              splits=toy.splits, class_count=toy.class_count,
+                              domain_count=toy.domain_count)
+    assert root.images is before

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import threading
 import time
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -50,9 +51,9 @@ def toy():
 
 
 def first_inputs(source, cfg, t=0):
-    """Iteration t's featurizer and real views, as the loop draws them."""
-    views = [source.train_view(domain=s) for s in range(source.domain_count)]
-    plan = pipeline._plan(source, cfg, initialize(source, cfg), views, cfg.surgery)
+    """Iteration t's featurizer and real views, as the loop draws them (None
+    with fixed views, which the plan holds laid out)."""
+    plan, views = pipeline._plan(source, cfg, initialize(source, cfg), cfg.surgery)
     return _Inputs(source, cfg, SeededRng(cfg.seed), t, views, plan).inputs()[:2]
 
 
@@ -428,10 +429,14 @@ def test_plan_path_matches_a_per_call_derivation_bitwise(monkeypatch, toy, kind,
     cfg = DistillConfig(ipc=5, iterations=3, seed=27, featurizer=KINDS[kind], lambda_c=lambda_c,
                         lambda_d=lambda_d, batch_per_class=batch_per_class)
     matching, passes = pipeline.matching_rows, []
+    # A run with fixed views passes none (its plan holds them laid out); the
+    # oracle derives from the views themselves.
+    fixed = [source.train_view(domain=s) for s in range(source.domain_count)]
 
     def checked(synthetic, views, psi, per_domain=True, **kwargs):
         got = matching(synthetic, views, psi, per_domain, **kwargs)
-        want = per_call_matching_rows(synthetic, views, psi, per_domain)
+        want = per_call_matching_rows(synthetic, fixed if views is None else views, psi,
+                                      per_domain)
         for plan_path, oracle in zip(got, want):
             assert np.asarray(plan_path).tobytes() == np.asarray(oracle).tobytes()
         passes.append(per_domain)
@@ -480,6 +485,35 @@ def test_linear_real_pixel_means_are_stacked_once_per_run(monkeypatch, toy, batc
     run_distillation(toy, cfg)
     passes = 1 if batch_per_class == 0 else cfg.iterations
     assert real == [36 if batch_per_class == 0 else 12] * toy.domain_count * passes
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_a_fixed_view_run_frees_its_views_once_the_plan_is_built(monkeypatch, toy, kind):
+    # With fixed views the plan holds what every pass reads of them (the
+    # class pixel means under linear, the padded layout under conv), so no
+    # reference to a view's images outlives the plan's construction. A
+    # minibatch run keeps its views to draw from.
+    make_plan, held, alive = pipeline.MatchingPlan, [], []
+    matching = pipeline.matching_rows
+
+    def planning(synthetic, views, *args):
+        held.extend(weakref.ref(view.images) for view in views)
+        return make_plan(synthetic, views, *args)
+
+    def counting(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in held))
+        return matching(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "MatchingPlan", planning)
+    monkeypatch.setattr(pipeline, "matching_rows", counting)
+    for batch_per_class in (0, 4):
+        held.clear()
+        alive.clear()
+        cfg = DistillConfig(ipc=3, iterations=3, seed=31, featurizer=KINDS[kind],
+                            batch_per_class=batch_per_class)
+        run_distillation(toy, cfg)
+        assert len(held) == toy.domain_count
+        assert alive == [toy.domain_count if batch_per_class else 0] * cfg.iterations
 
 
 def continued_set(synthetic, case):

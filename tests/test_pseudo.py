@@ -8,13 +8,16 @@ from sgsdistill.errors import NotConvolutional, TooFewSamples
 from sgsdistill.featurizers import IMAGE_BLOCK, ConvFeaturizer, LinearFeaturizer
 from sgsdistill.pseudo import (
     ClusterModel,
+    assign_pseudo_domains,
     cluster_purity,
+    default_style_featurizer,
     kmeans,
     style_stats_batch,
 )
 from sgsdistill.rng import SeededRng
+from sgsdistill.toydata import generate_toy, sdg_toy_spec
 
-from helpers import naive_correlate
+from helpers import materialised, naive_correlate
 
 
 @pytest.mark.parametrize("n", [0, 1, IMAGE_BLOCK - 1, IMAGE_BLOCK + 1, 3 * IMAGE_BLOCK + 5])
@@ -165,3 +168,16 @@ def test_purity_bounds():
     assert cluster_purity([0, 0, 0, 0], [0, 1, 2, 3]) == 0.25
     with pytest.raises(ValueError):
         cluster_purity([], [])
+
+
+def test_pseudo_domains_of_a_subset_match_those_of_a_copy():
+    # A subset shares its root's pixels; the clustering reads its own rows.
+    ds = generate_toy(sdg_toy_spec(train_per_cell=8, test_per_cell=3), seed=3)
+    single = ds.only_domain(2)
+    psi = default_style_featurizer(3, SeededRng(4))
+    got, got_model = assign_pseudo_domains(single, psi, 3, SeededRng(5))
+    want, want_model = assign_pseudo_domains(materialised(single, ds.images[ds.domains == 2]),
+                                             psi, 3, SeededRng(5))
+    assert got.domains.tobytes() == want.domains.tobytes()
+    assert got_model.centroids.tobytes() == want_model.centroids.tobytes()
+    assert got.images.tobytes() == want.images.tobytes()

@@ -31,7 +31,18 @@ from sgsdistill.storage import (
 )
 from sgsdistill.toydata import ToySpec, generate_toy
 
+from helpers import materialised
+
 SMALL = ToySpec(train_per_cell=4, test_per_cell=2)
+
+
+def test_a_subset_saves_the_bytes_of_a_copy(tmp_path):
+    # A subset shares its root's pixels; the container holds its own rows.
+    ds = generate_toy(SMALL, seed=2)
+    sub = ds.without_domain(1)
+    save_dataset(sub, tmp_path / "subset.dgdd")
+    save_dataset(materialised(sub, ds.images[ds.domains != 1]), tmp_path / "copy.dgdd")
+    assert (tmp_path / "subset.dgdd").read_bytes() == (tmp_path / "copy.dgdd").read_bytes()
 
 
 def test_dataset_round_trip_bit_exact_at_f32(tmp_path):
