@@ -24,9 +24,14 @@ with tempfile.TemporaryDirectory() as td:
     save_dataset(dataset, path)
     size = os.path.getsize(path)
     back = load_dataset(path)
-    f32_view = dataset.images.astype("<f4").astype(np.float64)
+    f32 = dataset.images.astype("<f4")
+    view = back.train_view().images
+    widened = dataset.train_view().images.astype("<f4").astype(np.float64)
     print(f"dataset container: {size / 1024:.0f} KiB for {len(dataset)} samples")
-    print(f"  pixels bit-exact at f32: {back.images.tobytes() == f32_view.tobytes()}")
+    print(f"  loaded pixels ({back.images.dtype}) bit-exact with the f32 values: "
+          f"{back.images.tobytes() == f32.tobytes()}")
+    print(f"  a view ({view.dtype}) bit-exact with their f64 widening: "
+          f"{view.tobytes() == widened.tobytes()}")
     print(f"  labels/domains/splits exact: "
           f"{np.array_equal(back.labels, dataset.labels)}")
 

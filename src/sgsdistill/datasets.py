@@ -1,18 +1,21 @@
 """Multi-domain image datasets, class-indexed views, and synthetic sets.
 
-Images are float64 arrays shaped (N, channels, height, width). Each sample
-carries a class id, a domain id, a train/test split flag, and a stable uid so
-evaluation protocols can prove which samples ever entered a pipeline.
+A dataset holds its images, shaped (N, channels, height, width), at the
+float dtype it was given: float32 when loaded from a container
+(`storage.load_dataset`), float64 when generated. Views, synthetic sets and
+everything computed from them are float64. Each sample carries a class id,
+a domain id, a train/test split flag, and a stable uid so evaluation
+protocols can prove which samples ever entered a pipeline.
 
 A dataset's subsets (a leave-one-domain-out source, one domain, a relabelled
 copy) share its pixel array and hold a row index into it, so they copy only
 their per-sample arrays; a subset of a subset composes the two indices.
 Views and synthetic sets own their pixels: a view gathers its rows from the
-shared array in one fancy index, the same bytes as gathering from a copy of
-the subset. A view caches its class pixel means and, for the latest
-featurizer, its class feature-mean matrix (`dm.class_feature_mean`). The
-distillation loop reads neither: a run's `dm.MatchingPlan` holds what it
-needs.
+shared array in one fancy index and widens them to float64, the same bytes
+as gathering from a float64 copy of the subset. A view caches its class
+pixel means and, for the latest featurizer, its class feature-mean matrix
+(`dm.class_feature_mean`). The distillation loop reads neither: a run's
+`dm.MatchingPlan` holds what it needs.
 """
 
 import copy
@@ -87,15 +90,19 @@ class DataView:
 class MultiDomainDataset:
     """Labeled image samples partitioned into domains with train/test splits.
 
-    `images` is this dataset's (N, channels, height, width) images. A subset
-    (`subset`, `without_domain`, `only_domain`, `with_domain_labels`) holds
-    its root's pixel array and its own rows of it, so its `images` is a
-    read-only gather of those rows, made on each access, and writing into a
-    root's array after taking a subset changes the subset's images too.
+    `images` is this dataset's (N, channels, height, width) images, float32
+    or float64. A subset (`subset`, `without_domain`, `only_domain`,
+    `with_domain_labels`) holds its root's pixel array and its own rows of
+    it, so its `images` is a read-only gather of those rows in the root's
+    dtype, made on each access, and writing into a root's array after taking
+    a subset changes the subset's images too. Views are float64.
     """
 
     def __init__(self, images, labels, domains, splits, class_count, domain_count,
                  uids=None, extras=None):
+        if images.ndim != 4 or images.dtype not in (np.float32, np.float64):
+            raise ValueError(f"images must be (N, C, H, W) float32 or float64, "
+                             f"got {images.dtype} {images.shape}")
         self._pixels, self._rows = images, None   # a subset's images are _pixels[_rows]
         self.labels, self.domains, self.splits = labels, domains, splits
         self.class_count, self.domain_count = class_count, domain_count
@@ -155,7 +162,7 @@ class MultiDomainDataset:
     def view(self, domain=None, split=None):
         idx = np.flatnonzero(self._mask(domain, split))
         return DataView(
-            images=self._pixels[self._root_rows(idx)],
+            images=self._pixels[self._root_rows(idx)].astype(np.float64, copy=False),
             labels=self.labels[idx],
             class_count=self.class_count,
             uids=self.uids[idx],
@@ -194,9 +201,14 @@ class MultiDomainDataset:
         return ds
 
     def with_domain_labels(self, new_domains, domain_count):
-        """Relabel domains (e.g. with pseudo-domain assignments)."""
+        """Relabel domains (e.g. with pseudo-domain assignments). The result
+        has its own per-sample arrays and extras, so no write to them reaches
+        this dataset."""
         new_domains = np.asarray(new_domains, dtype=np.int64)
-        return self._sharing(self._rows, domains=new_domains, domain_count=int(domain_count))
+        return self._sharing(self._rows, domains=new_domains, domain_count=int(domain_count),
+                             labels=self.labels.copy(), splits=self.splits.copy(),
+                             uids=self.uids.copy(),
+                             extras={k: v.copy() for k, v in self.extras.items()})
 
     def flatten_domains(self):
         """Collapse all domains into a single one; returns (dataset, old labels)."""

@@ -293,7 +293,8 @@ class ConvFeaturizer:
         return x
 
     def _check_batch(self, images):
-        images = np.asarray(images, dtype=np.float64)
+        """The batch at its own dtype: laying it out into f64 widens it."""
+        images = np.asarray(images)
         if images.ndim != 4 or images.shape[1] != self.kernels.shape[1]:
             raise ShapeMismatch(f"batch shape {images.shape} incompatible with kernels")
         return images
@@ -314,7 +315,8 @@ class ConvFeaturizer:
         """(block, maps) for every IMAGE_BLOCK slice of a batch (N, C, H, W) and
         its pre-rectifier maps (b, H*W, O), which the caller may overwrite;
         they are valid until the next block. Each block is laid out in turn
-        into one zero-bordered buffer, so the batch is never laid out whole."""
+        into one zero-bordered float64 buffer, which widens it, so the batch
+        is never laid out or widened whole."""
         images = self._check_batch(images)
         n, c, h, w = images.shape
         p = self.kernels.shape[2] // 2

@@ -19,7 +19,8 @@ from .rng import SeededRng
 def style_stats_batch(images, psi):
     """Per-channel mean and population std of each image's hidden activations,
     concatenated: (N, C, H, W) -> (N, 2 * channels), one channels-last
-    correlation per block of images (ConvFeaturizer.map_blocks)."""
+    correlation per block of images (ConvFeaturizer.map_blocks). A float32
+    batch is widened a block at a time, never whole."""
     if not isinstance(psi, ConvFeaturizer):
         raise NotConvolutional("style statistics need spatial feature maps")
     f = psi.feature_dim

@@ -4,7 +4,9 @@ Dataset container ("DGDD", version 1, little-endian):
     magic[4] | version u16 | N,H,W,channels,C,S u32 each
     per sample: class u16 | domain u16 | split u8 (0 train, 1 test) | pixels f32
     crc32 u32 over everything between the version field and the checksum
-Pixels are stored at f32: a documented lossy step for float64 pipelines.
+Pixels are stored at f32: a documented lossy step for float64 pipelines. A
+loaded dataset holds those f32 pixels as they are, and its views are their
+exact f64 widening (see datasets).
 
 Checkpoint container ("DGCK", version 2) is a synthetic set's whole state:
     dims N,H,W,channels,iteration u32 each
@@ -131,24 +133,30 @@ def _read_container(path, magic, dim_count, record_type):
 
 
 def save_dataset(dataset, path):
-    """Write the DGDD container (pixels quantized to f32)."""
+    """Write the DGDD container (pixels quantized to f32). Pixels f32 cannot
+    hold (not finite, or beyond its largest magnitude) are a ValueError,
+    raised before any file is opened."""
     ch, h, w = dataset.image_shape
+    images, top = dataset.images, np.finfo(np.float32).max
+    if len(images) and not (images.min() >= -top and images.max() <= top):
+        raise ValueError(f"pixels must be finite and within +-{top:.4g} to be stored at f32")
     records = _records(_dataset_record(ch, h, w), label=dataset.labels,
-                       domain=dataset.domains, split=dataset.splits, pixels=dataset.images)
+                       domain=dataset.domains, split=dataset.splits, pixels=images)
     dims = (len(records), h, w, ch, dataset.class_count, dataset.domain_count)
     _write_container(path, DATASET_MAGIC, dims, records)
 
 
 def load_dataset(path):
-    """Read a DGDD container back into a MultiDomainDataset (pixels as f64);
-    ids at or above the header's class or domain count, and split bytes other
-    than 0 (train) or 1 (test), are DimensionMismatch."""
+    """Read a DGDD container back into a MultiDomainDataset over one f32 copy
+    of the file's pixels (its views are f64); ids at or above the header's
+    class or domain count, and split bytes other than 0 (train) or 1 (test),
+    are DimensionMismatch."""
     dims, records = _read_container(path, DATASET_MAGIC, 6, _dataset_record)
     for name, count in (("label", dims[4]), ("domain", dims[5]), ("split", 2)):
         if len(records) and (top := records[name].max()) >= count:
             raise DimensionMismatch(f"{name} {top} outside 0..{count - 1}")
     return MultiDomainDataset(
-        images=records["pixels"].astype(np.float64),
+        images=records["pixels"].astype(np.float32),
         labels=records["label"].astype(np.int64),
         domains=records["domain"].astype(np.int64),
         splits=records["split"].astype(np.uint8),

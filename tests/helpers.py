@@ -1,5 +1,7 @@
 """Shared numerical oracles for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 
 
@@ -306,3 +308,13 @@ def naive_correlate_adjoint(dz, kernels):
                             if 0 <= yy < h and 0 <= zz < w:
                                 grad[c, yy, zz] += kernels[o, c, i, j] * dz[o, y, z]
     return grad
+
+
+def peak_allocation(call):
+    """(call(), the most bytes it held allocated at once, as tracemalloc saw)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        return call(), tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

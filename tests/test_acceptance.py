@@ -330,7 +330,9 @@ def test_criterion_12_format_round_trips(toy, tmp_path):
     save_dataset(toy, path)
     back = load_dataset(path)
     dataset_ok = (
-        back.images.tobytes() == toy.images.astype("<f4").astype(np.float64).tobytes()
+        back.images.tobytes() == toy.images.astype("<f4").tobytes()
+        and back.train_view().images.tobytes()
+        == toy.train_view().images.astype("<f4").astype(np.float64).tobytes()
         and np.array_equal(back.labels, toy.labels)
         and np.array_equal(back.domains, toy.domains)
         and np.array_equal(back.splits, toy.splits)

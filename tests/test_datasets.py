@@ -1,4 +1,3 @@
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from sgsdistill.errors import EmptyClass, EmptySet, UnknownDomain
 from sgsdistill.rng import SeededRng
 from sgsdistill.toydata import ToySpec, generate_toy
 
-from helpers import make_dataset, materialised
+from helpers import make_dataset, materialised, peak_allocation
 
 
 @pytest.fixture()
@@ -99,6 +98,57 @@ def test_dataset_validation():
         )
 
 
+@pytest.mark.parametrize("images", [np.zeros((2, 2, 2), dtype=np.int64),
+                                    np.zeros((2, 1, 2, 2), dtype=np.int64),
+                                    np.zeros((2, 1, 2, 2), dtype=np.float16),
+                                    np.zeros((2, 1, 1, 2, 2))],
+                         ids=["3d-int", "4d-int", "4d-f16", "5d-f64"])
+def test_pixels_must_be_a_4d_float32_or_float64_array(images):
+    with pytest.raises(ValueError, match="float32 or float64"):
+        MultiDomainDataset(images=images, labels=np.zeros(2, dtype=np.int64),
+                           domains=np.zeros(2, dtype=np.int64),
+                           splits=np.zeros(2, dtype=np.uint8), class_count=1, domain_count=1)
+
+
+@pytest.mark.parametrize("relabel", [
+    lambda ds: ds.with_domain_labels(np.arange(len(ds)) % 2, 2),
+    lambda ds: ds.flatten_domains()[0],
+], ids=["with_domain_labels", "flatten_domains"])
+@pytest.mark.parametrize("parent", [lambda ds: ds, lambda ds: ds.only_domain(0)],
+                         ids=["root", "only_domain"])
+def test_no_write_to_a_relabelled_dataset_reaches_its_parent(relabel, parent):
+    toy = generate_toy(ToySpec(height=8, width=8, train_per_cell=3, test_per_cell=2), seed=0)
+    toy.extras["style"] = np.arange(len(toy))
+    source = parent(toy)
+    before = {name: getattr(source, name).copy() for name in ("labels", "splits", "uids")}
+    extras = {k: v.copy() for k, v in source.extras.items()}
+    rel = relabel(source)
+    rel.labels[0] = 4 - rel.labels[0]
+    rel.splits[0] = 1 - rel.splits[0]
+    rel.uids[0] = -1
+    rel.extras["style"][0] = -1
+    rel.extras["tag"] = np.zeros(len(rel))
+    for name, values in before.items():
+        assert getattr(source, name).tobytes() == values.tobytes(), name
+    assert sorted(source.extras) == sorted(extras)
+    for k, values in extras.items():
+        assert source.extras[k].tobytes() == values.tobytes(), k
+
+
+def test_an_f32_dataset_gathers_f32_and_views_its_f64_widening():
+    toy = generate_toy(ToySpec(height=8, width=8, train_per_cell=3, test_per_cell=2), seed=0)
+    f32 = materialised(toy, toy.images.astype(np.float32))
+    f64 = materialised(toy, f32.images.astype(np.float64))
+    for case, (make, rows) in SUBSETS.items():
+        sub32, sub64 = make(f32), make(f64)
+        assert sub32.images.dtype == np.float32, case
+        assert sub32.images.tobytes() == f32.images[rows(toy)].tobytes(), case
+        for domain in [None, *range(sub32.domain_count)]:
+            got, want = sub32.view(domain, TRAIN), sub64.view(domain, TRAIN)
+            assert got.images.dtype == np.float64
+            assert got.images.tobytes() == want.images.tobytes(), case
+
+
 @pytest.fixture(scope="module")
 def toy():
     return generate_toy(ToySpec(), seed=0)
@@ -119,16 +169,6 @@ SUBSETS = {
     "without_domain(1).subset": (lambda ds: ds.without_domain(1).subset(
         ds.labels[ds.domains != 1] == 4), lambda ds: (ds.domains != 1) & (ds.labels == 4)),
 }
-
-
-def peak_allocation(call):
-    """(call(), the most bytes it held allocated at once, as tracemalloc saw)."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        return call(), tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("case", sorted(SUBSETS))

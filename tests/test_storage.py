@@ -50,12 +50,36 @@ def test_dataset_round_trip_bit_exact_at_f32(tmp_path):
     path = tmp_path / "toy.dgdd"
     save_dataset(ds, path)
     back = load_dataset(path)
-    assert back.images.tobytes() == ds.images.astype("<f4").astype(np.float64).tobytes()
+    # The loaded root holds the f32 bytes, and every view is their f64 bytes.
+    assert back.images.tobytes() == ds.images.astype("<f4").tobytes()
+    for view, orig in [(back.train_view(), ds.train_view()),
+                       (back.test_view(domain=1), ds.test_view(domain=1))]:
+        assert view.images.tobytes() == orig.images.astype("<f4").astype(np.float64).tobytes()
     assert np.array_equal(back.labels, ds.labels)
     assert np.array_equal(back.domains, ds.domains)
     assert np.array_equal(back.splits, ds.splits)
     assert back.class_count == ds.class_count
     assert back.domain_count == ds.domain_count
+
+
+def test_a_loaded_dataset_saves_the_bytes_it_was_loaded_from(tmp_path):
+    a, b = tmp_path / "a.dgdd", tmp_path / "b.dgdd"
+    save_dataset(generate_toy(SMALL, seed=2), a)
+    save_dataset(load_dataset(a), b)
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("dtype, bad", [
+    (np.float64, 1e39), (np.float64, -1e39), (np.float64, np.inf), (np.float64, np.nan),
+    (np.float32, -np.inf), (np.float32, np.nan)])
+def test_pixels_f32_cannot_hold_are_refused_before_any_file(tmp_path, dtype, bad):
+    ds = generate_toy(SMALL, seed=2)
+    images = ds.images.astype(dtype)
+    images[3, 0, 1, 2] = bad
+    path = tmp_path / "bad.dgdd"
+    with pytest.raises(ValueError, match="finite"):
+        save_dataset(materialised(ds, images), path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_reexport_is_byte_identical(tmp_path):
