@@ -2,8 +2,8 @@
 
 The loss for a view of real data is the sum over classes of the squared
 distance between synthetic and real per-class feature means. Means are taken
-over the whole view passed in; the loop minibatches by passing class-balanced
-subsets of the views (`pipeline._Inputs`).
+over the whole view, or over a minibatch of it: index arrays of each class's
+drawn members, which a run's plan gathers from its own layout of the view.
 
 `matching_rows` yields the pooled gradient and every per-domain gradient
 of every class from one pass. What no pass changes is derived once, in a
@@ -13,10 +13,9 @@ depends on the featurizer or the synthetic pixels, in the shapes and
 operand order of deriving everything per call, so the bytes are the same:
 the synthetic class-mean features and their pullback (the featurizer's
 `class_features`), each view's class-mean features
-(`featurizers.real_class_means` over the featurizer's `layout` of the view,
-which the plan holds for fixed views; the loop computes them before the
-pass, see `pipeline._Inputs`), the pooled real class means as the
-count-weighted mix of the domain means, the deltas and losses, and one
+(`featurizers.real_class_means` over the plan's `laid_out`; the loop
+computes them before the pass, see `pipeline._Inputs`), the pooled real
+class means as the count-weighted mix of the domain means, the deltas and losses, and one
 pullback of the (S + 1, classes) covectors, which returns distinct gradient
 rows plus each image's row. Every covector row is pulled back on its own,
 so the pooled row is bitwise the same whether or not the domain rows ride
@@ -37,15 +36,14 @@ from .featurizers import mean_features, real_class_means
 class MatchingPlan:
     """What matching a synthetic set against real views reads that no pass
     changes: each synthetic class's members (`groups`) and covector scale
-    2 / ipc_c (`scale`, (K, 1)), the classes each view holds (`held`, (S, K))
-    and their mixing weights in the pooled means (`weights`, (S, K, 1)),
-    and, with fixed views (batch_per_class 0), the views `laid_out`.
+    2 / ipc_c (`scale`, (K, 1)), the classes each view holds (`held`, (S, K)),
+    their members (`members`) and mixing weights in the pooled means
+    (`weights`, (S, K, 1)), and the views laid out once (`laid_out`).
     featurizer is the featurizer or the `pipeline.FeaturizerSpec` a run
-    draws from. With batch_per_class > 0 each pass's views are
-    class-balanced minibatches (`pipeline._subsample_view`) holding
-    min(class size, batch_per_class) members of each class, so the counts
-    and weights still hold, and each pass's views are laid out.
-    The classes are 0 up to the largest label of the synthetic set or any
+    draws from. With a positive batch_per_class below some class size
+    (`batch`; else 0, and the views are fixed) each pass matches a
+    minibatch of min(class size, batch) members of each class, as the
+    weights hold, through the spec's `rows` and `gather`. The classes are 0 up to the largest label of the synthetic set or any
     view. Raises ShapeMismatch when the image shape or count does not
     match, and EmptyClass when the synthetic set lacks a class, no view
     holds one, or, with per_domain (surgery needs every class in every
@@ -69,8 +67,6 @@ class MatchingPlan:
             raise EmptyClass(f"class {np.argmin(sizes)} has no synthetic samples")
         self.scale = (2.0 / sizes)[:, None]
         counts = np.array([np.bincount(view.labels, minlength=k) for view in views])
-        if batch_per_class:
-            counts = np.minimum(counts, batch_per_class)
         self.held = counts > 0
         if not self.held.any(axis=0).all():
             raise EmptyClass(f"class {np.argmin(self.held.any(axis=0))} has no real samples")
@@ -78,21 +74,26 @@ class MatchingPlan:
             s, c = np.argwhere(~self.held)[0]
             raise EmptyClass(f"class {c} has no samples in source domain {s}; surgery needs "
                              "every class in every source (pseudo-)domain")
+        self.batch = batch_per_class if (counts > batch_per_class).any() else 0
+        counts = np.minimum(counts, self.batch) if self.batch else counts
         self.weights = (counts / counts.sum(axis=0))[..., None]
-        self._layout, self._laid_out = featurizer.layout, None
-        if not batch_per_class:
-            self._laid_out = self.laid_out(views)
+        self.members = [[np.flatnonzero(view.labels == c) for c in np.flatnonzero(held)]
+                        for view, held in zip(views, self.held)]
+        held = [(view.images, members) for view, members in zip(views, self.members) if members]
+        if self.batch:
+            self._rows, self._gather = [featurizer.rows(x) for x, _ in held], featurizer.gather
+        else:
+            self._laid_out = [featurizer.layout(images, members) for images, members in held]
 
-    def laid_out(self, views):
-        """What `featurizers.real_class_means` reads of the pass's views: the
-        featurizer's `layout` of each view that holds a class, from its
-        images and each held class's members. With fixed views the plan's
-        own, laid out once."""
-        if self._laid_out is not None:
+    def laid_out(self, drawn=None):
+        """What `featurizers.real_class_means` reads of a pass's real side,
+        per view holding a class: the featurizer's `layout` of the view, or,
+        given a minibatch drawn (per view, the drawn `members` of each held
+        class), the featurizer's `gather` of it from its `rows` of the view."""
+        if drawn is None:
             return self._laid_out
-        return [self._layout(view.images, [np.flatnonzero(view.labels == c)
-                                           for c in np.flatnonzero(held)])
-                for view, held in zip(views, self.held) if held.any()]
+        return [self._gather(rows, groups)
+                for rows, groups in zip(self._rows, [groups for groups in drawn if groups])]
 
 
 def class_feature_mean(view, psi):
@@ -117,18 +118,19 @@ class DmGradient:
     loss: float
 
 
-def _class_deltas(plan, synthetic: SyntheticSet, domain_views, psi, real_means):
+def _class_deltas(plan, synthetic: SyntheticSet, psi, real_means):
     """Deltas (S + 1, K, F), their losses (S + 1,) and the synthetic images'
     pullback, a function of (covectors, groups) that gives
     psi.pullback(synthetic.images, covectors, groups). deltas[0, c] is mean
     psi(synthetic_c) minus the pooled real class mean (the count-weighted mix
     of the views holding class c), deltas[1 + s, c] the same against view s;
     a view without class c gets weight 0 and a NaN row, so its loss is NaN.
-    real_means, when given, holds real_class_means of the views under psi.
+    real_means, when given, holds real_class_means of the plan's real side
+    under psi; else the plan's fixed views are featurized.
     """
     mu_syn, pullback = psi.class_features(synthetic.images, plan.groups)
     if real_means is None:
-        real_means = real_class_means(psi.weights, plan.laid_out(domain_views))
+        real_means = real_class_means(psi.weights, plan.laid_out())
     mu_real = np.full(plan.held.shape + mu_syn.shape[1:], np.nan)
     mu_real[plan.held] = np.concatenate(real_means)
     pooled = (plan.weights * np.where(plan.held[..., None], mu_real, 0.0)).sum(axis=0)
@@ -148,12 +150,12 @@ def matching_rows(synthetic: SyntheticSet, domain_views, psi, per_domain=True,
     missing a class gets a NaN loss. real_means, when given, holds
     real_class_means of the views under psi, which is then not computed
     again. plan is the MatchingPlan of these arguments (built with the same
-    per_domain), or None for a one-off one; when it holds fixed views laid
-    out, domain_views may be None.
+    per_domain), or None for a one-off one of domain_views, which are read
+    only then.
     """
     if plan is None:
         plan = MatchingPlan(synthetic, domain_views, psi, per_domain)
-    deltas, losses, pullback = _class_deltas(plan, synthetic, domain_views, psi, real_means)
+    deltas, losses, pullback = _class_deltas(plan, synthetic, psi, real_means)
     rows = len(plan.held) + 1 if per_domain else 1
     pulled, index = pullback(plan.scale * deltas[:rows], plan.labels)
     return pulled, index, losses
@@ -162,7 +164,7 @@ def matching_rows(synthetic: SyntheticSet, domain_views, psi, per_domain=True,
 def dm_loss(synthetic: SyntheticSet, view, psi):
     """Sum over classes of || mean psi(synthetic_c) - mean psi(real_c) ||^2."""
     plan = MatchingPlan(synthetic, [view], psi, per_domain=False)
-    return float(_class_deltas(plan, synthetic, [view], psi, None)[1][0])
+    return float(_class_deltas(plan, synthetic, psi, None)[1][0])
 
 
 def dm_gradient(synthetic: SyntheticSet, view, psi):

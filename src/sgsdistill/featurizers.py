@@ -24,7 +24,7 @@ featurizes the class pixel means, a conv map correlates the set once
 (`linearize`) and its pullback reuses the forward's rectifier mask.
 `layout` gives what the real-side pass, `real_class_means`, reads of a real
 view: a linear map's class pixel means, a conv map's `padded_layout` and
-class members. A run's `dm.MatchingPlan` holds that of its fixed views.
+class members. A run's `dm.MatchingPlan` lays out its views once.
 
 The distillation loop queues whole iterations' inputs on a module thread
 pool (`run_ahead`), one thread, or lane, per usable CPU but the caller's, each

@@ -2,28 +2,30 @@
 
 Iteration t's inputs (`_Inputs`, shared with the surgery snapshot) depend on t
 and never on the synthetic set: the featurizer drawn from a stream keyed by t;
-the real views, which are the domain train views or, when batch_per_class > 0,
-class-balanced minibatches of them drawn from streams keyed by t; and each
-real view's class-mean features (`featurizers.real_class_means`). Where
-`featurizers.lane_count()` is above 1, the loop keeps the inputs of
-iterations t ... t + DRAW_DEPTH - 1 queued on the featurizer pool's lanes
-while iteration t runs: the loop thread draws an item's views when it
-queues it, and a lane draws its weights and, under conv, computes its real
+the real side, which is the domain train views or, when batch_per_class > 0,
+a class-balanced minibatch of them, index arrays drawn from streams keyed by
+t (`_minibatch`); and each real view's class-mean features
+(`featurizers.real_class_means`). Where `featurizers.lane_count()` is above
+1, the loop keeps the inputs of iterations t ... t + DRAW_DEPTH - 1 queued
+on the featurizer pool's lanes while iteration t runs: the loop thread draws
+an item's minibatch when it queues it and gathers its layout from the
+run's plan, and a lane draws its weights and, under conv, computes its real
 means (`featurizers.run_ahead`); under linear the loop thread computes them
 when it takes the item. When iteration t's item has not
 finished, the loop thread does not wait: it takes back the furthest queued
 item that no lane has started and computes it itself, until t's is done or
 none is left. Otherwise, and in the snapshot, the calling thread computes
-each item when it is needed. An item reads only its own streams and views,
+each item when it is needed. An item reads only its own streams and layout,
 and each image's features are their own gemm, so the outputs are the same
 bytes whichever thread computed it, and no item outlives the call.
 
 What no iteration changes is derived once per run: the run's
 `dm.MatchingPlan` (the synthetic class members and covector scales, each
-real view's class counts, held classes and mixing weights, the input
-checks, and, with fixed views, each view as the featurizer's `layout` gives
-it) when it starts and, under surgery, each sample's distinct (gradient
-row, assigned domain) pair (`surgery.surgery_pairs`) from the first pass.
+real view's class members, counts, held classes and mixing weights, the
+input checks, and each view laid out as the featurizer reads it, or as a
+minibatch's layout gathers from it) when it starts and, under surgery, each
+sample's distinct (gradient row, assigned domain) pair
+(`surgery.surgery_pairs`) from the first pass.
 Each iteration then runs only what depends on its draw or on the synthetic
 pixels: one matching pass gives the pooled and per-domain gradients of
 every class (the real class means, the synthetic class means and one
@@ -53,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import storage
-from .datasets import DataView, MultiDomainDataset, SyntheticSet
+from .datasets import MultiDomainDataset, SyntheticSet
 # dm_gradient is not called here; perfbench/tracer.py wraps this name.
 from .dm import MatchingPlan, dm_gradient, matching_rows
 from .errors import DistillError, EmptyClass, InvalidConfig, TooFewDomains
@@ -112,6 +114,20 @@ class FeaturizerSpec:
         if self.kind == "linear":
             return _group_means(images, groups)
         return padded_layout(images, self.kernel), groups
+
+    def rows(self, images):
+        """Real images one row per image, as `gather` reads them: the images
+        under linear, their `padded_layout` under conv."""
+        return images if self.kind == "linear" else padded_layout(images, self.kernel)
+
+    def gather(self, rows, groups):
+        """The `layout` of groups (index arrays) of the images `rows` gave:
+        their stacked means under linear; under conv their rows, group after
+        group, and each group's run of them."""
+        if self.kind == "linear":
+            return _group_means(rows, groups)
+        ends = np.cumsum([len(g) for g in groups])
+        return rows[np.concatenate(groups)], np.split(np.arange(ends[-1]), ends[:-1])
 
 
 @dataclass(frozen=True)
@@ -214,49 +230,33 @@ class RunResult:
     domain_count: int
 
 
-def _subsample_view(view, per_class, rng):
-    """Per-iteration class-balanced minibatch of a view (kept in index order).
-
-    When per_class covers the whole class the view is returned untouched, so
-    an oversized batch knob degrades exactly to full-set means.
-    """
-    keep = []
-    untouched = True
-    for c in sorted(view.by_class()):
-        idx = view.by_class()[c]
-        if idx.size > per_class:
-            sel = rng.choice(idx.size, size=per_class, replace=False)
-            keep.append(idx[np.sort(sel)])
-            untouched = False
-        else:
-            keep.append(idx)
-    if untouched:
-        return view
-    keep = np.concatenate(keep)
-    return DataView(images=view.images[keep], labels=view.labels[keep],
-                    class_count=view.class_count,
-                    uids=None if view.uids is None else view.uids[keep])
+def _minibatch(plan, rng, t):
+    """Iteration t's minibatch (None with fixed views): per view and held
+    class, up to plan.batch members in index order, drawn without
+    replacement from the view's stream keyed by t in ascending class order."""
+    if not plan.batch:
+        return None
+    streams = [rng.substream(_STREAM_BATCH, t, s) for s in range(len(plan.members))]
+    return [[idx if idx.size <= plan.batch else
+             idx[np.sort(stream.choice(idx.size, size=plan.batch, replace=False))]
+             for idx in members] for stream, members in zip(streams, plan.members)]
 
 
 class _Inputs:
     """Iteration t's inputs, one item of the loop's queue. Made on the calling
-    thread, which draws the real views (through SeededRng) and has the run's
-    MatchingPlan lay them out; with fixed views there is nothing to draw
-    (domain_views and `views` are None) and the plan's own layout serves.
-    `compute(rng)` then gives the featurizer weights drawn from rng and,
-    under conv, each real view's class-mean features under them
+    thread, which draws the minibatch (`_minibatch`, through SeededRng) and
+    has the run's MatchingPlan gather its layout (with fixed views, the
+    plan's own). `compute(rng)` then gives the featurizer weights drawn from
+    rng and, under conv, each real view's class-mean features under them
     (`real_class_means`; else None, and `inputs` computes them). compute
     calls numpy only, so with ahead a lane runs it on the stream's numpy
     generator; otherwise, or when taken back, it runs here through
     SeededRng."""
 
-    def __init__(self, source, cfg, rng, t, domain_views, plan, ahead=False):
+    def __init__(self, source, cfg, rng, t, plan, ahead=False):
         self.spec, self.stream = cfg.featurizer, rng.substream(_STREAM_FEATURIZER, t)
-        self.views = None if cfg.batch_per_class == 0 else [
-            _subsample_view(view, cfg.batch_per_class, rng.substream(_STREAM_BATCH, t, s))
-            for s, view in enumerate(domain_views)]
         self.draw = functools.partial(self.spec.draw, source.image_shape)
-        self.real = plan.laid_out(self.views)
+        self.real = plan.laid_out(_minibatch(plan, rng, t))
         # The linear real pass, one small gemm per view, runs on the loop
         # thread: the lane's weight draw already bounds the linear loop, and
         # with the pass there too distill-linear ran slower in 6 of 6
@@ -283,11 +283,11 @@ class _Inputs:
             self._compute_here()
 
     def inputs(self):
-        """(featurizer, real views or None, their class means), once computed."""
+        """(featurizer, real class means), once computed."""
         weights, means = self.future.result()
         if means is None:
             means = real_class_means(weights, self.real)
-        return self.spec.holding(weights), self.views, means
+        return self.spec.holding(weights), means
 
 
 def _take(queue):
@@ -302,11 +302,9 @@ def _take(queue):
 
 
 def _plan(source, cfg, synthetic, per_domain):
-    """The MatchingPlan of a run of cfg on source from synthetic, and the
-    source's domain train views that each iteration draws its minibatches
-    from. With fixed views (batch_per_class 0) the plan holds what the
-    matching pass reads of them, so no view is returned (None) and their
-    images are freed here. The set must be one initialize(source, cfg)
+    """The MatchingPlan of a run of cfg on source from synthetic. It holds
+    what every matching pass reads of the source's domain train views, so
+    the views are freed here. The set must be one initialize(source, cfg)
     could have built, stepped or not: ipc images per class in class order,
     domains in _domain_pattern's balanced order (InvalidConfig otherwise; a
     set built under another ipc would continue as a different run), and the
@@ -319,8 +317,7 @@ def _plan(source, cfg, synthetic, per_domain):
         raise InvalidConfig(f"the synthetic set's domains are not the balanced assignment of "
                             f"ipc={cfg.ipc} over {source.domain_count} source domains")
     views = [source.train_view(domain=s) for s in range(source.domain_count)]
-    plan = MatchingPlan(synthetic, views, cfg.featurizer, per_domain, cfg.batch_per_class)
-    return plan, views if cfg.batch_per_class else None
+    return MatchingPlan(synthetic, views, cfg.featurizer, per_domain, cfg.batch_per_class)
 
 
 def run_distillation(source: MultiDomainDataset, cfg: DistillConfig, initial=None,
@@ -343,7 +340,7 @@ def run_distillation(source: MultiDomainDataset, cfg: DistillConfig, initial=Non
         )
     rng = SeededRng(cfg.seed)
     synthetic = initial.copy() if initial is not None else initialize(source, cfg)
-    plan, domain_views = _plan(source, cfg, synthetic, cfg.surgery)
+    plan = _plan(source, cfg, synthetic, cfg.surgery)
     pairs, history = None, []
 
     # The inputs of iterations t, t + 1, ..., computed ahead on the lanes.
@@ -352,11 +349,10 @@ def run_distillation(source: MultiDomainDataset, cfg: DistillConfig, initial=Non
     try:
         for t in range(synthetic.iteration, cfg.iterations):
             while len(queue) < (DRAW_DEPTH if ahead else 1) and t + len(queue) < cfg.iterations:
-                queue.append(_Inputs(source, cfg, rng, t + len(queue), domain_views, plan, ahead))
-            psi, real_domains, real_means = _take(queue)
-            rows, index, losses = matching_rows(synthetic, real_domains, psi,
-                                                per_domain=cfg.surgery, real_means=real_means,
-                                                plan=plan)
+                queue.append(_Inputs(source, cfg, rng, t + len(queue), plan, ahead))
+            psi, real_means = _take(queue)
+            rows, index, losses = matching_rows(synthetic, None, psi, per_domain=cfg.surgery,
+                                                real_means=real_means, plan=plan)
             history.append((t, *losses.tolist()))
             if cfg.surgery:
                 pairs = pairs or surgery_pairs(index, synthetic.domains, s_count)
@@ -384,11 +380,10 @@ def surgery_snapshot(source: MultiDomainDataset, cfg: DistillConfig,
     spectral split the training kernel runs. Feeds the optional
     offline-inspection dump. Needs at least two domains (TooFewDomains).
     """
-    plan, domain_views = _plan(source, cfg, synthetic, True)
-    psi, real_domains, real_means = _Inputs(source, cfg, SeededRng(cfg.seed), synthetic.iteration,
-                                            domain_views, plan).inputs()
-    rows, index, _ = matching_rows(synthetic, real_domains, psi, real_means=real_means,
-                                   plan=plan)
+    plan = _plan(source, cfg, synthetic, True)
+    psi, real_means = _Inputs(source, cfg, SeededRng(cfg.seed), synthetic.iteration,
+                              plan).inputs()
+    rows, index, _ = matching_rows(synthetic, None, psi, real_means=real_means, plan=plan)
     return batch_consensus_maps(rows[1:], cfg.epsilon, rows=index)
 
 

@@ -145,19 +145,19 @@ def assign_pseudo_domains(data: MultiDomainDataset, psi, k, rng: SeededRng):
     """Relabel a single-domain dataset with k style clusters as pseudo-domains.
 
     The clustering is fit on the train split; test samples are assigned to
-    their nearest centroid. Classes may come out imbalanced across
-    pseudo-domains, in which case downstream per-domain losses raise
-    EmptyClass as documented there.
+    their nearest centroid. Each split's pixels are gathered once. Classes
+    may come out imbalanced across pseudo-domains, in which case downstream
+    per-domain losses raise EmptyClass as documented there.
     """
     if data.domain_count != 1:
         raise ValueError("pseudo-domains substitute for missing labels; dataset already has domains")
-    train_mask, images = data.splits == 0, data.images
-    train_styles = style_stats_batch(images[train_mask], psi)
+    train_mask = data.splits == 0
+    train_styles = style_stats_batch(data.subset(train_mask).images, psi)
     model = kmeans(train_styles, k, rng, restarts=DEFAULT_RESTARTS)
     domains = np.empty(len(data), dtype=np.int64)
     domains[train_mask] = model.assignments
     if np.any(~train_mask):
-        test_styles = style_stats_batch(images[~train_mask], psi)
+        test_styles = style_stats_batch(data.subset(~train_mask).images, psi)
         domains[~train_mask] = model.assign(test_styles)
     return data.with_domain_labels(domains, k), model
 

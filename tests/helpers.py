@@ -243,6 +243,29 @@ def per_call_matching_rows(synthetic, views, psi, per_domain=True):
     return rows, index, np.einsum("rkf,rkf->r", deltas, deltas)
 
 
+def subsample_view(view, per_class, rng):
+    """A class-balanced minibatch of view as a view of its own, in index
+    order: up to per_class members of each class, drawn without replacement
+    from rng in ascending class order (a class no larger is kept whole), or
+    the view itself when per_class covers every class. The distillation
+    loop's minibatch, copied out of the view: the oracle of its index-set
+    draw (`pipeline._minibatch`) gathered from the run's plan."""
+    from sgsdistill.datasets import DataView
+
+    keep = []
+    for c in sorted(view.by_class()):
+        idx = view.by_class()[c]
+        if idx.size > per_class:
+            idx = idx[np.sort(rng.choice(idx.size, size=per_class, replace=False))]
+        keep.append(idx)
+    keep = np.concatenate(keep)
+    if keep.size == len(view):
+        return view
+    return DataView(images=view.images[keep], labels=view.labels[keep],
+                    class_count=view.class_count,
+                    uids=None if view.uids is None else view.uids[keep])
+
+
 def zero_strength_surgery_run(source, cfg):
     """The distillation loop at zero strengths with every step through the
     surgery kernel (per-domain rows and batch_surgery_updates), on the inputs
@@ -257,12 +280,12 @@ def zero_strength_surgery_run(source, cfg):
 
     cfg = replace(cfg, lambda_c=0.0, lambda_d=0.0)
     synthetic = initialize(source, cfg)
-    plan, views = _plan(source, cfg, synthetic, True)
+    plan = _plan(source, cfg, synthetic, True)
     rng = SeededRng(cfg.seed)
     history = []
     for t in range(cfg.iterations):
-        psi, real, real_means = _Inputs(source, cfg, rng, t, views, plan).inputs()
-        rows, index, losses = matching_rows(synthetic, real, psi, real_means=real_means,
+        psi, real_means = _Inputs(source, cfg, rng, t, plan).inputs()
+        rows, index, losses = matching_rows(synthetic, None, psi, real_means=real_means,
                                             plan=plan)
         history.append((t, *losses.tolist()))
         synthetic.images = synthetic.images - cfg.eta * batch_surgery_updates(

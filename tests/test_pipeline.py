@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sgsdistill.datasets import TRAIN, DataView
+from sgsdistill.datasets import TRAIN, DataView, MultiDomainDataset
 from sgsdistill.dm import dm_gradient, dm_loss
 from sgsdistill.errors import (DistillError, EmptyClass, InvalidConfig, IoError, ShapeMismatch,
                                TooFewDomains)
@@ -26,7 +26,6 @@ from sgsdistill.pipeline import (
     run_distillation,
     surgery_snapshot,
     _Inputs,
-    _subsample_view,
 )
 from sgsdistill.rng import SeededRng
 from sgsdistill.storage import write_loss_history_csv
@@ -34,7 +33,7 @@ from sgsdistill.toydata import ToySpec, generate_toy
 
 from helpers import (assert_balanced, assert_close_to_full_plane, make_dataset,
                      per_call_matching_rows, per_sample_consensus_maps, per_sample_surgery,
-                     zero_strength_surgery_run)
+                     subsample_view, zero_strength_surgery_run)
 
 SMALL_TOY = ToySpec(train_per_cell=12, test_per_cell=4, class_count=3)
 FAST = dict(featurizer=FeaturizerSpec(kind="linear", dim=32))
@@ -50,11 +49,10 @@ def toy():
     return generate_toy(SMALL_TOY, seed=0)
 
 
-def first_inputs(source, cfg, t=0):
-    """Iteration t's featurizer and real views, as the loop draws them (None
-    with fixed views, which the plan holds laid out)."""
-    plan, views = pipeline._plan(source, cfg, initialize(source, cfg), cfg.surgery)
-    return _Inputs(source, cfg, SeededRng(cfg.seed), t, views, plan).inputs()[:2]
+def first_featurizer(source, cfg, t=0):
+    """Iteration t's featurizer, as the loop draws it."""
+    plan = pipeline._plan(source, cfg, initialize(source, cfg), cfg.surgery)
+    return _Inputs(source, cfg, SeededRng(cfg.seed), t, plan).inputs()[0]
 
 
 def test_uniform_pattern_with_remainder(toy):
@@ -200,7 +198,7 @@ def test_dm_run_survives_a_domain_missing_a_class(toy, kind):
     spec = FeaturizerSpec(kind=kind, dim=32, channels=4)
     cfg = DistillConfig(ipc=4, iterations=2, seed=18, init="random", featurizer=spec, **ZERO)
     res = run_distillation(source, cfg)
-    psi, _ = first_inputs(source, cfg)
+    psi = first_featurizer(source, cfg)
     init = initialize(source, cfg)
     expected = dm_gradient(init, source.train_view(), psi)
     assert res.history[0][1] == pytest.approx(expected.loss, rel=1e-12)
@@ -280,8 +278,8 @@ def test_a_conv_iteration_correlates_the_synthetic_set_once(monkeypatch, toy, st
     # The synthetic forward hands its rectifier mask to the pullback
     # (`ConvFeaturizer.linearize`), so each iteration lays out and
     # correlates the synthetic images once. Every forward correlation reads
-    # a padded layout; the real views are laid out once per run when they
-    # stay the same, and each minibatch once.
+    # a padded layout; the real views are laid out once per run, and a
+    # minibatch's layout is gathered from theirs.
     cfg = DistillConfig(ipc=3, iterations=4, seed=29, featurizer=KINDS["conv"],
                         lambda_c=strengths[0], lambda_d=strengths[1],
                         batch_per_class=batch_per_class)
@@ -297,8 +295,7 @@ def test_a_conv_iteration_correlates_the_synthetic_set_once(monkeypatch, toy, st
     assert res.synthetic.iteration == cfg.iterations
     synthetic = [n for n in laid_out if n == len(res.synthetic.images)]
     assert sum(synthetic) == len(res.synthetic.images) * cfg.iterations
-    views = toy.domain_count * (1 if batch_per_class == 0 else cfg.iterations)
-    assert len(laid_out) == cfg.iterations + views
+    assert len(laid_out) == cfg.iterations + toy.domain_count
 
 
 @STRENGTHS
@@ -341,12 +338,17 @@ def test_pooled_batch_is_union_of_domain_batches(toy):
     source = toy.subset(keep)
     cfg = DistillConfig(ipc=4, iterations=1, seed=16, batch_per_class=8, **ZERO, **FAST)
     res = run_distillation(source, cfg)
-    psi, drawn = first_inputs(source, cfg)
+    psi = first_featurizer(source, cfg)
     rng = SeededRng(cfg.seed)
-    batches = [_subsample_view(source.train_view(domain=s), 8, rng.substream(_STREAM_BATCH, 0, s))
-               for s in range(source.domain_count)]
+    views = [source.train_view(domain=s) for s in range(source.domain_count)]
+    batches = [subsample_view(view, 8, rng.substream(_STREAM_BATCH, 0, s))
+               for s, view in enumerate(views)]
     assert [b.class_indices(0).size for b in batches] == [8, 5, 8, 8]
-    assert [b.images.tobytes() for b in drawn] == [b.images.tobytes() for b in batches]
+    # The loop's draw holds the batches' members as index arrays into the views.
+    drawn = pipeline._minibatch(pipeline._plan(source, cfg, initialize(source, cfg), cfg.surgery),
+                                rng, 0)
+    assert [view.images[np.concatenate(idx)].tobytes() for view, idx in zip(views, drawn)] == [
+        b.images.tobytes() for b in batches]
     union = DataView(images=np.concatenate([b.images for b in batches]),
                      labels=np.concatenate([b.labels for b in batches]),
                      class_count=source.class_count)
@@ -362,7 +364,7 @@ def test_fixed_featurizer_is_the_first_draw_and_featurizes_each_view_once(monkey
     spec = KINDS[kind]
     cfg = DistillConfig(ipc=3, iterations=4, seed=19, featurizer=spec)
     # Iteration t's featurizer is the stream's draw keyed by t.
-    psi, views = first_inputs(toy, cfg)
+    psi = first_featurizer(toy, cfg)
     drawn = spec.draw(toy.image_shape, SeededRng(cfg.seed).substream(_STREAM_FEATURIZER, 0))
     weights = psi.weight if kind == "linear" else psi.kernels
     assert weights.tobytes() == drawn.tobytes()
@@ -411,15 +413,17 @@ def test_fixed_featurizer_is_the_first_draw_and_featurizes_each_view_once(monkey
 
 @STRENGTHS
 @pytest.mark.parametrize("kind", sorted(KINDS))
-@pytest.mark.parametrize("batch_per_class", [0, 4])
+@pytest.mark.parametrize("batch_per_class", [0, 4, 13])
 def test_plan_path_matches_a_per_call_derivation_bitwise(monkeypatch, toy, kind, batch_per_class,
                                                          strengths):
     # Every matching pass of a run (per-domain rows under surgery, the
     # pooled rows alone at zero strengths) and of the snapshot equals, byte
-    # for byte, the same pass derived from scratch on its arguments. Some
-    # (domain, class) cells hold fewer train samples than a minibatch takes
-    # (2 and 3 < 4) or more than the others (12 against 7), so the classes'
-    # mixing weights differ between domains.
+    # for byte, the same pass derived from scratch on the views it matches:
+    # the train views, or the minibatches of them that the oracle copies out
+    # (`subsample_view`) from the streams the loop draws from. Some (domain,
+    # class) cells hold fewer train samples than a minibatch takes (2 and 3
+    # < 4) or more than the others (12 against 7), so the classes' mixing
+    # weights differ between domains; a batch of 13 covers every class.
     lambda_c, lambda_d = strengths
     train = toy.splits == TRAIN
     keep = np.ones(len(toy), dtype=bool)
@@ -429,14 +433,17 @@ def test_plan_path_matches_a_per_call_derivation_bitwise(monkeypatch, toy, kind,
     cfg = DistillConfig(ipc=5, iterations=3, seed=27, featurizer=KINDS[kind], lambda_c=lambda_c,
                         lambda_d=lambda_d, batch_per_class=batch_per_class)
     matching, passes = pipeline.matching_rows, []
-    # A run with fixed views passes none (its plan holds them laid out); the
-    # oracle derives from the views themselves.
     fixed = [source.train_view(domain=s) for s in range(source.domain_count)]
 
     def checked(synthetic, views, psi, per_domain=True, **kwargs):
+        # A run passes no view: its plan holds the real side.
+        assert views is None
         got = matching(synthetic, views, psi, per_domain, **kwargs)
-        want = per_call_matching_rows(synthetic, fixed if views is None else views, psi,
-                                      per_domain)
+        streams = SeededRng(cfg.seed).substream(_STREAM_BATCH, synthetic.iteration)
+        drawn = [view if batch_per_class == 0 else
+                 subsample_view(view, batch_per_class, streams.substream(s))
+                 for s, view in enumerate(fixed)]
+        want = per_call_matching_rows(synthetic, drawn, psi, per_domain)
         for plan_path, oracle in zip(got, want):
             assert np.asarray(plan_path).tobytes() == np.asarray(oracle).tobytes()
         passes.append(per_domain)
@@ -469,51 +476,54 @@ def test_surgery_pairs_are_derived_once_per_run(monkeypatch, tmp_path, toy, kind
 
 @pytest.mark.parametrize("batch_per_class", [0, 4])
 def test_linear_real_pixel_means_are_stacked_once_per_run(monkeypatch, toy, batch_per_class):
-    # The synthetic set holds 9 images; a real view 36, a minibatch of it 12.
+    # The synthetic set holds 9 images, a real view 36, 12 of each class.
     # With fixed views the run's plan stacks each view's class pixel means
-    # (`FeaturizerSpec.layout`) when the run starts; minibatches are new
-    # views every iteration.
+    # (`FeaturizerSpec.layout`) when the run starts. A minibatch's means are
+    # each iteration's own: the means of its 4 drawn members of each class,
+    # read straight from the view's rows (`FeaturizerSpec.gather`).
     cfg = DistillConfig(ipc=3, iterations=5, seed=28, batch_per_class=batch_per_class, **FAST)
     group_means, real = pipeline._group_means, []
 
     def counting(rows, groups):
         if len(rows) != toy.class_count * cfg.ipc:
-            real.append(len(rows))
+            real.append((len(rows), [len(g) for g in groups]))
         return group_means(rows, groups)
 
     monkeypatch.setattr(pipeline, "_group_means", counting)
     run_distillation(toy, cfg)
     passes = 1 if batch_per_class == 0 else cfg.iterations
-    assert real == [36 if batch_per_class == 0 else 12] * toy.domain_count * passes
+    members = [batch_per_class or 12] * toy.class_count
+    assert real == [(36, members)] * toy.domain_count * passes
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
-def test_a_fixed_view_run_frees_its_views_once_the_plan_is_built(monkeypatch, toy, kind):
-    # With fixed views the plan holds what every pass reads of them (the
-    # class pixel means under linear, the padded layout under conv), so no
-    # reference to a view's images outlives the plan's construction. A
-    # minibatch run keeps its views to draw from.
-    make_plan, held, alive = pipeline.MatchingPlan, [], []
+def test_no_view_outlives_the_run_plan(monkeypatch, toy, kind):
+    # The plan holds what every pass reads of the real views (the class
+    # pixel means or, for minibatches, the images under linear, the padded
+    # layout under conv), so no view a run makes is alive at any matching
+    # pass, with or without minibatches.
+    make_view, made, alive = MultiDomainDataset.view, [], []
     matching = pipeline.matching_rows
 
-    def planning(synthetic, views, *args):
-        held.extend(weakref.ref(view.images) for view in views)
-        return make_plan(synthetic, views, *args)
+    def viewing(*args, **kwargs):
+        view = make_view(*args, **kwargs)
+        made.append(weakref.ref(view))
+        return view
 
     def counting(*args, **kwargs):
-        alive.append(sum(ref() is not None for ref in held))
+        alive.append(sum(ref() is not None for ref in made))
         return matching(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "MatchingPlan", planning)
+    monkeypatch.setattr(MultiDomainDataset, "view", viewing)
     monkeypatch.setattr(pipeline, "matching_rows", counting)
     for batch_per_class in (0, 4):
-        held.clear()
+        made.clear()
         alive.clear()
         cfg = DistillConfig(ipc=3, iterations=3, seed=31, featurizer=KINDS[kind],
                             batch_per_class=batch_per_class)
         run_distillation(toy, cfg)
-        assert len(held) == toy.domain_count
-        assert alive == [toy.domain_count if batch_per_class else 0] * cfg.iterations
+        assert len(made) >= toy.domain_count
+        assert alive == [0] * cfg.iterations
 
 
 def continued_set(synthetic, case):
@@ -813,8 +823,8 @@ def test_a_single_lane_run_starts_no_thread(monkeypatch, toy, single):
 def test_lanes_call_no_rng_or_featurizer_method(monkeypatch, toy, kind, batch_per_class):
     # perfbench/tracer.py wraps these names, and its span stack belongs to
     # one thread: lanes may call numpy only. The loop thread draws each
-    # iteration's minibatch views and reads their classes; a lane then draws
-    # the featurizer and (conv) featurizes the views.
+    # iteration's minibatch and gathers its layout from the run's plan; a
+    # lane then draws the featurizer and (conv) featurizes the real side.
     monkeypatch.setattr(featurizers, "_usable_cpus", lambda: 2)
     callers = set()
 

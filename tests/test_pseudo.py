@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sgsdistill import featurizers
+from sgsdistill.datasets import TRAIN
 from sgsdistill.errors import NotConvolutional, TooFewSamples
 from sgsdistill.featurizers import IMAGE_BLOCK, ConvFeaturizer, LinearFeaturizer
 from sgsdistill.pseudo import (
@@ -17,7 +18,7 @@ from sgsdistill.pseudo import (
 from sgsdistill.rng import SeededRng
 from sgsdistill.toydata import generate_toy, sdg_toy_spec
 
-from helpers import materialised, naive_correlate
+from helpers import materialised, naive_correlate, peak_allocation
 
 
 @pytest.mark.parametrize("n", [0, 1, IMAGE_BLOCK - 1, IMAGE_BLOCK + 1, 3 * IMAGE_BLOCK + 5])
@@ -181,3 +182,16 @@ def test_pseudo_domains_of_a_subset_match_those_of_a_copy():
     assert got.domains.tobytes() == want.domains.tobytes()
     assert got_model.centroids.tobytes() == want_model.centroids.tobytes()
     assert got.images.tobytes() == want.images.tobytes()
+
+
+def test_pseudo_domains_gather_each_split_once():
+    # A subset's pixels are its rows of the shared array. The train split is
+    # gathered from that array once, for the style statistics, and the
+    # whole subset is never gathered on top of it.
+    toy = generate_toy(sdg_toy_spec(train_per_cell=30, test_per_cell=10), seed=7001)
+    single = toy.only_domain(0)
+    psi = default_style_featurizer(3, SeededRng(4))
+    train = single.subset(single.splits == TRAIN).images
+    _, stats_peak = peak_allocation(lambda: style_stats_batch(train, psi))
+    _, peak = peak_allocation(lambda: assign_pseudo_domains(single, psi, 4, SeededRng(5)))
+    assert peak < stats_peak + train.nbytes + 0.5 * single.images.nbytes
