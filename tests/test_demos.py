@@ -18,6 +18,8 @@ import sgsdistill
 
 DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(sgsdistill.__file__)))
+# Checks a demo must print, so that dropping one fails too.
+REQUIRED = {"containers_and_checkpoints": r"^  load peak .* record chunk: True$"}
 
 
 @pytest.mark.parametrize("demo", ["spectral_decomposition", "containers_and_checkpoints",
@@ -30,3 +32,5 @@ def test_demo_exits_cleanly(tmp_path, demo):
     assert done.returncode == 0, done.stderr
     failed = [line for line in done.stdout.splitlines() if re.search(r"\bFalse\b", line)]
     assert not failed, "\n".join(failed)
+    if demo in REQUIRED:
+        assert re.search(REQUIRED[demo], done.stdout, re.MULTILINE), done.stdout

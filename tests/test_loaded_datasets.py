@@ -85,14 +85,27 @@ def test_cli_distill_on_a_container_writes_the_bytes_of_its_f64_copy(tmp_path, m
             Path(tmp_path / "f64" / name).read_bytes(), name
 
 
-def test_loading_makes_one_f32_copy_and_no_f64_array(tmp_path):
+def test_loading_makes_one_f32_copy_and_no_f64_array(monkeypatch, tmp_path):
+    monkeypatch.setattr(storage, "_CHUNK_BYTES", 1 << 16)
     path = tmp_path / "toy.dgdd"
     storage.save_dataset(generate_toy(ToySpec(train_per_cell=20, test_per_cell=5), seed=0), path)
+    assert os.path.getsize(path) > 16 * storage._CHUNK_BYTES
     back, peak = peak_allocation(lambda: storage.load_dataset(path))
-    # The file's bytes and one f32 copy of its pixels; the per-sample arrays
-    # are ~1% of the pixels. An f64 array alone would be twice the f32 bytes.
-    assert peak < os.path.getsize(path) + back.images.nbytes * 1.05
+    # One f32 copy of the pixels and one record chunk, never the file's bytes;
+    # the per-sample arrays are ~1% of the pixels. An f64 array alone would be
+    # twice the f32 bytes.
+    assert peak < back.images.nbytes * 1.05 + storage._CHUNK_BYTES
     assert back.images.dtype == np.float32 and back.images.flags.c_contiguous
+
+
+def test_saving_packs_one_record_chunk_at_a_time(monkeypatch, tmp_path):
+    monkeypatch.setattr(storage, "_CHUNK_BYTES", 1 << 16)
+    ds = generate_toy(ToySpec(train_per_cell=20, test_per_cell=5), seed=0)
+    path = tmp_path / "toy.dgdd"
+    _, peak = peak_allocation(lambda: storage.save_dataset(ds, path))
+    assert os.path.getsize(path) > 16 * storage._CHUNK_BYTES
+    # A whole packed record array would be about the f32 pixels' bytes.
+    assert peak < storage._CHUNK_BYTES + 0.05 * ds.images.nbytes
 
 
 def test_style_stats_widen_an_f32_batch_a_block_at_a_time():

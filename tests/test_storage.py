@@ -1,5 +1,6 @@
 import struct
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from sgsdistill.storage import (
 )
 from sgsdistill.toydata import ToySpec, generate_toy
 
-from helpers import materialised
+from helpers import materialised, peak_allocation
 
 SMALL = ToySpec(train_per_cell=4, test_per_cell=2)
 
@@ -154,6 +155,14 @@ def test_idx_import(tmp_path):
     assert ds.images.max() <= 1.0 and ds.images.min() >= 0.0
     assert np.array_equal(ds.labels, labels.astype(np.int64))
     assert np.abs(ds.images[0, 0] - pixels[0] / 255.0).max() < 1e-12
+
+
+def test_idx_import_holds_the_file_and_one_f64_array(tmp_path):
+    ipath, lpath, pixels, _ = write_idx_pair(tmp_path, count=40, rows=28, cols=28)
+    ds, peak = peak_allocation(lambda: import_idx(ipath, lpath))
+    assert ds.images.tobytes() == (pixels[:, None] / 255.0).tobytes()
+    file_bytes = ipath.stat().st_size + lpath.stat().st_size
+    assert peak <= (file_bytes + ds.images.nbytes) * 1.05
 
 
 def test_idx_header_constants_match_published_format(tmp_path):
@@ -398,7 +407,193 @@ def test_failed_rename_leaves_old_artifact(monkeypatch, tmp_path, writer):
     assert path.read_bytes() == b"old bytes"
 
 
+@pytest.mark.parametrize("fault", [ValueError, KeyboardInterrupt])
+def test_a_write_failing_mid_file_leaves_old_artifact(tmp_path, fault):
+    path = tmp_path / "artifact"
+    path.write_bytes(b"old bytes")
+
+    def chunks():
+        yield b"new bytes"
+        raise fault("mid-file")
+
+    with pytest.raises(fault, match="mid-file"):
+        storage._atomic_write(path, chunks())
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+    assert path.read_bytes() == b"old bytes"
+
+
 def test_write_csv_formats_each_cell(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(["param", "value", "mean"], [("k", 2.0, 1 / 3), ("k", np.int64(3), 0.5)], path)
     assert path.read_bytes() == b"param,value,mean\nk,2,0.333333\nk,3,0.5\n"
+
+
+# -- containers stream through one record chunk ----------------------------------
+
+CHUNK_RECORDS, RECORDS = 3, 11   # three whole chunks and a remainder of two
+
+
+def streamed(kind):
+    """(save(path), load(path) -> {field: array}, magic, dims, record dtype,
+    {field: column}) for one container kind holding RECORDS records."""
+    images = SeededRng(8).normal(size=(RECORDS, 2, 3, 2))
+    ids = np.arange(RECORDS)
+    if kind == "DGDD":
+        ds = MultiDomainDataset(images=images, labels=ids % 3, domains=ids % 2,
+                                splits=(ids % 4 == 0).astype(np.uint8), class_count=3,
+                                domain_count=2)
+
+        def load(path):
+            back = load_dataset(path)
+            return dict(label=back.labels, domain=back.domains, split=back.splits,
+                        pixels=back.images)
+
+        return (lambda path: save_dataset(ds, path)), load, (RECORDS, 3, 2, 2, 3, 2), \
+            storage._dataset_record(2, 3, 2), \
+            dict(label=ds.labels, domain=ds.domains, split=ds.splits, pixels=images)
+    if kind == "DGCK":
+        cols = dict(label=ids % 3, domain=65535 - ids, init_uid=ids * 2**40 - 1, pixels=images)
+
+        def load(path):
+            pixels, label, domain, init_uid, iteration = load_checkpoint_images(path)
+            assert iteration == 77
+            return dict(label=label, domain=domain, init_uid=init_uid, pixels=pixels)
+
+        return (lambda path: save_checkpoint_images(images, cols["label"], cols["domain"],
+                                                    cols["init_uid"], 77, path)), \
+            load, (RECORDS, 3, 2, 2, 77), storage._checkpoint_record(2, 3, 2), cols
+    return (lambda path: save_grids(images, path)), \
+        (lambda path: dict(pixels=load_grids(path))), (RECORDS, 3, 2, 2), \
+        storage._grid_record(2, 3, 2), dict(pixels=images)
+
+
+LOADED_DTYPES = {"label": np.int64, "domain": np.int64, "split": np.uint8,
+                 "init_uid": np.int64}
+
+
+@pytest.fixture
+def few_record_chunks(monkeypatch):
+    def patch(dtype):
+        monkeypatch.setattr(storage, "_CHUNK_BYTES", CHUNK_RECORDS * dtype.itemsize)
+    return patch
+
+
+@pytest.mark.parametrize("kind", ["DGDD", "DGCK", "DGGR"])
+def test_a_container_spanning_several_chunks_is_one_whole_record_array(
+        tmp_path, few_record_chunks, kind):
+    save, load, dims, dtype, cols = streamed(kind)
+    few_record_chunks(dtype)
+    records = np.empty(RECORDS, dtype)
+    for name, values in cols.items():
+        records[name] = values
+    path = tmp_path / "chunked.bin"
+    save(path)
+    assert path.read_bytes() == container(kind.encode(), dims, records.tobytes())
+    got = load(path)
+    assert sorted(got) == sorted(cols)
+    pixel_dtype = np.float32 if kind == "DGDD" else np.float64
+    for name, arr in got.items():
+        assert arr.dtype == LOADED_DTYPES.get(name, pixel_dtype), name
+        assert arr.tobytes() == records[name].astype(arr.dtype).tobytes(), name
+
+
+@pytest.mark.parametrize("kind", ["DGDD", "DGCK", "DGGR"])
+def test_a_file_cut_inside_a_chunk_returns_nothing(tmp_path, few_record_chunks, kind):
+    save, load, dims, dtype, _ = streamed(kind)
+    few_record_chunks(dtype)
+    path = tmp_path / "chunked.bin"
+    save(path)
+    blob = path.read_bytes()
+    start = 6 + 4 * len(dims)
+    for cut in [start + dtype.itemsize // 2, start + 4 * dtype.itemsize + 1,
+                start + CHUNK_RECORDS * dtype.itemsize, len(blob) - 5, len(blob) - 1]:
+        path.write_bytes(blob[:cut])
+        with pytest.raises(IoError):
+            load(path)
+
+
+def test_a_file_shrinking_after_its_size_check_returns_nothing(monkeypatch, tmp_path,
+                                                              few_record_chunks):
+    save, load, _, dtype, _ = streamed("DGDD")
+    few_record_chunks(dtype)
+    path = tmp_path / "chunked.dgdd"
+    save(path)
+    size = path.stat().st_size
+    for cut in [size // 2, size - 2]:
+        path.write_bytes(path.read_bytes()[:cut])
+        with monkeypatch.context() as patch:   # the size the header check saw
+            patch.setattr(storage.os, "fstat", lambda fd: SimpleNamespace(st_size=size))
+            with pytest.raises(IoError, match="^truncated file$"):
+                load(path)
+
+
+@pytest.mark.parametrize("byte", [6, 9])
+def test_a_flipped_record_count_is_a_checksum_mismatch(tmp_path, few_record_chunks, byte):
+    save, load, _, dtype, _ = streamed("DGDD")
+    few_record_chunks(dtype)
+    path = tmp_path / "chunked.dgdd"
+    save(path)
+    blob = bytearray(path.read_bytes())
+    blob[byte] ^= 0x01   # the low (6) or high (9) byte of N
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ChecksumMismatch):
+        load(path)
+
+
+@pytest.mark.parametrize("dim", [0, 1], ids=["records", "height"])
+@pytest.mark.parametrize("kind", ["DGDD", "DGCK", "DGGR"])
+def test_a_header_claiming_2_32_records_raises_before_allocating(tmp_path, kind, dim):
+    _, load, dims, dtype, _ = streamed(kind)
+    records = np.zeros(RECORDS, dtype).tobytes()
+    path = tmp_path / "huge.bin"
+    # The checksum holds; a dim of 2**32 - 1 is more records, or a larger
+    # record, than any file holds.
+    path.write_bytes(container(kind.encode(), dims[:dim] + (2**32 - 1,) + dims[dim + 1:],
+                               records))
+
+    def attempt():
+        with pytest.raises(IoError, match="truncated or padded"):
+            load(path)
+
+    _, peak = peak_allocation(attempt)
+    assert peak < 1e6
+
+
+@pytest.mark.parametrize("kind", ["DGDD", "DGCK", "DGGR"])
+def test_a_failed_chunk_write_leaves_old_artifact(monkeypatch, tmp_path, few_record_chunks,
+                                                  kind):
+    save, _, _, dtype, _ = streamed(kind)
+    few_record_chunks(dtype)
+    path = tmp_path / "artifact"
+    path.write_bytes(b"old bytes")
+    real_open, writes = open, []
+
+    class FailingFile:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, chunk):
+            writes.append(len(chunk))
+            if len(writes) == 3:   # the header, the first chunk, then the second
+                raise OSError("disk full")
+            return self.fh.write(chunk)
+
+    monkeypatch.setattr(storage, "open", lambda *a: FailingFile(real_open(*a)), raising=False)
+    with pytest.raises(IoError, match="disk full"):
+        save(path)
+    assert len(writes) == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+    assert path.read_bytes() == b"old bytes"
+
+
+def test_columns_of_another_length_refused_and_no_file(tmp_path):
+    with pytest.raises(ValueError, match="rows"):
+        save_checkpoint_images(np.zeros((3, 1, 2, 2)), np.array([0, 1]), np.array([0, 0, 0]),
+                               np.array([-1, -1, -1]), 0, tmp_path / "short.dgck")
+    assert list(tmp_path.iterdir()) == []
